@@ -65,17 +65,13 @@ class DirichletCharacter:
                 )
         else:
             self.mode = "teichmuller"
-            p, M = context.p, context.precision
-            vals = []
-            for v in values:
-                v = int(v) % p**M
-                if v != 0 and pow(v, p - 1, p**M) != 1:
-                    raise PreconditionError(
-                        "teichmuller-mode values must be (p-1)-st roots of unity",
-                        parameter="values",
-                    )
-                vals.append(v)
-            values = tuple(vals)
+            mod = context.modulus
+            values = tuple(int(v) % mod for v in values)
+            if any(v != 0 and pow(v, context.p - 1, mod) != 1 for v in values):
+                raise PreconditionError(
+                    "teichmuller-mode values must be (p-1)-st roots of unity",
+                    parameter="values",
+                )
         self.values = values
         self._validate()
 
@@ -88,26 +84,16 @@ class DirichletCharacter:
                     f"chi({x}) must be {'nonzero' if on_units else 'zero'}",
                     parameter="values",
                 )
-        if self.values[1 % d] != (
-            Fraction(1) if self.mode == "rational" else 1
-        ):
+        chi = [self.value(x) for x in range(d)]
+        if chi[1 % d] != self.lift(Fraction(1)):
             raise PreconditionError("chi(1) must be 1", parameter="values")
         units = [x for x in range(d) if gcd(x, d) == 1]
-        if self.mode == "rational":
-            for a in units:
-                for b in units:
-                    if self.values[a * b % d] != self.values[a] * self.values[b]:
-                        raise PreconditionError(
-                            "character table is not multiplicative", parameter="values"
-                        )
-        else:
-            mod = self.context.p**self.context.precision
-            for a in units:
-                for b in units:
-                    if self.values[a * b % d] != self.values[a] * self.values[b] % mod:
-                        raise PreconditionError(
-                            "character table is not multiplicative", parameter="values"
-                        )
+        for a in units:
+            for b in units:
+                if chi[a * b % d] != chi[a] * chi[b]:
+                    raise PreconditionError(
+                        "character table is not multiplicative", parameter="values"
+                    )
 
     # -- constructors -------------------------------------------------------
 
@@ -137,32 +123,24 @@ class DirichletCharacter:
         image,
         context: PadicContext | None = None,
     ) -> "DirichletCharacter":
-        """Build a character of a cyclic unit group by chi(generator) = image."""
+        """Build a character of a cyclic unit group by chi(generator) = image.
+
+        chi(1) ends as image^phi(d): an image of the wrong order fails there.
+        """
         units = [x for x in range(modulus) if gcd(x, modulus) == 1]
-        one = Fraction(1) if context is None else 1
-        zero = Fraction(0) if context is None else 0
-        if context is None:
-            image = Fraction(image)
-        else:
-            image = int(image) % context.p**context.precision
-        table = {1 % modulus: one}
-        g, acc = generator % modulus, one
+        exponent = {1 % modulus: 0}
         x = 1 % modulus
-        for _ in range(len(units)):
-            x = x * g % modulus
-            if context is None:
-                acc = acc * image
-            else:
-                acc = acc * image % context.p**context.precision
-            table[x] = acc
-        if len(table) != len(units):
+        for j in range(1, len(units) + 1):
+            x = x * generator % modulus
+            exponent[x] = j
+        if len(exponent) != len(units):
             raise PreconditionError(
                 f"{generator} does not generate the units mod {modulus}",
                 parameter="generator",
             )
         return cls(
             modulus,
-            [table.get(x, zero) for x in range(modulus)],
+            [image ** exponent[x] if x in exponent else 0 for x in range(modulus)],
             context,
         )
 
@@ -176,17 +154,32 @@ class DirichletCharacter:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, x: int):
+        """Table lookup at x mod d; zero off the units."""
         return self.values[x % self.modulus]
 
-    def padic_value(self, x: int, context: PadicContext) -> PadicNumber:
+    def lift(self, x: Rational) -> Rational | PadicNumber:
+        """x in the character's own scalars: the rational itself in rational
+        mode, its PadicNumber image at the character's context otherwise."""
+        if self.context is None:
+            return x
+        return to_padic(x, self.context)
+
+    def value(self, x: int) -> Rational | PadicNumber:
+        """chi(x) in the character's own scalars (see `lift`)."""
         v = self.values[x % self.modulus]
+        if self.context is None:
+            return v
+        if v == 0:
+            return PadicNumber.zero(self.context)
+        return PadicNumber(self.context, 0, v, self.context.precision)
+
+    def padic_value(self, x: int, context: PadicContext) -> PadicNumber:
+        """chi(x) as a PadicNumber at `context`."""
         if self.mode == "rational":
-            return to_padic(v, context)
+            return to_padic(self(x), context)
         if context != self.context:
             raise PreconditionError("character belongs to a different p-adic context")
-        if v == 0:
-            return PadicNumber.zero(context)
-        return PadicNumber(context, 0, v, context.precision)
+        return self.value(x)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirichletCharacter):
@@ -200,11 +193,6 @@ class DirichletCharacter:
 
     def __repr__(self) -> str:
         return f"DirichletCharacter(mod {self.modulus}, {self.mode})"
-
-
-def char_eval(chi: DirichletCharacter, x: int):
-    """Table lookup at x mod d; zero off the units."""
-    return chi(x)
 
 
 def twist_teichmuller(
@@ -222,11 +210,8 @@ def twist_teichmuller(
         if gcd(x, L) != 1:
             vals.append(0)
             continue
-        base = chi(x)
-        if chi.mode == "rational":
-            base = int(base) % mod
         w = pow(teichmuller(x, context).unit, k % (p - 1), mod)
-        vals.append(base * w % mod)
+        vals.append(int(chi(x)) * w % mod)
     return DirichletCharacter(L, vals, context)
 
 
@@ -248,8 +233,9 @@ def h_chi(
         sum over i in {0..d-1}^r of chi(i_1)..chi(i_r) u^(|i|)
             H_k((a.i)/d, u^d, q^d | a)
 
-    For d = 1 this collapses to the untwisted H_k. Rational-mode characters
-    stay in exact rationals; teichmuller mode returns a PadicNumber.
+    For d = 1 this collapses to the untwisted H_k. The sum runs in the
+    character's scalars: exact rationals in rational mode, a PadicNumber in
+    teichmuller mode, with each term embedded once by `chi.lift`.
     """
     a = tuple(int(x) for x in a)
     if r != len(a):
@@ -266,35 +252,16 @@ def h_chi(
     params = BarnesParams(a, ud, base)
     prefactor = (1 - u) ** r * qbracket(d, q) ** k / (1 - ud) ** r
 
-    if chi.mode == "rational":
-        total = Fraction(0)
-        for iv in itertools.product(range(d), repeat=r):
-            cv = Fraction(1)
-            for ij in iv:
-                cv *= chi(ij)
-            if cv == 0:
-                continue
-            warg = FractionalArg(sum(aj * ij for aj, ij in zip(a, iv)), d)
-            total += cv * u ** sum(iv) * h_closed(k, warg, params)
-        return prefactor * total
-
-    ctx = chi.context
-    total = PadicNumber.zero(ctx)
-    for iv in itertools.product(range(d), repeat=r):
-        cv = to_padic(1, ctx)
-        skip = False
+    support = [i for i in range(d) if chi(i) != 0]
+    one = chi.lift(Fraction(1))
+    total = chi.lift(Fraction(0))
+    for iv in itertools.product(support, repeat=r):
+        cv = one
         for ij in iv:
-            v = chi.padic_value(ij, ctx)
-            if v.is_zero:
-                skip = True
-                break
-            cv = cv * v
-        if skip:
-            continue
+            cv = cv * chi.value(ij)
         warg = FractionalArg(sum(aj * ij for aj, ij in zip(a, iv)), d)
-        piece = to_padic(u ** sum(iv) * h_closed(k, warg, params), ctx)
-        total = total + cv * piece
-    return to_padic(prefactor, ctx) * total
+        total = total + cv * chi.lift(u ** sum(iv) * h_closed(k, warg, params))
+    return chi.lift(prefactor) * total
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +383,14 @@ def l_riemann(
 
 def _l_negative_exact(
     k: int, chi: DirichletCharacter, u: Rational, q: Rational, a1: int, p: int
-) -> Rational:
-    """Exact rational L(-k) for a rational-mode character."""
+) -> Rational | PadicNumber:
+    """L(-k) in the character's scalars: an exact rational for a rational-mode
+    character, a PadicNumber at its context for a teichmuller-mode one."""
     main = h_chi(k, 1, (a1,), u, q, chi)
-    cp = chi(p)
-    if cp == 0:
+    if chi(p) == 0:
         return main
-    up, qp = u**p, q**p
-    correction = (
-        cp * qbracket(p, q) ** k * (1 - u) / (1 - up) * h_chi(k, 1, (a1,), up, qp, chi)
-    )
-    return main - correction
+    scale = chi.lift(qbracket(p, q) ** k * (1 - u) / (1 - u**p))
+    return main - chi.value(p) * scale * h_chi(k, 1, (a1,), u**p, q**p, chi)
 
 
 def l_at_negative(
@@ -452,16 +416,10 @@ def l_at_negative(
         raise PreconditionError("a1 must be a p-adic unit", parameter="a")
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
-    q = Fraction(q)
-    if chi.mode == "rational":
-        return to_padic(_l_negative_exact(k, chi, u.u, q, a1, p), context)
-    main = h_chi(k, 1, (a1,), u.u, q, chi)
-    cp = chi.padic_value(p, context)
-    if cp.is_zero:
-        return main
-    scale = to_padic(qbracket(p, q) ** k * (1 - u.u) / (1 - u.u**p), context)
-    second = h_chi(k, 1, (a1,), u.u**p, q**p, chi)
-    return main - cp * scale * second
+    if chi.mode == "teichmuller" and chi.context != context:
+        raise PreconditionError("character belongs to a different p-adic context")
+    value = _l_negative_exact(k, chi, u.u, Fraction(q), a1, p)
+    return value if isinstance(value, PadicNumber) else to_padic(value, context)
 
 
 def kummer_check(

@@ -76,19 +76,19 @@ def _parse_character(spec: str, context: PadicContext | None) -> DirichletCharac
             )
         return DirichletCharacter.teichmuller_character(context)
     kind, _, rest = spec.partition(":")
-    if kind == "trivial":
-        return DirichletCharacter.trivial(int(rest) if rest else 1)
-    if kind == "quadratic":
-        return DirichletCharacter.quadratic(int(rest))
+    if kind in ("trivial", "quadratic"):
+        try:
+            modulus = int(rest or "1")
+        except ValueError:
+            raise PreconditionError(
+                f"bad character modulus {rest!r} in {spec!r}", parameter="char"
+            )
+        return getattr(DirichletCharacter, kind)(modulus)
     raise PreconditionError(
         f"unrecognized character spec {spec!r}; use trivial:D, quadratic:D, "
         "teichmuller, or a JSON object",
         parameter="char",
     )
-
-
-def _rational_arg(text: str) -> Fraction:
-    return parse_rational(text)
 
 
 def _value_json(value) -> object:
@@ -133,8 +133,7 @@ def _emit(payload: dict, fmt: str) -> None:
 def _context_from_args(args) -> PadicContext | None:
     if getattr(args, "p", None) is None:
         return None
-    precision = getattr(args, "precision", None) or 8
-    return PadicContext(args.p, precision)
+    return PadicContext(args.p, args.precision)
 
 
 def _require(args, *names) -> None:
@@ -147,8 +146,8 @@ def _require(args, *names) -> None:
 
 def _add_common(parser, *flags) -> None:
     table = {
-        "q": lambda: parser.add_argument("--q", type=_rational_arg, help="base q as num/den"),
-        "u": lambda: parser.add_argument("--u", type=_rational_arg, help="parameter u as num/den"),
+        "q": lambda: parser.add_argument("--q", type=parse_rational, help="base q as num/den"),
+        "u": lambda: parser.add_argument("--u", type=parse_rational, help="parameter u as num/den"),
         "a": lambda: parser.add_argument("--a", type=_parse_int_list, help="comma-separated nonzero integers a_1,..,a_r"),
         "n": lambda: parser.add_argument("--n", type=int, help="degree / order"),
         "k": lambda: parser.add_argument("--k", type=int, help="moment / twist index"),
@@ -158,7 +157,7 @@ def _add_common(parser, *flags) -> None:
         "f": lambda: parser.add_argument("--f", type=int, default=1, help="tame modulus factor"),
         "d": lambda: parser.add_argument("--d", type=int, default=1, help="arithmetic-progression step"),
         "p": lambda: parser.add_argument("--p", type=int, help="odd prime p"),
-        "precision": lambda: parser.add_argument("--precision", type=int, help="p-adic working digits (default 8)"),
+        "precision": lambda: parser.add_argument("--precision", type=int, default=8, help="p-adic working digits (default 8)"),
         "level-N": lambda: parser.add_argument("--level-N", dest="level_N", type=int, default=0, help="cell refinement level N"),
         "char": lambda: parser.add_argument("--char", help="character: trivial:D, quadratic:D, teichmuller, or JSON"),
         "budget": lambda: parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="summation budget"),
@@ -369,8 +368,8 @@ def _dispatch_compute(args) -> dict:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "compute":
             payload = _dispatch_compute(args)
             _emit(payload, args.format)

@@ -118,12 +118,15 @@ def riemann_integral(
     points = d * u.p**N
     _check_budget(points, budget)
     uu = u.u
+    norm = qbracket_z(points, uu)
+    if norm == 0:
+        raise PoleError("u^(d p^N) = 1", parameter="u")
     total = Fraction(0)
     upow = Fraction(1)
     for x in range(points):
         total += integrand(x) * upow
         upow *= uu
-    return total / qbracket_z(points, uu)
+    return total / norm
 
 
 def multi_riemann_integral(
@@ -242,22 +245,15 @@ def prop5_check(
 
     The principal terms of the moment-measure cells x + p^N Z_p are
     [a1 x : q]^k u^x / (1 - u^(p^N)); their sum converges p-adically to the
-    k-th moment (1/(1-u)) H_k. Returns the exact valuation of the
-    difference, INFINITY when the level-N sum is already exact (k = 0).
+    k-th moment (1/(1-u)) H_k. Since 1 - u^m = [m : u] (1 - u), that sum is
+    the level-N Riemann sum of [a1 x : q]^k divided by 1 - u. Returns the
+    exact valuation of the difference, INFINITY when the level-N sum is
+    already exact (k = 0).
     """
     if k < 0 or N < 0:
         raise PreconditionError("need k >= 0 and N >= 0", parameter="k")
     q = Fraction(q)
-    points = u.p**N
-    _check_budget(points, budget)
-    um = u.u**points
-    if um == 1:
-        raise PoleError("u^(p^N) = 1", parameter="u")
-    total = Fraction(0)
-    upow = Fraction(1)
-    for x in range(points):
-        total += qbracket(a1 * x, q) ** k * upow
-        upow *= u.u
-    approx = total / (1 - um)
+    level_sum = riemann_integral(lambda x: qbracket(a1 * x, q) ** k, u, 1, N, budget)
+    approx = level_sum / (1 - u.u)
     target = h_closed(k, 0, BarnesParams((a1,), u.u, QBase(q))) / (1 - u.u)
     return valuation(approx - target, u.p)

@@ -5,19 +5,21 @@ residuals (exact rationals, expected 0) or p-adic error valuations
 (expected to grow with the level). Nothing here is approximate: residuals
 come from exact arithmetic and valuations are computed after the fact.
 
-Suite names double as the CLI `verify` vocabulary.
+A suite is a generator of checks over a seeded `ParameterSampler`; `_suite`
+turns it into the callable that builds the whole report. Suite names double
+as the CLI `verify` vocabulary.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Callable
+from typing import Callable, Iterator
 
 from .characters_lfunctions import (
     DirichletCharacter,
     _l_negative_exact,
+    _tame_part,
     angle_bracket,
     l_at_negative,
     l_riemann,
@@ -49,8 +51,9 @@ from .padic_integration import (
     measure_bound_check,
     multi_riemann_integral,
     prop5_check,
+    riemann_integral,
 )
-from .qnum import QBase, qbracket, qbracket_z
+from .qnum import QBase, qbracket
 from .series import classical_gf_coefficients, q_gf_coefficients
 
 
@@ -103,6 +106,20 @@ def _strictly_increasing(vals) -> bool:
     return all(b > a or b == INFINITY for a, b in zip(vals, vals[1:]))
 
 
+def _first_diff(pairs) -> Fraction:
+    """The first nonzero a - b over the pairs; 0 when every pair agrees."""
+    return next((a - b for a, b in pairs if a != b), Fraction(0))
+
+
+def _qu(q: Fraction, u: Fraction) -> dict:
+    return {"q": format_rational(q), "u": format_rational(u)}
+
+
+def _level_record(levels, vals) -> dict:
+    """The per-level valuations of a convergence check, for its params."""
+    return {"levels": list(levels), "valuations": [_fmt_val(x) for x in vals]}
+
+
 class ParameterSampler:
     """Seeded small-height rational sampling with pole-aware retries."""
 
@@ -125,262 +142,163 @@ class ParameterSampler:
             if v:
                 return v
 
+    def barnes(self, r: int, a_max: int, exclude=(0, 1)) -> BarnesParams:
+        """a in [-a_max, a_max]^r without zeros, then q, then u."""
+        a = tuple(self.nonzero_int(-a_max, a_max) for _ in range(r))
+        q = self.fraction(exclude=exclude)
+        u = self.fraction(exclude=exclude)
+        return BarnesParams(a, u, QBase(q))
+
     def sample_until(self, build: Callable):
-        """Run build() until it stops hitting poles, counting retries."""
+        """Run build() until it stops hitting poles; returns its value and the
+        draws this sample rejected (pole retries and excluded fractions)."""
+        before = self.resamples
         for _ in range(self.MAX_TRIES):
             try:
-                return build()
+                return build(), self.resamples - before
             except PoleError:
                 self.resamples += 1
         raise PreconditionError("could not sample pole-free parameters")
 
 
+# A check generator yields (name, params, passed, value) per check: value is
+# the exact residual (a Fraction) or an error valuation (an int or INFINITY).
+Checks = Iterator[tuple[str, dict, bool, object]]
+
+
+def _sampled(sampler: ParameterSampler, count: int, build: Callable) -> Checks:
+    """Exact checks on `count` pole-free samples.
+
+    build(i) draws sample i, rerun while it hits a pole, and returns its
+    params and the (computed, expected) pairs whose first difference is the
+    residual. Pairs left lazy are computed after sampling: no retry there.
+    """
+    for i in range(count):
+        (params, pairs), resamples = sampler.sample_until(lambda: build(i))
+        residual = _first_diff(pairs)
+        yield f"{i:02d}", {**params, "resamples": resamples}, residual == 0, residual
+
+
+def _barnes_params(params: BarnesParams) -> dict:
+    return {"r": params.r, "a": list(params.a), **_qu(params.q.value, params.u)}
+
+
 # ---------------------------------------------------------------------------
 
 
-def suite_theorem1_gf(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _theorem1_gf(sampler: ParameterSampler, budget: int) -> Checks:
     """Generating-function coefficients against the closed form, exactly."""
-    report = SuiteReport("theorem1-gf")
-    sampler = ParameterSampler(seed)
     n_max = 12
     x_values = (0, 1, 3)
-    for i in range(30):
-        r = 1 + i % 3
 
-        def build():
-            a = tuple(sampler.nonzero_int(-3, 3) for _ in range(r))
-            q = sampler.fraction(exclude=(0, 1))
-            u = sampler.fraction(exclude=(0, 1))
-            params = BarnesParams(a, u, QBase(q))
-            gf_numbers = q_gf_coefficients(params, None, n_max)
-            gf_at_x = {x: q_gf_coefficients(params, x, n_max) for x in x_values}
-            closed = {
-                x: [h_closed(n, x, params) for n in range(n_max + 1)] for x in x_values
-            }
-            return params, gf_numbers, gf_at_x, closed
-
-        before = sampler.resamples
-        params, gf_numbers, gf_at_x, closed = sampler.sample_until(build)
-        residual = Fraction(0)
-        ok = gf_numbers == closed[0] and gf_at_x[0] == closed[0]
-        if not ok:
-            residual = next(
-                g - c for g, c in zip(gf_numbers, closed[0]) if g != c
-            )
+    def build(i):
+        params = sampler.barnes(1 + i % 3, 3)
+        gf_numbers = q_gf_coefficients(params, None, n_max)
+        gf_at_x = {x: q_gf_coefficients(params, x, n_max) for x in x_values}
+        closed = {
+            x: [h_closed(n, x, params) for n in range(n_max + 1)] for x in x_values
+        }
+        pairs = [*zip(gf_numbers, closed[0])]
         for x in x_values:
-            if gf_at_x[x] != closed[x]:
-                ok = False
-                residual = next(
-                    g - c for g, c in zip(gf_at_x[x], closed[x]) if g != c
-                )
-        report.checks.append(
-            CheckResult(
-                name=f"theorem1-gf/{i:02d}",
-                params={
-                    "r": r,
-                    "a": list(params.a),
-                    "q": format_rational(params.q.value),
-                    "u": format_rational(params.u),
-                    "n_max": n_max,
-                    "x": list(x_values),
-                    "resamples": sampler.resamples - before,
-                },
-                passed=ok,
-                residual=format_rational(residual),
-            )
-        )
-    return report
+            pairs.extend(zip(gf_at_x[x], closed[x]))
+        return {**_barnes_params(params), "n_max": n_max, "x": list(x_values)}, pairs
+
+    return _sampled(sampler, 30, build)
 
 
-def suite_addition(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _addition(sampler: ParameterSampler, budget: int) -> Checks:
     """Binomial addition formula in w against the closed form."""
-    report = SuiteReport("addition")
-    sampler = ParameterSampler(seed)
-    for i in range(20):
-        r = 1 + i % 3
 
-        def build():
-            a = tuple(sampler.nonzero_int(-3, 3) for _ in range(r))
-            q = sampler.fraction(exclude=(0, 1))
-            u = sampler.fraction(exclude=(0, 1))
-            params = BarnesParams(a, u, QBase(q))
-            h_closed(8, 0, params)  # probe the worst pole up front
-            return params
-
-        before = sampler.resamples
-        params = sampler.sample_until(build)
-        residual = Fraction(0)
-        ok = True
-        for n in range(9):
-            for w in range(6):
-                diff = h_addition(n, w, params) - h_closed(n, w, params)
-                if diff != 0:
-                    ok = False
-                    residual = diff
-                    break
-            if not ok:
-                break
-        report.checks.append(
-            CheckResult(
-                name=f"addition/{i:02d}",
-                params={
-                    "r": r,
-                    "a": list(params.a),
-                    "q": format_rational(params.q.value),
-                    "u": format_rational(params.u),
-                    "n_max": 8,
-                    "w_max": 5,
-                    "resamples": sampler.resamples - before,
-                },
-                passed=ok,
-                residual=format_rational(residual),
-            )
+    def build(i):
+        params = sampler.barnes(1 + i % 3, 3)
+        h_closed(8, 0, params)  # probe the worst pole up front
+        pairs = (
+            (h_addition(n, w, params), h_closed(n, w, params))
+            for n in range(9)
+            for w in range(6)
         )
-    return report
+        return {**_barnes_params(params), "n_max": 8, "w_max": 5}, pairs
+
+    return _sampled(sampler, 20, build)
 
 
-def suite_distribution(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _distribution(sampler: ParameterSampler, budget: int) -> Checks:
     """Order-f distribution relation, exact residuals over the pinned grid."""
-    report = SuiteReport("distribution")
-    sampler = ParameterSampler(seed)
-    for i in range(20):
-        r = 1 + i % 2
 
-        def build():
-            a = tuple(sampler.nonzero_int(-2, 2) for _ in range(r))
-            # q = -1 collapses the order-2 refined base to 1, u = ±1 sits on
-            # the u^f = 1 pole
-            q = sampler.fraction(exclude=(0, 1, -1))
-            u = sampler.fraction(exclude=(0, 1, -1))
-            params = BarnesParams(a, u, QBase(q))
-            for f in (2, 3):
-                distribution_check(2, 0, f, params)  # pole probe
-            return params
-
-        before = sampler.resamples
-        params = sampler.sample_until(build)
-        residual = Fraction(0)
-        ok = True
+    def build(i):
+        # q = -1 collapses the order-2 refined base to 1, u = ±1 sits on
+        # the u^f = 1 pole
+        params = sampler.barnes(1 + i % 2, 2, exclude=(0, 1, -1))
         for f in (2, 3):
-            for w in (0, 1, 2):
-                for n in range(9):
-                    diff = distribution_check(n, w, f, params)
-                    if diff != 0:
-                        ok = False
-                        residual = diff
-        report.checks.append(
-            CheckResult(
-                name=f"distribution/{i:02d}",
-                params={
-                    "r": r,
-                    "a": list(params.a),
-                    "q": format_rational(params.q.value),
-                    "u": format_rational(params.u),
-                    "f": [2, 3],
-                    "w": [0, 1, 2],
-                    "n_max": 8,
-                    "resamples": sampler.resamples - before,
-                },
-                passed=ok,
-                residual=format_rational(residual),
-            )
+            distribution_check(2, 0, f, params)  # pole probe
+        pairs = (
+            (distribution_check(n, w, f, params), 0)
+            for f in (2, 3)
+            for w in (0, 1, 2)
+            for n in range(9)
         )
-    return report
+        return {**_barnes_params(params), "f": [2, 3], "w": [0, 1, 2], "n_max": 8}, pairs
+
+    return _sampled(sampler, 20, build)
 
 
-def suite_carlitz_bridge(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _carlitz_bridge(sampler: ParameterSampler, budget: int) -> Checks:
     """Closed form at r=1, w=0 against the umbral recurrence with u inverted."""
-    report = SuiteReport("carlitz-bridge")
-    sampler = ParameterSampler(seed)
-    for i in range(10):
 
-        def build():
-            q = sampler.fraction(exclude=(0, 1))
-            u = sampler.fraction(exclude=(0, 1))
-            params = BarnesParams((1,), u, QBase(q))
-            recur = [h_carlitz(k, 1 / u, q) for k in range(11)]
-            closed = [h_closed(k, 0, params) for k in range(11)]
-            return params, recur, closed
+    def build(i):
+        q = sampler.fraction(exclude=(0, 1))
+        u = sampler.fraction(exclude=(0, 1))
+        params = BarnesParams((1,), u, QBase(q))
+        recur = [h_carlitz(k, 1 / u, q) for k in range(11)]
+        closed = [h_closed(k, 0, params) for k in range(11)]
+        return {**_qu(q, u), "k_max": 10}, [*zip(recur, closed)]
 
-        before = sampler.resamples
-        params, recur, closed = sampler.sample_until(build)
-        residual = Fraction(0)
-        ok = recur == closed
-        if not ok:
-            residual = next(a - b for a, b in zip(recur, closed) if a != b)
-        report.checks.append(
-            CheckResult(
-                name=f"carlitz-bridge/{i:02d}",
-                params={
-                    "q": format_rational(params.q.value),
-                    "u": format_rational(params.u),
-                    "k_max": 10,
-                    "resamples": sampler.resamples - before,
-                },
-                passed=ok,
-                residual=format_rational(residual),
-            )
-        )
-    return report
+    return _sampled(sampler, 10, build)
 
 
-def suite_qlimit(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _qlimit(sampler: ParameterSampler, budget: int) -> Checks:
     """q -> 1 limit of the reduced rational form against the classical
     Frobenius-Euler generating function (parameter v = 1/u)."""
-    report = SuiteReport("qlimit")
-    sampler = ParameterSampler(seed)
     n_max = 10
-    for i in range(10):
-        r = 1 + i % 2
-        w = i % 3
 
-        def build():
-            a = tuple(sampler.nonzero_int(-2, 2) for _ in range(r))
-            u = sampler.fraction(exclude=(0, 1))
-            return a, u
+    def build(i):
+        r, w = 1 + i % 2, i % 3
+        a = tuple(sampler.nonzero_int(-2, 2) for _ in range(r))
+        u = sampler.fraction(exclude=(0, 1))
 
-        before = sampler.resamples
-        a, u = sampler.sample_until(build)
-        classical = classical_gf_coefficients(w, 1 / u, a, n_max)
-        residual = Fraction(0)
-        ok = True
-        for n in range(n_max + 1):
-            lim = limit_q_to_1(n, w, r, a, u)
-            if lim != classical[n]:
-                ok = False
-                residual = lim - classical[n]
-                break
-        report.checks.append(
-            CheckResult(
-                name=f"qlimit/{i:02d}",
-                params={
-                    "r": r,
-                    "a": list(a),
-                    "u": format_rational(u),
-                    "w": w,
-                    "n_max": n_max,
-                    "resamples": sampler.resamples - before,
-                },
-                passed=ok,
-                residual=format_rational(residual),
-            )
-        )
-    return report
+        def pairs():
+            classical = classical_gf_coefficients(w, 1 / u, a, n_max)
+            for n in range(n_max + 1):
+                yield limit_q_to_1(n, w, r, a, u), classical[n]
+
+        return {"r": r, "a": list(a), "u": format_rational(u), "w": w, "n_max": n_max}, pairs()
+
+    return _sampled(sampler, 10, build)
 
 
 # ---------------------------------------------------------------------------
 # p-adic suites
 
 
-def _sample_padic_qu(sampler: ParameterSampler, p: int, v: int) -> tuple[Fraction, Fraction]:
-    """Integer q ≡ 1 mod p and u of exact valuation v (keeps big sums fast)."""
+def _sample_padic_qu(
+    sampler: ParameterSampler, p: int, v: int
+) -> tuple[Fraction, AdmissibleU, dict]:
+    """Integer q ≡ 1 mod p and u of exact valuation v (keeps big sums fast),
+    with the params record every check on them starts from."""
     q = Fraction(1 + p * sampler.rng.choice((1, 2, 3)))
     c = sampler.rng.choice([x for x in (1, 2, 3, 4) if x % p])
-    u = Fraction(p) ** v * c
-    return q, u
+    u = AdmissibleU(Fraction(p) ** v * c, p)
+    return q, u, {"p": p, **_qu(q, u.u)}
 
 
-def suite_riemann_limit(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+_CHARACTERS = {
+    "trivial": lambda: DirichletCharacter.trivial(1),
+    "quadratic3": lambda: DirichletCharacter.quadratic(3),
+    "quadratic4": lambda: DirichletCharacter.quadratic(4),
+}
+
+
+def _riemann_limit(sampler: ParameterSampler, budget: int) -> Checks:
     """Multi-axis Riemann sums of [w + a.x : q]^n against the closed form.
 
     For nu_p(u) >= 1 the observed error valuation must be weakly increasing
@@ -388,133 +306,81 @@ def suite_riemann_limit(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteRep
     sample only guarantees the tail bound (>= N - 1 at every level): an
     accidental extra cancellation at a coarse level is legitimate there.
     """
-    report = SuiteReport("riemann-limit")
-    sampler = ParameterSampler(seed)
     levels = (1, 2, 3, 4)
     for p, r in ((3, 1), (5, 1), (7, 1), (3, 2)):
         vals_of_u = (1, 2, -1) if (p, r) == (3, 1) else (1, 2)
         for v in vals_of_u:
-            q, u = _sample_padic_qu(sampler, p, v)
-            uu = AdmissibleU(u, p)
+            q, uu, base = _sample_padic_qu(sampler, p, v)
             a = tuple(sampler.nonzero_int(-2, 2) for _ in range(r))
-            params = BarnesParams(a, u, QBase(q))
+            params = BarnesParams(a, uu.u, QBase(q))
             for n in range(4):
                 for w in (0, 1):
                     target = h_closed(n, w, params)
-                    vals = []
-                    for N in levels:
-                        approx = multi_riemann_integral(n, w, params, uu, N, budget)
-                        vals.append(valuation(approx - target, p))
+                    vals = [
+                        valuation(multi_riemann_integral(n, w, params, uu, N, budget) - target, p)
+                        for N in levels
+                    ]
                     if v >= 1:
                         ok = _weakly_increasing(vals) and vals[-1] >= levels[-1] - 1
                     else:
                         ok = all(x >= N - 1 for x, N in zip(vals, levels))
-                    report.checks.append(
-                        CheckResult(
-                            name=f"riemann-limit/p{p}-r{r}-v{v}-n{n}-w{w}",
-                            params={
-                                "p": p,
-                                "r": r,
-                                "a": list(a),
-                                "q": format_rational(q),
-                                "u": format_rational(u),
-                                "n": n,
-                                "w": w,
-                                "levels": list(levels),
-                                "valuations": [_fmt_val(x) for x in vals],
-                            },
-                            passed=ok,
-                            error_valuation=_fmt_val(vals[-1]),
-                        )
-                    )
-    return report
+                    yield f"p{p}-r{r}-v{v}-n{n}-w{w}", {
+                        **base,
+                        "r": r,
+                        "a": list(a),
+                        "n": n,
+                        "w": w,
+                        **_level_record(levels, vals),
+                    }, ok, vals[-1]
 
 
-def suite_measure_additivity(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _measure_cells(sampler: ParameterSampler, representatives: Callable):
+    """The cells both measure suites check, from the same random draws:
+    `representatives(modulus, x)` picks each shape's cells from one random
+    x. Yields (name, params, cell, k, u, q, a1)."""
+    for p in (3, 5):
+        for v in (1, 2):
+            q, uu, base = _sample_padic_qu(sampler, p, v)
+            a1 = sampler.rng.choice((1, 2))
+            for k in range(5):
+                for f in (1, 2):
+                    for N in (0, 1, 2):
+                        mod = f * p**N
+                        for x in sorted(representatives(mod, sampler.rng.randrange(mod))):
+                            yield f"p{p}-v{v}-k{k}-f{f}-N{N}-x{x}", {
+                                **base,
+                                "a1": a1,
+                                "k": k,
+                                "f": f,
+                                "N": N,
+                                "x": x,
+                            }, MeasureCell(x, f, N), k, uu, q, a1
+
+
+def _measure_additivity(sampler: ParameterSampler, budget: int) -> Checks:
     """Moment-measure cell additivity, exact residuals."""
-    report = SuiteReport("measure-additivity")
-    sampler = ParameterSampler(seed)
-    for p in (3, 5):
-        for v in (1, 2):
-            q, u = _sample_padic_qu(sampler, p, v)
-            uu = AdmissibleU(u, p)
-            a1 = sampler.rng.choice((1, 2))
-            for k in range(5):
-                for f in (1, 2):
-                    for N in (0, 1, 2):
-                        mod = f * p**N
-                        xs = {0, sampler.rng.randrange(mod)}
-                        for x in sorted(xs):
-                            diff = measure_additivity_check(x, f, N, k, uu, q, a1)
-                            report.checks.append(
-                                CheckResult(
-                                    name=f"measure-additivity/p{p}-v{v}-k{k}-f{f}-N{N}-x{x}",
-                                    params={
-                                        "p": p,
-                                        "q": format_rational(q),
-                                        "u": format_rational(u),
-                                        "a1": a1,
-                                        "k": k,
-                                        "f": f,
-                                        "N": N,
-                                        "x": x,
-                                    },
-                                    passed=diff == 0,
-                                    residual=format_rational(diff),
-                                )
-                            )
-    return report
+    for name, params, cell, k, uu, q, a1 in _measure_cells(sampler, lambda mod, x: {0, x}):
+        diff = measure_additivity_check(cell.x, cell.f, cell.N, k, uu, q, a1)
+        yield name, params, diff == 0, diff
 
 
-def suite_measure_bound(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _measure_bound(sampler: ParameterSampler, budget: int) -> Checks:
     """Integrality nu_p(E_k(cell)) >= 0 for nu_p(u) >= 1, q ≡ 1 mod p."""
-    report = SuiteReport("measure-bound")
-    sampler = ParameterSampler(seed)
-    for p in (3, 5):
-        for v in (1, 2):
-            q, u = _sample_padic_qu(sampler, p, v)
-            uu = AdmissibleU(u, p)
-            a1 = sampler.rng.choice((1, 2))
-            for k in range(5):
-                for f in (1, 2):
-                    for N in (0, 1, 2):
-                        mod = f * p**N
-                        xs = {0, sampler.rng.randrange(mod), mod - 1}
-                        for x in sorted(xs):
-                            cell = MeasureCell(x, f, N)
-                            ok = measure_bound_check(cell, k, uu, q, a1)
-                            report.checks.append(
-                                CheckResult(
-                                    name=f"measure-bound/p{p}-v{v}-k{k}-f{f}-N{N}-x{x}",
-                                    params={
-                                        "p": p,
-                                        "q": format_rational(q),
-                                        "u": format_rational(u),
-                                        "a1": a1,
-                                        "k": k,
-                                        "f": f,
-                                        "N": N,
-                                        "x": x,
-                                    },
-                                    passed=ok,
-                                    error_valuation=0 if ok else -1,
-                                )
-                            )
-    return report
+    cells = _measure_cells(sampler, lambda mod, x: {0, x, mod - 1})
+    for name, params, cell, k, uu, q, a1 in cells:
+        ok = measure_bound_check(cell, k, uu, q, a1)
+        yield name, params, ok, 0 if ok else -1
 
 
-def suite_prop5(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _prop5(sampler: ParameterSampler, budget: int) -> Checks:
     """Principal-term cell sums against the closed k-th moment.
 
     k = 0 must be exact at every level; k >= 1 must strictly gain precision
     with the level and stay above N - 1.
     """
-    report = SuiteReport("prop5")
-    sampler = ParameterSampler(seed)
     levels = (1, 2, 3, 4)
     for p in (3, 5):
-        q, u = _sample_padic_qu(sampler, p, 1)
-        uu = AdmissibleU(u, p)
+        q, uu, base = _sample_padic_qu(sampler, p, 1)
         a1 = sampler.rng.choice((1, 2))
         for k in (0, 1, 2):
             vals = [prop5_check(k, uu, q, a1, N, budget) for N in levels]
@@ -524,114 +390,60 @@ def suite_prop5(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
                 ok = _strictly_increasing(vals) and all(
                     x >= N - 1 for x, N in zip(vals, levels)
                 )
-            report.checks.append(
-                CheckResult(
-                    name=f"prop5/p{p}-k{k}",
-                    params={
-                        "p": p,
-                        "q": format_rational(q),
-                        "u": format_rational(u),
-                        "a1": a1,
-                        "k": k,
-                        "levels": list(levels),
-                        "valuations": [_fmt_val(x) for x in vals],
-                    },
-                    passed=ok,
-                    error_valuation=_fmt_val(vals[-1]),
-                )
-            )
-    return report
+            yield f"p{p}-k{k}", {
+                **base,
+                "a1": a1,
+                "k": k,
+                **_level_record(levels, vals),
+            }, ok, vals[-1]
 
 
-def _restricted_moment_sum(
-    k: int,
-    chi: DirichletCharacter,
-    u: AdmissibleU,
-    q: Fraction,
-    a1: int,
-    N: int,
-    budget: int,
-) -> Fraction:
-    """Exact level-N sum of chi(x) [a1 x:q]^k u^x over units, mu_u-normalized."""
-    p = u.p
-    d = chi.modulus
-    D = d
-    while D % p == 0:
-        D //= p
-    m = D * p**N
-    if m > budget:
-        raise PreconditionError("level exceeds the budget", parameter="budget")
-    total = Fraction(0)
-    upow = Fraction(1)
-    for x in range(m):
-        if x:
-            upow *= u.u
-        if gcd(x, p) != 1:
-            continue
-        cv = chi(x)
-        if cv == 0:
-            continue
-        total += cv * qbracket(a1 * x, q) ** k * upow
-    return total / qbracket_z(m, u.u)
+def _unit_moment(chi: DirichletCharacter, p: int, a1: int, q: Fraction, k: int) -> Callable:
+    """x -> chi(x) [a1 x:q]^k on the p-adic units, 0 on p Z_p."""
+
+    def integrand(x: int) -> Fraction:
+        if x % p == 0 or chi(x) == 0:
+            return Fraction(0)
+        return chi(x) * qbracket(a1 * x, q) ** k
+
+    return integrand
 
 
-def suite_eq8_bridge(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _eq8_bridge(sampler: ParameterSampler, budget: int) -> Checks:
     """Unit-restricted moment sums against the two-Euler-factor closed form."""
-    report = SuiteReport("eq8-bridge")
-    sampler = ParameterSampler(seed)
     for p in (3, 5):
         levels = (1, 2, 3, 4) if p == 3 else (1, 2, 3)
-        chars = {
-            "trivial": DirichletCharacter.trivial(1),
-            "quadratic3": DirichletCharacter.quadratic(3),
-            "quadratic4": DirichletCharacter.quadratic(4),
-        }
-        q, u = _sample_padic_qu(sampler, p, 1)
-        uu = AdmissibleU(u, p)
-        for label, chi in chars.items():
+        q, uu, base = _sample_padic_qu(sampler, p, 1)
+        for label in ("trivial", "quadratic3", "quadratic4"):
+            chi = _CHARACTERS[label]()
             a1 = 1 if label != "quadratic4" else 2
+            D = _tame_part(chi.modulus, p)
             for k in range(5):
-                target = _l_negative_exact(k, chi, u, q, a1, p)
-                vals = []
-                for N in levels:
-                    s = _restricted_moment_sum(k, chi, uu, q, a1, N, budget)
-                    vals.append(valuation(s - target, p))
+                target = _l_negative_exact(k, chi, uu.u, q, a1, p)
+                integrand = _unit_moment(chi, p, a1, q, k)
+                vals = [
+                    valuation(riemann_integral(integrand, uu, D, N, budget) - target, p)
+                    for N in levels
+                ]
                 ok = _weakly_increasing(vals) and vals[-1] >= levels[-1]
-                report.checks.append(
-                    CheckResult(
-                        name=f"eq8-bridge/p{p}-{label}-k{k}",
-                        params={
-                            "p": p,
-                            "character": label,
-                            "q": format_rational(q),
-                            "u": format_rational(u),
-                            "a1": a1,
-                            "k": k,
-                            "levels": list(levels),
-                            "valuations": [_fmt_val(x) for x in vals],
-                        },
-                        passed=ok,
-                        error_valuation=_fmt_val(vals[-1]),
-                    )
-                )
-    return report
+                yield f"p{p}-{label}-k{k}", {
+                    **base,
+                    "character": label,
+                    "a1": a1,
+                    "k": k,
+                    **_level_record(levels, vals),
+                }, ok, vals[-1]
 
 
-def suite_interpolation(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _interpolation(sampler: ParameterSampler, budget: int) -> Checks:
     """l_riemann at s = -k with the omega^k twist against l_at_negative."""
-    report = SuiteReport("interpolation")
-    sampler = ParameterSampler(seed)
     M = 8
     for p in (3, 5):
         ctx = PadicContext(p, M)
         levels = (2, 3, 4) if p == 3 else (2, 3)
-        q, u = _sample_padic_qu(sampler, p, 1)
-        uu = AdmissibleU(u, p)
-        chars = {
-            "trivial": DirichletCharacter.trivial(1),
-            "quadratic4": DirichletCharacter.quadratic(4),
-        }
-        for label, chi in chars.items():
+        q, uu, base = _sample_padic_qu(sampler, p, 1)
+        for label in ("trivial", "quadratic4"):
+            chi = _CHARACTERS[label]()
             for a1 in (1, 1 + p):
                 for k in range(5):
                     twist = twist_teichmuller(chi, k, ctx)
@@ -639,30 +451,18 @@ def suite_interpolation(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteRep
                     for N in levels:
                         level_sum = l_riemann(-k, twist, uu, q, a1, ctx, N, budget)
                         ag = agreement_valuation(level_sum, closed)
-                        ok = ag >= min(N, M - 2)
-                        report.checks.append(
-                            CheckResult(
-                                name=f"interpolation/p{p}-{label}-a{a1}-k{k}-N{N}",
-                                params={
-                                    "p": p,
-                                    "M": M,
-                                    "character": label,
-                                    "q": format_rational(q),
-                                    "u": format_rational(u),
-                                    "a1": a1,
-                                    "k": k,
-                                    "N": N,
-                                },
-                                passed=ok,
-                                error_valuation=_fmt_val(ag),
-                            )
-                        )
-    return report
+                        yield f"p{p}-{label}-a{a1}-k{k}-N{N}", {
+                            **base,
+                            "M": M,
+                            "character": label,
+                            "a1": a1,
+                            "k": k,
+                            "N": N,
+                        }, ag >= min(N, M - 2), ag
 
 
-def suite_kummer(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _kummer(sampler: ParameterSampler, budget: int) -> Checks:
     """Kummer congruences nu_p(L(-k) - L(-k')) >= n for k ≡ k' mod (p-1)p^n."""
-    report = SuiteReport("kummer")
     cases = [
         # p, n, pairs, character label
         (3, 1, ((1, 7), (2, 8), (4, 10)), "trivial"),
@@ -671,11 +471,7 @@ def suite_kummer(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
         (5, 2, ((1, 101), (2, 102), (3, 103)), "trivial"),
     ]
     for p, n, pairs, label in cases:
-        chi = (
-            DirichletCharacter.trivial(1)
-            if label == "trivial"
-            else DirichletCharacter.quadratic(4)
-        )
+        chi = _CHARACTERS[label]()
         q = Fraction(1 + p)
         u = Fraction(p)
         a1 = 1
@@ -683,82 +479,81 @@ def suite_kummer(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
             la = _l_negative_exact(k, chi, u, q, a1, p)
             lb = _l_negative_exact(k2, chi, u, q, a1, p)
             val = valuation(la - lb, p)
-            report.checks.append(
-                CheckResult(
-                    name=f"kummer/p{p}-n{n}-{label}-k{k}-k{k2}",
-                    params={
-                        "p": p,
-                        "n": n,
-                        "character": label,
-                        "q": format_rational(q),
-                        "u": format_rational(u),
-                        "a1": a1,
-                        "k": k,
-                        "k2": k2,
-                    },
-                    passed=val >= n,
-                    error_valuation=_fmt_val(val),
-                )
-            )
-    return report
+            yield f"p{p}-n{n}-{label}-k{k}-k{k2}", {
+                "p": p,
+                "n": n,
+                "character": label,
+                **_qu(q, u),
+                "a1": a1,
+                "k": k,
+                "k2": k2,
+            }, val >= n, val
 
 
-def suite_unit_power(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def _unit_power(sampler: ParameterSampler, budget: int) -> Checks:
     """<a1 x : q>^(p^n) ≡ 1 mod p^n for every unit x below p^2."""
-    report = SuiteReport("unit-power")
-    sampler = ParameterSampler(seed)
     M = 6
     for p in (3, 5, 7):
         ctx = PadicContext(p, M)
         one = to_padic(1, ctx)
-        qs = (Fraction(1 + p), Fraction(1 + 2 * p))
-        a1s = (1, p + 2)
-        for q in qs:
-            for a1 in a1s:
+        for q in (Fraction(1 + p), Fraction(1 + 2 * p)):
+            for a1 in (1, p + 2):
                 for n in range(1, 6):
-                    worst = INFINITY
-                    ok = True
-                    for x in range(1, p * p):
-                        if x % p == 0:
-                            continue
-                        ab = angle_bracket(a1 * x, q, ctx)
-                        powed = padic_pow(ab.value, p**n)
-                        ag = agreement_valuation(powed, one)
-                        worst = min(worst, ag)
-                        if ag < n:
-                            ok = False
-                    report.checks.append(
-                        CheckResult(
-                            name=f"unit-power/p{p}-q{q.numerator}-a{a1}-n{n}",
-                            params={
-                                "p": p,
-                                "M": M,
-                                "q": format_rational(q),
-                                "a1": a1,
-                                "n": n,
-                                "x_range": [1, p * p - 1],
-                            },
-                            passed=ok,
-                            error_valuation=_fmt_val(worst),
-                        )
+                    powers = (
+                        padic_pow(angle_bracket(a1 * x, q, ctx).value, p**n)
+                        for x in range(1, p * p)
+                        if x % p
                     )
-    return report
+                    worst = min(agreement_valuation(pw, one) for pw in powers)
+                    yield f"p{p}-q{q.numerator}-a{a1}-n{n}", {
+                        "p": p,
+                        "M": M,
+                        "q": format_rational(q),
+                        "a1": a1,
+                        "n": n,
+                        "x_range": [1, p * p - 1],
+                    }, worst >= n, worst
 
 
+def _suite(name: str, checks: Callable[[ParameterSampler, int], Checks]):
+    """The suite `name`: builds its whole report from the check generator."""
+
+    def run(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+        report = SuiteReport(name)
+        for check, params, passed, value in checks(ParameterSampler(seed), budget):
+            exact = isinstance(value, Fraction)
+            report.checks.append(CheckResult(
+                f"{name}/{check}",
+                params,
+                passed,
+                residual=format_rational(value) if exact else None,
+                error_valuation=None if exact else _fmt_val(value),
+            ))
+        return report
+
+    run.__doc__ = checks.__doc__
+    return run
+
+
+# Every suite keeps the (seed, budget) signature, even those that draw no
+# samples or sum no points, so that run_suite calls them all alike.
 SUITES: dict[str, Callable[..., SuiteReport]] = {
-    "theorem1-gf": suite_theorem1_gf,
-    "addition": suite_addition,
-    "distribution": suite_distribution,
-    "riemann-limit": suite_riemann_limit,
-    "carlitz-bridge": suite_carlitz_bridge,
-    "qlimit": suite_qlimit,
-    "measure-additivity": suite_measure_additivity,
-    "measure-bound": suite_measure_bound,
-    "prop5": suite_prop5,
-    "eq8-bridge": suite_eq8_bridge,
-    "interpolation": suite_interpolation,
-    "kummer": suite_kummer,
-    "unit-power": suite_unit_power,
+    name: _suite(name, checks)
+    for name, checks in (
+        ("theorem1-gf", _theorem1_gf),
+        ("addition", _addition),
+        ("distribution", _distribution),
+        ("riemann-limit", _riemann_limit),
+        ("carlitz-bridge", _carlitz_bridge),
+        ("qlimit", _qlimit),
+        ("measure-additivity", _measure_additivity),
+        ("measure-bound", _measure_bound),
+        ("prop5", _prop5),
+        ("eq8-bridge", _eq8_bridge),
+        ("interpolation", _interpolation),
+        ("kummer", _kummer),
+        ("unit-power", _unit_power),
+    )
 }
 
 

@@ -4,11 +4,32 @@ suite machinery the CLI `verify` command runs (seed 0, default budget).
 Every test prints a single [PASS]/[FAIL] line with the measured runtime;
 run pytest with -rA (the repo default) to see them all in the report.
 """
+import hashlib
+import json
 import time
 
 from qbarnes.verify import run_suite
 
 SEED = 0
+
+# sha256 of each suite's seed-0 report as `qbarnes verify` prints it
+# (json.dumps(report.to_dict(), indent=2, sort_keys=True)). A change that
+# alters any byte of a report fails here, so refactors prove "same output".
+REPORT_SHA256 = {
+    "theorem1-gf": "024a1f53e82be41923c5b2d1bf4025be9bb42eb103e4fa48ca082ecd8989ec54",
+    "addition": "2c1bf27f848af86f1697dac8b3c0ec2effb6d206cda1fa99df2965ce4c44ef77",
+    "distribution": "3d67935e2d7904aa05c2c0330c7668646adebd1eddb68e01cb1ea6b44a5602bf",
+    "riemann-limit": "e908134e6769bfa23491895e6200442eb7f822fb4111587e9dd52f3429e71f56",
+    "carlitz-bridge": "178b1cc9b716066652d3bf6f6f28c2f0a534cbaeedab2d4f4983385436f2f183",
+    "qlimit": "f7ca05a9dc797cd3e987c1f4b22f28373208d0beeceb8330fc8d176aa20a33b1",
+    "measure-additivity": "f67cb6f203b94c2fceac7d5cdcdae939cba6cab360af19880f40a2a270ab188d",
+    "measure-bound": "f9bba48ff4e9ae48b8de90289e69684f3c2b1f12a2b3005ef2d1f0cf1d74a1d2",
+    "prop5": "9fbac7c2774252ccb8818ebda8962f7ced5d9164ac6ec1bfa2e558eb3aac4bd3",
+    "eq8-bridge": "739048a842ac491d3a8cf7000be5a73a177465d08c031ecf50ecb1bad4ac7632",
+    "interpolation": "ce044363b24db1de632d2426164e0a57dc9e60932613365b609c7cea1d7dfb23",
+    "kummer": "6c056909dec446aa6ee5c3db2a2807fb7e7fe537c21cdc4b07fc1fe9d92c0d55",
+    "unit-power": "9abc9b277a22daa2c49f42bddccf69102acc07fde497f4f82991255abc61f54c",
+}
 
 
 def _run(number, suites, description, limit_seconds):
@@ -24,6 +45,11 @@ def _run(number, suites, description, limit_seconds):
     )
     failing = [c.name for r in reports for c in r.checks if not c.passed]
     assert not failing, f"failing checks: {failing[:10]}"
+    for name, report in zip(suites, reports):
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name], (
+            f"the seed-{SEED} {name} report changed"
+        )
     assert dt < limit_seconds, f"runtime {dt:.1f}s over the {limit_seconds}s limit"
 
 

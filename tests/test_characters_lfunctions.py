@@ -13,7 +13,6 @@ from qbarnes import (
     UnitProjection,
     agreement_valuation,
     angle_bracket,
-    char_eval,
     h_chi,
     h_closed,
     kummer_check,
@@ -44,7 +43,7 @@ def test_builtin_characters():
     assert [q4(x) for x in range(4)] == [0, 1, 0, -1]
     q3 = DirichletCharacter.quadratic(3)
     assert q3 == DirichletCharacter.from_generator(3, 2, F(-1))
-    assert char_eval(q3, 5) == q3(2)
+    assert q3(5) == q3(2)
 
 
 def test_from_generator():

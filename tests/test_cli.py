@@ -47,14 +47,27 @@ def test_json_output_is_deterministic(capsys):
     assert len(coeffs) == 7 and coeffs[0] == "1"
 
 
+HBARNES = ("compute", "hbarnes", "--n", "1", "--w", "0")
+LVALUE_T1 = ("compute", "lvalue", "--k", "1", "--a", "1", "--u", "5", "--q", "6", "--char", "trivial:1", "--p", "5")
+
+# (argv, the parameter the JSON error names); values that fail to parse
+# exit 2 with a JSON error, never a traceback
+PRECONDITION_CASES = [
+    ((*HBARNES, "--a", "1", "--u", "3", "--q", "1"), "q"),
+    ((*HBARNES, "--a", "1", "--u", "abc", "--q", "2"), None),
+    ((*HBARNES, "--a", "1", "--u", "3/0", "--q", "2"), None),
+    ((*HBARNES, "--a", "1,x", "--u", "3", "--q", "2"), "a"),
+    ((*LVALUE_T1, "--precision", "0"), "precision"),
+]
+
+
 def test_precondition_exit_code(capsys):
-    code, out = run_cli(
-        capsys, "compute", "hbarnes", "--n", "1", "--w", "0", "--a", "1", "--u", "3", "--q", "1"
-    )
-    assert code == 2
-    payload = json.loads(out)
-    assert payload["error"] == "PreconditionError"
-    assert payload["parameter"] == "q"
+    for argv, parameter in PRECONDITION_CASES:
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        payload = json.loads(out)
+        assert payload["error"] == "PreconditionError"
+        assert payload.get("parameter") == parameter
 
 
 def test_pole_exit_code(capsys):
@@ -66,14 +79,13 @@ def test_pole_exit_code(capsys):
 
 
 def test_budget_exit_code(capsys):
-    code, out = run_cli(
-        capsys,
-        "compute", "lvalue", "--k", "1", "--a", "1", "--u", "5", "--q", "6",
-        "--char", "trivial:1", "--p", "5", "--precision", "6",
-        "--level-N", "3", "--budget", "10",
-    )
-    assert code == 4
-    assert json.loads(out)["error"] == "BudgetError"
+    for argv in (
+        (*LVALUE_T1, "--precision", "6", "--level-N", "3", "--budget", "10"),
+        ("verify", "eq8-bridge", "--budget", "10"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 4, argv
+        assert json.loads(out)["error"] == "BudgetError"
 
 
 def test_lvalue_reports_padic_value(capsys):
@@ -98,11 +110,12 @@ def test_character_json_spec(capsys):
 
 
 def test_bad_character_spec(capsys):
-    code, out = run_cli(
-        capsys, "compute", "hchi", "--k", "2", "--a", "1", "--u", "3", "--q", "4", "--char", "cubic:9"
-    )
-    assert code == 2
-    assert json.loads(out)["parameter"] == "char"
+    for spec in ("cubic:9", "quadratic:x", "trivial:x"):
+        code, out = run_cli(
+            capsys, "compute", "hchi", "--k", "2", "--a", "1", "--u", "3", "--q", "4", "--char", spec
+        )
+        assert code == 2, spec
+        assert json.loads(out)["parameter"] == "char"
 
 
 def test_verify_suite_end_to_end(capsys):

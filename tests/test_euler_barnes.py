@@ -17,8 +17,8 @@ from qbarnes import (
     h_closed,
     h_rational_in_q,
     limit_q_to_1,
-    poly_gcd,
 )
+from qbarnes.euler_barnes import poly_gcd
 
 
 def _params(a, u, q):
