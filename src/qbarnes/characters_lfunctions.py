@@ -248,6 +248,8 @@ def h_chi(
         raise PoleError("u^d = 1", parameter="u")
     if q == 1:
         raise PreconditionError("q = 1; use the classical route", parameter="q")
+    if k < 0:
+        raise PreconditionError("k must be >= 0", parameter="k")
     base = QBase(q, d)
     params = BarnesParams(a, ud, base)
     prefactor = (1 - u) ** r * qbracket(d, q) ** k / (1 - ud) ** r
@@ -327,6 +329,20 @@ def _tame_part(d: int, p: int) -> int:
     return d
 
 
+def _check_l_inputs(
+    chi: DirichletCharacter, u: AdmissibleU, a1: int, context: PadicContext
+) -> None:
+    """The preconditions every L-value route shares."""
+    if u.p != context.p:
+        raise PreconditionError("u and the context disagree on p", parameter="p")
+    if gcd(a1, context.p) != 1:
+        raise PreconditionError("a1 must be a p-adic unit", parameter="a")
+    if chi.mode == "teichmuller" and chi.context != context:
+        raise PreconditionError(
+            "character belongs to a different p-adic context", parameter="char"
+        )
+
+
 def l_riemann(
     s: int | PadicNumber,
     chi: DirichletCharacter,
@@ -345,11 +361,8 @@ def l_riemann(
     D is the prime-to-p part of the character modulus; the p-part must be
     resolved by the level, i.e. the character modulus divides D p^N.
     """
-    p, M = context.p, context.precision
-    if u.p != p:
-        raise PreconditionError("u and the context disagree on p", parameter="p")
-    if gcd(a1, p) != 1:
-        raise PreconditionError("a1 must be a p-adic unit", parameter="a")
+    p = context.p
+    _check_l_inputs(chi, u, a1, context)
     if N < 1:
         raise PreconditionError("N must be >= 1", parameter="level-N")
     D = _tame_part(chi.modulus, p)
@@ -409,16 +422,10 @@ def l_at_negative(
     Interpolates the level sums of <a1 x:q>^k chi omega^k against mu_u when
     omega(a1) = 1 (in particular for a1 ≡ 1 mod p).
     """
-    p = context.p
-    if u.p != p:
-        raise PreconditionError("u and the context disagree on p", parameter="p")
-    if gcd(a1, p) != 1:
-        raise PreconditionError("a1 must be a p-adic unit", parameter="a")
+    _check_l_inputs(chi, u, a1, context)
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
-    if chi.mode == "teichmuller" and chi.context != context:
-        raise PreconditionError("character belongs to a different p-adic context")
-    value = _l_negative_exact(k, chi, u.u, Fraction(q), a1, p)
+    value = _l_negative_exact(k, chi, u.u, Fraction(q), a1, context.p)
     return value if isinstance(value, PadicNumber) else to_padic(value, context)
 
 
@@ -439,6 +446,7 @@ def kummer_check(
     exhausting p-adic precision.
     """
     p = context.p
+    _check_l_inputs(chi, u, a1, context)
     if n < 1:
         raise PreconditionError("n must be >= 1", parameter="n")
     if (k2 - k) % ((p - 1) * p**n) != 0:

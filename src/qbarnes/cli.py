@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .characters_lfunctions import (
     DirichletCharacter,
@@ -53,9 +54,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise PreconditionError(
-            f"expected comma-separated integers, got {text!r}", parameter="a"
-        )
+        raise PreconditionError(f"expected comma-separated integers, got {text!r}")
 
 
 def _parse_character(spec: str, context: PadicContext | None) -> DirichletCharacter:
@@ -65,30 +64,39 @@ def _parse_character(spec: str, context: PadicContext | None) -> DirichletCharac
             modulus = int(obj["modulus"])
             values = [parse_rational(v) for v in obj["values"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise PreconditionError(
-                f"bad character JSON: {exc}", parameter="char"
-            )
+            raise PreconditionError(f"bad character JSON: {exc}")
         return DirichletCharacter(modulus, values)
     if spec == "teichmuller":
         if context is None:
-            raise PreconditionError(
-                "teichmuller character needs --p and --precision", parameter="char"
-            )
+            raise PreconditionError("teichmuller character needs --p and --precision")
         return DirichletCharacter.teichmuller_character(context)
     kind, _, rest = spec.partition(":")
     if kind in ("trivial", "quadratic"):
         try:
             modulus = int(rest or "1")
         except ValueError:
-            raise PreconditionError(
-                f"bad character modulus {rest!r} in {spec!r}", parameter="char"
-            )
+            raise PreconditionError(f"bad character modulus {rest!r} in {spec!r}")
         return getattr(DirichletCharacter, kind)(modulus)
     raise PreconditionError(
         f"unrecognized character spec {spec!r}; use trivial:D, quadratic:D, "
-        "teichmuller, or a JSON object",
-        parameter="char",
+        "teichmuller, or a JSON object"
     )
+
+
+def _named(flag: str, parse):
+    """`parse`, with any PreconditionError it raises naming `--flag`."""
+
+    def parse_flag(*args):
+        try:
+            return parse(*args)
+        except PreconditionError as exc:
+            exc.parameter = flag
+            raise
+
+    return parse_flag
+
+
+_character = _named("char", _parse_character)
 
 
 def _value_json(value) -> object:
@@ -96,6 +104,8 @@ def _value_json(value) -> object:
         return value.to_json_dict()
     if isinstance(value, Fraction):
         return format_rational(value)
+    if isinstance(value, (list, tuple)):
+        return [_value_json(item) for item in value]
     return value
 
 
@@ -130,40 +140,136 @@ def _emit(payload: dict, fmt: str) -> None:
             writer.writerow([key, value])
 
 
-def _context_from_args(args) -> PadicContext | None:
-    if getattr(args, "p", None) is None:
-        return None
-    return PadicContext(args.p, args.precision)
+# argparse keywords of every compute flag; a flag's attribute on the parsed
+# namespace is its name with "-" replaced by "_"
+FLAGS = {
+    "q": dict(type=_named("q", parse_rational), help="base q as num/den"),
+    "u": dict(type=_named("u", parse_rational), help="parameter u as num/den"),
+    "a": dict(type=_named("a", _parse_int_list), help="comma-separated nonzero integers a_1,..,a_r"),
+    "n": dict(type=int, help="degree / order"),
+    "k": dict(type=int, help="moment / twist index"),
+    "w": dict(type=int, help="shift argument w"),
+    "r": dict(type=int, help="rank (defaults to len(a))"),
+    "x": dict(type=int, help="cell base point / power-series shift"),
+    "f": dict(type=int, default=1, help="tame modulus factor"),
+    "d": dict(type=int, default=1, help="arithmetic-progression step"),
+    "p": dict(type=int, help="odd prime p"),
+    "precision": dict(type=int, default=8, help="p-adic working digits (default 8)"),
+    "level-N": dict(type=int, default=0, help="cell refinement level N"),
+    "char": dict(help="character: trivial:D, quadratic:D, teichmuller, or JSON"),
+    "budget": dict(type=int, default=DEFAULT_BUDGET, help="summation budget"),
+}
 
 
-def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        raise PreconditionError(
-            "missing required flags: " + ", ".join("--" + n for n in missing)
-        )
+def _a1(args) -> int:
+    """The single a_j of lvalue and measure; measure defaults it to 1."""
+    a = args.a or (1,)
+    if len(a) != 1:
+        raise PreconditionError(f"this op takes one entry a1, got {len(a)}", parameter="a")
+    return a[0]
 
 
-def _add_common(parser, *flags) -> None:
-    table = {
-        "q": lambda: parser.add_argument("--q", type=parse_rational, help="base q as num/den"),
-        "u": lambda: parser.add_argument("--u", type=parse_rational, help="parameter u as num/den"),
-        "a": lambda: parser.add_argument("--a", type=_parse_int_list, help="comma-separated nonzero integers a_1,..,a_r"),
-        "n": lambda: parser.add_argument("--n", type=int, help="degree / order"),
-        "k": lambda: parser.add_argument("--k", type=int, help="moment / twist index"),
-        "w": lambda: parser.add_argument("--w", type=int, help="shift argument w"),
-        "r": lambda: parser.add_argument("--r", type=int, help="rank (defaults to len(a))"),
-        "x": lambda: parser.add_argument("--x", type=int, help="cell base point / power-series shift"),
-        "f": lambda: parser.add_argument("--f", type=int, default=1, help="tame modulus factor"),
-        "d": lambda: parser.add_argument("--d", type=int, default=1, help="arithmetic-progression step"),
-        "p": lambda: parser.add_argument("--p", type=int, help="odd prime p"),
-        "precision": lambda: parser.add_argument("--precision", type=int, default=8, help="p-adic working digits (default 8)"),
-        "level-N": lambda: parser.add_argument("--level-N", dest="level_N", type=int, default=0, help="cell refinement level N"),
-        "char": lambda: parser.add_argument("--char", help="character: trivial:D, quadratic:D, teichmuller, or JSON"),
-        "budget": lambda: parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="summation budget"),
+def _barnes(args) -> BarnesParams:
+    return BarnesParams(args.a, args.u, QBase(args.q))
+
+
+def _rational_function(args) -> dict:
+    r = args.r if args.r is not None else len(args.a)
+    ratfn = h_rational_in_q(args.n, args.w, r, args.a, args.u)
+    return {
+        "r": r,
+        "numerator": ratfn.numerator.coeffs,
+        "denominator": ratfn.denominator.coeffs,
+        "limit_q1": limit_q_to_1(args.n, args.w, r, args.a, args.u),
     }
-    for flag in flags:
-        table[flag]()
+
+
+def _twisted(args) -> dict:
+    context = PadicContext(args.p, args.precision) if args.p is not None else None
+    chi = _character(args.char, context)
+    return {"value": h_chi(args.k, len(args.a), args.a, args.u, args.q, chi)}
+
+
+def _l_value(args) -> dict:
+    context = PadicContext(args.p, args.precision)
+    chi = _character(args.char, context)
+    u = AdmissibleU(args.u, args.p)
+    a1 = _a1(args)
+    closed = l_at_negative(args.k, chi, u, args.q, a1, context)
+    out = {"a1": a1, "value": closed}
+    if args.level_N > 0:
+        twist = twist_teichmuller(chi, args.k, context)
+        level = l_riemann(-args.k, twist, u, args.q, a1, context, args.level_N, args.budget)
+        ag = agreement_valuation(level, closed)
+        out["riemann"] = level
+        out["level_N"] = args.level_N
+        out["agreement_valuation"] = "inf" if ag == INFINITY else int(ag)
+    return out
+
+
+def _moment_measure(args) -> dict:
+    u = AdmissibleU(args.u, args.p)
+    cell = MeasureCell(args.x, args.f, args.level_N)
+    a1 = _a1(args)
+    return {"a1": a1, "value": measure_E_value(cell, args.k, u, args.q, a1)}
+
+
+def _basic_measure(args) -> dict:
+    cell = MeasureCell(args.x, args.f, args.level_N, args.d)
+    return {"value": mu_value(cell, AdmissibleU(args.u, args.p))}
+
+
+class Op(NamedTuple):
+    """One compute op. The flag lists are space-separated FLAGS keys."""
+
+    help: str
+    required: str
+    optional: str
+    # the flags echoed into the payload, in order; "field=flag" renames
+    echo: str
+    # the parsed flags -> the payload fields the op computes
+    compute: Callable[[argparse.Namespace], dict]
+
+
+OPS = {
+    "hbarnes": Op(
+        "closed-form H_n(w, u, q | a)", "n w a u q", "", "n w a u q",
+        lambda args: {"value": h_closed(args.n, args.w, _barnes(args))},
+    ),
+    "hbarnes-poly": Op(
+        "H_n(w) as a reduced rational function of q", "n w a u", "r", "n w a u",
+        _rational_function,
+    ),
+    "gf-coeffs": Op(
+        "n!-scaled generating-function coefficients", "n a u q", "x", "n_max=n a u q x",
+        lambda args: {"coefficients": q_gf_coefficients(_barnes(args), args.x, args.n)},
+    ),
+    "classical": Op(
+        "classical Frobenius-Euler numbers H_n(w, v | a)", "n w a u", "", "n_max=n w a v=u",
+        lambda args: {"coefficients": classical_gf_coefficients(args.w, args.u, args.a, args.n)},
+    ),
+    "carlitz": Op(
+        "umbral recurrence values H_k(u, q)", "k u q", "", "k u q",
+        lambda args: {"value": h_carlitz(args.k, args.u, args.q)},
+    ),
+    "hchi": Op(
+        "character-twisted H_{k,chi}(u, q | a)", "k a u q char", "p precision", "k a u q char",
+        _twisted,
+    ),
+    "lvalue": Op(
+        "p-adic L-value at s = -k, with optional level check",
+        "k a u q char p", "precision level-N budget", "k u q char p",
+        _l_value,
+    ),
+    "measure": Op(
+        "k-th moment measure of one cell", "k x u q p", "f level-N a", "k x f N=level-N u q p",
+        _moment_measure,
+    ),
+    "mu": Op(
+        "basic measure mu_u of one cell", "x u p", "f d level-N", "x f N=level-N d u p",
+        _basic_measure,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,41 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser("compute", help="evaluate one quantity exactly")
     ops = compute.add_subparsers(dest="op", required=True)
-
-    p_h = ops.add_parser("hbarnes", help="closed-form H_n(w, u, q | a)")
-    _add_common(p_h, "n", "w", "a", "u", "q")
-
-    p_poly = ops.add_parser(
-        "hbarnes-poly", help="H_n(w) as a reduced rational function of q"
-    )
-    _add_common(p_poly, "n", "w", "a", "u", "r")
-
-    p_gf = ops.add_parser(
-        "gf-coeffs", help="n!-scaled generating-function coefficients"
-    )
-    _add_common(p_gf, "n", "a", "u", "q", "x")
-
-    p_cl = ops.add_parser(
-        "classical", help="classical Frobenius-Euler numbers H_n(w, v | a)"
-    )
-    _add_common(p_cl, "n", "w", "a", "u")
-
-    p_ca = ops.add_parser("carlitz", help="umbral recurrence values H_k(u, q)")
-    _add_common(p_ca, "k", "u", "q")
-
-    p_hc = ops.add_parser("hchi", help="character-twisted H_{k,chi}(u, q | a)")
-    _add_common(p_hc, "k", "a", "u", "q", "char", "p", "precision")
-
-    p_lv = ops.add_parser(
-        "lvalue", help="p-adic L-value at s = -k, with optional level check"
-    )
-    _add_common(p_lv, "k", "a", "u", "q", "char", "p", "precision", "level-N", "budget")
-
-    p_me = ops.add_parser("measure", help="k-th moment measure of one cell")
-    _add_common(p_me, "k", "x", "f", "level-N", "u", "q", "a", "p")
-
-    p_mu = ops.add_parser("mu", help="basic measure mu_u of one cell")
-    _add_common(p_mu, "x", "f", "d", "level-N", "u", "p")
+    for name, op in OPS.items():
+        op_parser = ops.add_parser(name, help=op.help)
+        for flag in (op.required + " " + op.optional).split():
+            op_parser.add_argument("--" + flag, **FLAGS[flag])
 
     verify = sub.add_parser("verify", help="run an identity suite")
     verify.add_argument("suite", choices=[*SUITES, "all"])
@@ -224,146 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch_compute(args) -> dict:
-    op = args.op
-    if op == "hbarnes":
-        _require(args, "n", "w", "a", "u", "q")
-        params = BarnesParams(args.a, args.u, QBase(args.q))
-        value = h_closed(args.n, args.w, params)
-        return {
-            "op": op,
-            "n": args.n,
-            "w": args.w,
-            "a": list(args.a),
-            "u": format_rational(args.u),
-            "q": format_rational(args.q),
-            "value": _value_json(value),
-        }
-    if op == "hbarnes-poly":
-        _require(args, "n", "w", "a", "u")
-        r = args.r if args.r is not None else len(args.a)
-        ratfn = h_rational_in_q(args.n, args.w, r, args.a, args.u)
-        return {
-            "op": op,
-            "n": args.n,
-            "w": args.w,
-            "a": list(args.a),
-            "r": r,
-            "u": format_rational(args.u),
-            "numerator": [format_rational(c) for c in ratfn.numerator.coeffs],
-            "denominator": [format_rational(c) for c in ratfn.denominator.coeffs],
-            "limit_q1": format_rational(limit_q_to_1(args.n, args.w, r, args.a, args.u)),
-        }
-    if op == "gf-coeffs":
-        _require(args, "n", "a", "u", "q")
-        params = BarnesParams(args.a, args.u, QBase(args.q))
-        coeffs = q_gf_coefficients(params, args.x, args.n)
-        return {
-            "op": op,
-            "n_max": args.n,
-            "a": list(args.a),
-            "u": format_rational(args.u),
-            "q": format_rational(args.q),
-            "x": args.x,
-            "coefficients": [format_rational(c) for c in coeffs],
-        }
-    if op == "classical":
-        _require(args, "n", "w", "a", "u")
-        coeffs = classical_gf_coefficients(args.w, args.u, args.a, args.n)
-        return {
-            "op": op,
-            "n_max": args.n,
-            "w": args.w,
-            "a": list(args.a),
-            "v": format_rational(args.u),
-            "coefficients": [format_rational(c) for c in coeffs],
-        }
-    if op == "carlitz":
-        _require(args, "k", "u", "q")
-        value = h_carlitz(args.k, args.u, args.q)
-        return {
-            "op": op,
-            "k": args.k,
-            "u": format_rational(args.u),
-            "q": format_rational(args.q),
-            "value": _value_json(value),
-        }
-    if op == "hchi":
-        _require(args, "k", "a", "u", "q", "char")
-        context = _context_from_args(args)
-        chi = _parse_character(args.char, context)
-        value = h_chi(args.k, len(args.a), args.a, args.u, args.q, chi)
-        return {
-            "op": op,
-            "k": args.k,
-            "a": list(args.a),
-            "u": format_rational(args.u),
-            "q": format_rational(args.q),
-            "char": args.char,
-            "value": _value_json(value),
-        }
-    if op == "lvalue":
-        _require(args, "k", "a", "u", "q", "char", "p")
-        context = _context_from_args(args)
-        chi = _parse_character(args.char, context)
-        uu = AdmissibleU(args.u, args.p)
-        a1 = args.a[0]
-        closed = l_at_negative(args.k, chi, uu, args.q, a1, context)
-        payload = {
-            "op": op,
-            "k": args.k,
-            "a1": a1,
-            "u": format_rational(args.u),
-            "q": format_rational(args.q),
-            "char": args.char,
-            "p": args.p,
-            "value": _value_json(closed),
-        }
-        if args.level_N > 0:
-            twist = twist_teichmuller(chi, args.k, context)
-            level = l_riemann(
-                -args.k, twist, uu, args.q, a1, context, args.level_N, args.budget
-            )
-            ag = agreement_valuation(level, closed)
-            payload["riemann"] = _value_json(level)
-            payload["level_N"] = args.level_N
-            payload["agreement_valuation"] = "inf" if ag == INFINITY else int(ag)
-        return payload
-    if op == "measure":
-        _require(args, "k", "x", "u", "q", "p")
-        uu = AdmissibleU(args.u, args.p)
-        cell = MeasureCell(args.x, args.f, args.level_N)
-        cell.check(args.p)
-        a1 = args.a[0] if args.a else 1
-        value = measure_E_value(cell, args.k, uu, args.q, a1)
-        return {
-            "op": op,
-            "k": args.k,
-            "x": args.x,
-            "f": args.f,
-            "N": args.level_N,
-            "a1": a1,
-            "u": format_rational(args.u),
-            "q": format_rational(args.q),
-            "p": args.p,
-            "value": _value_json(value),
-        }
-    if op == "mu":
-        _require(args, "x", "u", "p")
-        uu = AdmissibleU(args.u, args.p)
-        cell = MeasureCell(args.x, args.f, args.level_N, args.d)
-        cell.check(args.p)
-        value = mu_value(cell, uu)
-        return {
-            "op": op,
-            "x": args.x,
-            "f": args.f,
-            "N": args.level_N,
-            "d": args.d,
-            "u": format_rational(args.u),
-            "p": args.p,
-            "value": _value_json(value),
-        }
-    raise PreconditionError(f"unknown compute op {op!r}")
+    op = OPS[args.op]
+    missing = [f for f in op.required.split() if getattr(args, f.replace("-", "_")) is None]
+    if missing:
+        raise PreconditionError("missing required flags: " + ", ".join("--" + f for f in missing))
+    payload = {"op": args.op}
+    for field in op.echo.split():
+        name, _, flag = field.partition("=")
+        payload[name] = getattr(args, (flag or name).replace("-", "_"))
+    payload.update(op.compute(args))
+    return {key: _value_json(value) for key, value in payload.items()}
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PreconditionError, PrecisionExhaustedError
+from .errors import InternalError, PreconditionError, PrecisionExhaustedError
 
 Rational = Fraction
 
@@ -435,8 +435,10 @@ def _teichmuller_unit(x_mod_p: int, p: int, M: int) -> int:
     # The lift depends only on x mod p: x = omega(x) * (1-unit), and raising
     # a 1-unit to the p^M kills it mod p^M (for M <= p^M, always).
     w = pow(x_mod_p, p**M, p**M)
-    assert pow(w, p - 1, p**M) == 1
-    assert (w - x_mod_p) % p == 0
+    if pow(w, p - 1, p**M) != 1 or (w - x_mod_p) % p != 0:
+        raise InternalError(
+            f"lift of {x_mod_p} mod {p}^{M} is not a (p-1)-st root of unity ≡ x mod p"
+        )
     return w
 
 

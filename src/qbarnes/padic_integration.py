@@ -75,8 +75,9 @@ class MeasureCell:
     d: int = 1
 
     def __post_init__(self):
-        if self.f < 1 or self.d < 1 or self.N < 0:
-            raise PreconditionError("cell needs f >= 1, d >= 1, N >= 0")
+        for flag, value, least in (("f", self.f, 1), ("d", self.d, 1), ("level-N", self.N, 0)):
+            if value < least:
+                raise PreconditionError("cell needs f >= 1, d >= 1, N >= 0", parameter=flag)
 
     def modulus(self, p: int) -> int:
         return self.d * self.f * p**self.N

@@ -114,6 +114,8 @@ def classical_gf_coefficients(
     r = len(a)
     if r < 1:
         raise PreconditionError("need at least one a_j", parameter="a")
+    if n_max < 0:
+        raise PreconditionError("n_max must be >= 0", parameter="n")
     den = TruncatedSeries.constant(1, n_max)
     for aj in a:
         factor = TruncatedSeries.scalar_exp(aj, n_max) - TruncatedSeries.constant(v, n_max)
@@ -142,6 +144,8 @@ def q_gf_coefficients(
 
     if not isinstance(params, BarnesParams):
         raise PreconditionError("params must be a BarnesParams", parameter="params")
+    if n_max < 0:
+        raise PreconditionError("n_max must be >= 0", parameter="n")
     if j_max is None:
         j_max = n_max
     if j_max < n_max:

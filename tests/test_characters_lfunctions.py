@@ -154,6 +154,14 @@ def test_kummer_congruence_example():
     assert kummer_check(1, 21, 1, triv, uu, F(6), 1, ctx)
     with pytest.raises(PreconditionError):
         kummer_check(1, 22, 1, triv, uu, F(6), 1, ctx)  # 21 not ≡ 22
+    # the L-value preconditions hold here too: a1 = 5 is not a 5-adic unit,
+    # and u = 3 is admissible for p = 3, not for the context's p = 5
+    for u, a1, parameter in ((uu, 5, "a"), (AdmissibleU(F(3), 3), 1, "p")):
+        with pytest.raises(PreconditionError) as closed:
+            l_at_negative(1, triv, u, F(6), a1, ctx)
+        with pytest.raises(PreconditionError) as kummer:
+            kummer_check(1, 21, 1, triv, u, F(6), a1, ctx)
+        assert closed.value.parameter == kummer.value.parameter == parameter
 
 
 def test_l_riemann_rejects_non_unit_a1():

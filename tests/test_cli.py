@@ -1,8 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from qbarnes.cli import main
+from qbarnes.cli import OPS, main
 
 
 def run_cli(capsys, *argv):
@@ -47,17 +49,72 @@ def test_json_output_is_deterministic(capsys):
     assert len(coeffs) == 7 and coeffs[0] == "1"
 
 
+# sha256 of "<exit code>\n<stdout>" for one request per compute op, plus one
+# error per exit code 2, 3 and 4: every byte a compute request prints is pinned
+COMPUTE_SHA256 = {
+    ("compute", "hbarnes", "--n", "3", "--w", "1", "--a", "1,-2", "--u", "7/2", "--q", "5/3"):
+        "ef9b94b8481b3912c5c13e215d00cb5bbafe1f45fcb9b5e4f80ebb72899a43d5",
+    ("--format", "csv", "compute", "hbarnes-poly", "--n", "2", "--w", "1", "--a", "1,2", "--u", "3"):
+        "a6348ffb32623d0d005f085eaa059f853c1a8778497ebeb457bf4ad55145786c",
+    ("compute", "gf-coeffs", "--n", "4", "--a", "1,-2", "--u", "7/2", "--q", "5/3", "--x", "1"):
+        "ccf065227e1a20b2059c25719b30223ecf7fa118f8e2eadbf4602820a51198c4",
+    ("compute", "classical", "--n", "4", "--w", "1", "--a", "1,2", "--u", "3/2"):
+        "295b0d2cf5d825fe58806499d649db9185e740d8f53280070d4f7bb2a10b14ab",
+    ("compute", "carlitz", "--k", "3", "--u", "3", "--q", "2"):
+        "f69c28d2758a88c8e1d632d5dc13e92b129da5661b3ada37ae562f58ead335ff",
+    ("compute", "hchi", "--k", "2", "--a", "1", "--u", "5", "--q", "6", "--char", "teichmuller",
+     "--p", "5", "--precision", "6"):
+        "0d6471d7e14985d219253b849de252a82dc51ac3aa5e605ce1b4fefec3931377",
+    ("compute", "lvalue", "--k", "1", "--a", "1", "--u", "5", "--q", "6", "--char", "trivial:1",
+     "--p", "5", "--level-N", "2"):
+        "84769c93c8dbf210adc8d3137162a1fd6f5ccf8647e1ce62c4bf3f2c2c80c87b",
+    ("compute", "measure", "--k", "2", "--x", "4", "--f", "2", "--level-N", "1", "--u", "3",
+     "--q", "4", "--a", "1", "--p", "3"):
+        "502429d42e981d58f24102b83b6afbd5649222eb78bc6ccec152958f4e57b48b",
+    ("compute", "mu", "--x", "5", "--f", "2", "--d", "2", "--level-N", "1", "--u", "9/2", "--p", "3"):
+        "4bcc6c57d4d3c2444d34a613f8c65d3cfbc8e2a457938dc1a4b405e1a2070578",
+    ("compute", "hbarnes", "--n", "1", "--w", "0", "--a", "1", "--u", "3", "--q", "1"):
+        "841c538b1a50a63651e893bf2cd5a69e86948aedde86b693630a2395d1d71249",
+    ("compute", "hbarnes", "--n", "1", "--w", "0", "--a", "1", "--u", "1/2", "--q", "2"):
+        "99afbc518a4b9459557932da762def189c2a0d9491e5d4db080e655cc2873844",
+    ("compute", "lvalue", "--k", "1", "--a", "1", "--u", "5", "--q", "6", "--char", "trivial:1",
+     "--p", "5", "--precision", "6", "--level-N", "3", "--budget", "10"):
+        "506924a8f39f708b0098a544c48cc5af0f5fbd6fdf8e85ef6e7503b37a42e64d",
+}
+
+
+def test_compute_output_is_pinned(capsys):
+    for argv, digest in COMPUTE_SHA256.items():
+        code, out = run_cli(capsys, *argv)
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, argv
+
+
 HBARNES = ("compute", "hbarnes", "--n", "1", "--w", "0")
 LVALUE_T1 = ("compute", "lvalue", "--k", "1", "--a", "1", "--u", "5", "--q", "6", "--char", "trivial:1", "--p", "5")
+HCHI = ("compute", "hchi", "--k", "2", "--a", "1", "--u", "3", "--q", "4")
+MU = ("compute", "mu", "--x", "1", "--u", "3", "--p", "3")
+MEASURE = ("compute", "measure", "--k", "1", "--x", "1", "--u", "3", "--q", "4", "--p", "3")
 
-# (argv, the parameter the JSON error names); values that fail to parse
-# exit 2 with a JSON error, never a traceback
+# (argv, the flag the JSON error names as its parameter); values that fail
+# to parse exit 2 with a JSON error, never a traceback
 PRECONDITION_CASES = [
     ((*HBARNES, "--a", "1", "--u", "3", "--q", "1"), "q"),
-    ((*HBARNES, "--a", "1", "--u", "abc", "--q", "2"), None),
-    ((*HBARNES, "--a", "1", "--u", "3/0", "--q", "2"), None),
+    ((*HBARNES, "--a", "1", "--u", "abc", "--q", "2"), "u"),
+    ((*HBARNES, "--a", "1", "--u", "3/0", "--q", "2"), "u"),
     ((*HBARNES, "--a", "1,x", "--u", "3", "--q", "2"), "a"),
     ((*LVALUE_T1, "--precision", "0"), "precision"),
+    ((*HCHI, "--char", "quadratic"), "char"),
+    ((*HCHI, "--k", "-1", "--char", "trivial:1"), "k"),
+    ((*MU, "--level-N", "-1"), "level-N"),
+    ((*MU, "--f", "0"), "f"),
+    ((*MU, "--d", "0"), "d"),
+    ((*MEASURE, "--level-N", "-1"), "level-N"),
+    ((*MEASURE, "--f", "0"), "f"),
+    # lvalue and measure take a single a1; more entries are not dropped
+    ((*LVALUE_T1, "--a", "1,2"), "a"),
+    ((*MEASURE, "--level-N", "1", "--a", "1,2"), "a"),
+    (("compute", "gf-coeffs", "--n", "-1", "--a", "1", "--u", "3", "--q", "2"), "n"),
+    (("compute", "classical", "--n", "-1", "--w", "0", "--a", "1", "--u", "3"), "n"),
 ]
 
 
@@ -139,3 +196,16 @@ def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_readme_table_lists_each_compute_op_and_its_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Compute operations:\n\n")[1].split("\n\n")[0]
+    rows = [
+        [cell.strip().strip("`").replace("--", "") for cell in line.split("|")[1:4]]
+        for line in table.splitlines()[2:]
+    ]
+    assert [op for op, _, _ in rows] == list(OPS)
+    for op, required, optional in rows:
+        assert required.split() == OPS[op].required.split(), op
+        assert optional.split() == OPS[op].optional.split(), op

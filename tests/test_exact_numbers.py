@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbarnes import (
     INFINITY,
+    InternalError,
     PadicContext,
     PadicNumber,
     PrecisionExhaustedError,
@@ -20,6 +21,7 @@ from qbarnes import (
     to_padic,
     valuation,
 )
+from qbarnes.exact_numbers import _teichmuller_unit
 
 
 def test_is_prime_small():
@@ -166,6 +168,10 @@ def test_teichmuller():
         assert w.residue_mod(1) == x
     with pytest.raises(PreconditionError):
         teichmuller(10, PadicContext(5, 3))
+    # 9 is not prime, so the lift breaks its invariants: an InternalError,
+    # not an assert that python -O would strip
+    with pytest.raises(InternalError):
+        _teichmuller_unit(2, 9, 2)
 
 
 @settings(deadline=None)
