@@ -197,7 +197,7 @@ def _l_value(args) -> dict:
     a1 = _a1(args)
     closed = l_at_negative(args.k, chi, u, args.q, a1, context)
     out = {"a1": a1, "value": closed}
-    if args.level_N > 0:
+    if args.level_N != 0:  # l_riemann rejects a negative level
         twist = twist_teichmuller(chi, args.k, context)
         level = l_riemann(-args.k, twist, u, args.q, a1, context, args.level_N, args.budget)
         ag = agreement_valuation(level, closed)

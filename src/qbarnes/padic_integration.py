@@ -7,11 +7,18 @@ moment measures E_k built from the closed-form H-values at fractional
 arguments; the identity suites check their cell additivity, integrality,
 and convergence to the closed forms.
 
-All sums are exact rational arithmetic; p-adic valuations of residuals are
-computed after the fact, so no convergence claim depends on rounding.
+Every value is exact: no convergence claim depends on rounding. The Riemann
+sums are exact rationals, and so is every valuation taken of them. The one
+shortcut, `riemann_error_valuation`, finds nu_p(level sum - target) from the
+sum modulo p^K, with K a few dozen digits above the error valuation the
+u-adic tail makes expected (X. Caruso, *Computations with p-adic numbers*,
+arXiv:1701.06794, on fixed-precision p-adic sums). A nonzero residue fixes
+the valuation exactly; a zero residue falls back to the exact sum, so no
+valuation is ever capped at K.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +31,10 @@ from .qnum import FractionalArg, QBase, qbracket, qbracket_z
 
 #: Default cap on evaluation points for any single Riemann sum.
 DEFAULT_BUDGET = 250_000
+
+#: p-adic digits `riemann_error_valuation` keeps above the error valuation
+#: v p^N + N it expects; a valuation beyond them costs an exact fallback.
+GUARD_DIGITS = 40
 
 
 def _check_budget(points: int, budget: int) -> None:
@@ -114,8 +125,10 @@ def riemann_integral(
     sum_{x < d p^N} f(x) mu_u(x + d p^N Z_p), evaluated at the smallest
     nonnegative representatives.
     """
-    if d < 1 or N < 0:
-        raise PreconditionError("need d >= 1 and N >= 0", parameter="d")
+    if d < 1:
+        raise PreconditionError("d must be >= 1", parameter="d")
+    if N < 0:
+        raise PreconditionError("N must be >= 0", parameter="N")
     points = d * u.p**N
     _check_budget(points, budget)
     uu = u.u
@@ -128,6 +141,17 @@ def riemann_integral(
         total += integrand(x) * upow
         upow *= uu
     return total / norm
+
+
+def _level_points(params: BarnesParams, u: AdmissibleU, N: int, budget: int) -> int:
+    """Checks the inputs of an r-fold level-N sum; returns p^N, the points per axis."""
+    if params.u != u.u:
+        raise PreconditionError("params.u and the integrator's u differ", parameter="u")
+    if N < 0:
+        raise PreconditionError("N must be >= 0", parameter="N")
+    points = u.p**N
+    _check_budget(points**params.r, budget)
+    return points
 
 
 def multi_riemann_integral(
@@ -143,13 +167,11 @@ def multi_riemann_integral(
     Converges p-adically to H_n^(r)(w, u, q | a); params.u must be the same
     u the integrator carries.
     """
-    if params.u != u.u:
-        raise PreconditionError("params.u and the integrator's u differ", parameter="u")
-    if N < 0:
-        raise PreconditionError("N must be >= 0", parameter="N")
+    points = _level_points(params, u, N, budget)
+    if n == 0:
+        # the integrand is 1, and sum_xs u^|xs| = [p^N : u]^r is the normaliser
+        return Fraction(1)
     r = params.r
-    points = u.p**N
-    _check_budget(points**r, budget)
     qv = params.q.value
     uu = u.u
     u_powers = [Fraction(1)]
@@ -167,6 +189,122 @@ def multi_riemann_integral(
         arg = w + sum(aj * xj for aj, xj in zip(params.a, xs))
         total += integrand(arg) * u_powers[sum(xs)]
     return total / qbracket_z(points, uu) ** r
+
+
+def riemann_error_valuation(
+    n: int,
+    w: int,
+    params: BarnesParams,
+    u: AdmissibleU,
+    N: int,
+    target: Rational,
+    budget: int = DEFAULT_BUDGET,
+) -> int | float:
+    """nu_p(multi_riemann_integral(n, w, params, u, N) - target), exactly.
+
+    When u is an integer with v = nu_p(u) >= 1, q an integer ≡ 1 (mod p) and
+    the target p-integral, the level sum is taken mod p^K with
+    K = v p^N + N + GUARD_DIGITS: its error starts at the u^(p^N) tail, so
+    its valuation is about v p^N. A nonzero residue is the valuation; a zero
+    residue, like every other input, takes the exact sum.
+    """
+    points = _level_points(params, u, N, budget)
+    p, v = u.p, u.valuation
+    q, uu, target = params.q.value, u.u, Fraction(target)
+    if (
+        v >= 1
+        and uu.denominator == 1
+        and q.denominator == 1
+        and q != 1
+        and (q - 1) % p == 0
+        and valuation(target, p) >= 0
+    ):
+        K = v * points + N + GUARD_DIGITS
+        residue = _level_residue(
+            n, w, params.a, int(q), int(uu), p, v, points, K, target
+        )
+        if residue:
+            return valuation(residue, p)
+    return valuation(multi_riemann_integral(n, w, params, u, N, budget) - target, p)
+
+
+def _level_residue(
+    n: int,
+    w: int,
+    a: tuple[int, ...],
+    q: int,
+    u: int,
+    p: int,
+    v: int,
+    points: int,
+    K: int,
+    target: Fraction,
+) -> int:
+    """(level sum - target) mod p^K, up to a p-adic unit factor.
+
+    With e = nu_p(q - 1) and the unit c = (q - 1)/p^e, [x : q] = b(x)/c where
+    b(x) = (q^x - 1)/p^e is p-integral. The level sum is
+    c^-n T / [p^N : u]^r with T = sum_xs b(w + a.xs)^n u^|xs|, and dividing
+    by the unit c^-n / [p^N : u]^r leaves T - target c^n [p^N : u]^r. A term
+    carries u^|xs| = p^(v |xs|) (u / p^v)^|xs|, so b is needed only mod
+    p^(K - v |xs|), and terms with v |xs| >= K vanish.
+    """
+    e = valuation(q - 1, p)
+    pe = p**e
+    mod = p**K
+    s_max = min(len(a) * (points - 1), (K - 1) // v)
+    moduli = _shrinking_moduli(p, v, K + e, s_max + 1)
+    tables = [_axis_powers(q, aj, p, v, points, K + e) for aj in a]
+    qw = pow(q, w, moduli[0])
+    by_size = [0] * (s_max + 1)
+    for xs in itertools.product(range(points), repeat=len(a)):
+        s = sum(xs)
+        if s > s_max:
+            continue
+        m = moduli[s]
+        power = qw
+        for table, x in zip(tables, xs):
+            power = power * table[x] % m
+        # b^n left unreduced: one reduction mod p^K at the end costs less
+        # than one per term
+        by_size[s] += ((power - 1) // pe) ** n
+    total = 0
+    for s in range(s_max, -1, -1):  # Horner in u: by_size[s] gets u^s
+        total = total * u + by_size[s]
+    norm = (1 - pow(u, points, mod)) * pow(1 - u, -1, mod) % mod
+    c = (q - 1) // pe
+    t = target.numerator * pow(target.denominator, -1, mod)
+    return (total - t * pow(c, n, mod) * pow(norm, len(a), mod)) % mod
+
+
+def _shrinking_moduli(p: int, v: int, digits: int, count: int) -> list[int]:
+    """p^(digits - v s) for s < count: the digits a term carrying u^s needs."""
+    pv = p**v
+    moduli = [p**digits]
+    for _ in range(count - 1):
+        moduli.append(moduli[-1] // pv)
+    return moduli
+
+
+@functools.lru_cache(maxsize=8)
+def _axis_powers(q: int, aj: int, p: int, v: int, points: int, digits: int) -> tuple[int, ...]:
+    """q^(aj x) mod p^(digits - v x) for x < p^N; the (n, w) checks of one
+    level share these. Each step multiplies by the small integer q^|aj|:
+    upwards in x for aj > 0, downwards from q^(aj (p^N - 1)) for aj < 0."""
+    moduli = _shrinking_moduli(p, v, digits, points)
+    step = q ** abs(aj)
+    if aj > 0:
+        powers = [1]
+        for m in moduli[1:]:
+            powers.append(powers[-1] * step % m)
+        return tuple(powers)
+    # going down in x, the moduli grow: keep every digit until the entry
+    power = pow(q, aj * (points - 1), moduli[0])
+    powers = [0] * points
+    for x in range(points - 1, -1, -1):
+        powers[x] = power % moduli[x]
+        power = power * step % moduli[0]
+    return tuple(powers)
 
 
 def measure_E_value(
@@ -251,8 +389,10 @@ def prop5_check(
     exact valuation of the difference, INFINITY when the level-N sum is
     already exact (k = 0).
     """
-    if k < 0 or N < 0:
-        raise PreconditionError("need k >= 0 and N >= 0", parameter="k")
+    if k < 0:
+        raise PreconditionError("k must be >= 0", parameter="k")
+    if N < 0:
+        raise PreconditionError("N must be >= 0", parameter="N")
     q = Fraction(q)
     level_sum = riemann_integral(lambda x: qbracket(a1 * x, q) ** k, u, 1, N, budget)
     approx = level_sum / (1 - u.u)

@@ -3,7 +3,8 @@
 Each suite runs a pinned, seeded parameter grid and reports per-check
 residuals (exact rationals, expected 0) or p-adic error valuations
 (expected to grow with the level). Nothing here is approximate: residuals
-come from exact arithmetic and valuations are computed after the fact.
+come from exact arithmetic, and every valuation reported is exact, never a
+bound (riemann-limit's come from `riemann_error_valuation`).
 
 A suite is a generator of checks over a seeded `ParameterSampler`; `_suite`
 turns it into the callable that builds the whole report. Suite names double
@@ -49,8 +50,9 @@ from .padic_integration import (
     MeasureCell,
     measure_additivity_check,
     measure_bound_check,
-    multi_riemann_integral,
+    multi_riemann_integral,  # unused here; perfbench/tracer.py wraps it under this name
     prop5_check,
+    riemann_error_valuation,
     riemann_integral,
 )
 from .qnum import QBase, qbracket
@@ -317,7 +319,7 @@ def _riemann_limit(sampler: ParameterSampler, budget: int) -> Checks:
                 for w in (0, 1):
                     target = h_closed(n, w, params)
                     vals = [
-                        valuation(multi_riemann_integral(n, w, params, uu, N, budget) - target, p)
+                        riemann_error_valuation(n, w, params, uu, N, target, budget)
                         for N in levels
                     ]
                     if v >= 1:

@@ -103,6 +103,7 @@ PRECONDITION_CASES = [
     ((*HBARNES, "--a", "1", "--u", "3/0", "--q", "2"), "u"),
     ((*HBARNES, "--a", "1,x", "--u", "3", "--q", "2"), "a"),
     ((*LVALUE_T1, "--precision", "0"), "precision"),
+    ((*LVALUE_T1, "--level-N", "-1"), "level-N"),
     ((*HCHI, "--char", "quadratic"), "char"),
     ((*HCHI, "--k", "-1", "--char", "trivial:1"), "k"),
     ((*MU, "--level-N", "-1"), "level-N"),

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+import qbarnes.padic_integration as pi
 from qbarnes import (
     INFINITY,
     AdmissibleU,
@@ -17,7 +19,9 @@ from qbarnes import (
     mu_value,
     multi_riemann_integral,
     prop5_check,
+    qbracket,
     qbracket_z,
+    riemann_error_valuation,
     riemann_integral,
     valuation,
 )
@@ -79,6 +83,109 @@ def test_multi_riemann_error_valuations():
     d2 = multi_riemann_integral(1, 0, params, uu, 2) - target
     assert valuation(d1, 3) == 4
     assert valuation(d2, 3) == 11
+
+
+def test_multi_riemann_zero_moment_equals_the_general_loop():
+    # n = 0 returns without summing; the sum it skips is still exactly 1
+    for p, a, v in ((3, (1,), 1), (3, (2, -1), 2), (5, (-2,), 1)):
+        uu = AdmissibleU(F(p) ** v * 2, p)
+        params = BarnesParams(a, uu.u, QBase(F(1 + p)))
+        for N in (0, 1, 2):
+            points = p**N
+            loop = sum(
+                qbracket(1 + sum(aj * x for aj, x in zip(a, xs)), F(1 + p)) ** 0 * uu.u ** sum(xs)
+                for xs in itertools.product(range(points), repeat=len(a))
+            ) / qbracket_z(points, uu.u) ** len(a)
+            value = multi_riemann_integral(0, 1, params, uu, N)
+            assert value == loop == 1 and type(value) is F
+
+
+def _counting_fallbacks(monkeypatch):
+    """Patches the exact sum riemann_error_valuation falls back to; returns
+    the list each fallback call appends its (n, w) to."""
+    calls = []
+    exact = pi.multi_riemann_integral
+
+    def counted(n, w, *args, **kwargs):
+        calls.append((n, w))
+        return exact(n, w, *args, **kwargs)
+
+    monkeypatch.setattr(pi, "multi_riemann_integral", counted)
+    return calls
+
+
+def test_riemann_error_valuation_matches_exact_path(monkeypatch):
+    # every level N <= 2 of p in {3,5,7}, r in {1,2}, a_j = ±1, ±2 with mixed
+    # signs, v in {1,2}, q = 1 + p {1,2,3}, n <= 3, w in {0,1}; the last two
+    # cases add a negative q and a negative u
+    exact = multi_riemann_integral
+    fallbacks = _counting_fallbacks(monkeypatch)
+    a_rows = [(1,), (2,), (-1,), (-2,), (1, -2), (-1, 2), (2, 1), (-2, -1)]
+    cases = [
+        (p, a, v, 1 + p * (1 + i % 3), 2)
+        for p in (3, 5, 7)
+        for i, a in enumerate(a_rows)
+        for v in (1, 2)
+    ]
+    cases += [(3, (1, -2), 1, 1 - 2 * 3, 2), (5, (-1,), 2, 6, -1)]
+    for p, a, v, q, c in cases:
+        uu = AdmissibleU(F(p) ** v * c, p)
+        params = BarnesParams(a, uu.u, QBase(F(q)))
+        for n, w, N in itertools.product(range(4), (0, 1), (0, 1, 2)):
+            target = h_closed(n, w, params)
+            expected = valuation(exact(n, w, params, uu, N) - target, p)
+            assert riemann_error_valuation(n, w, params, uu, N, target) == expected, (
+                p, a, v, q, n, w, N,
+            )
+    # only n = 0 (a level sum equal to its target) fell back: every other
+    # valuation above was decided mod p^K
+    assert len(fallbacks) == len(cases) * 2 * 3 and all(n == 0 for n, _ in fallbacks)
+
+
+def test_riemann_error_valuation_falls_back_outside_its_domain(monkeypatch):
+    exact = multi_riemann_integral
+    fallbacks = _counting_fallbacks(monkeypatch)
+    cases = [
+        (AdmissibleU(F(2, 3), 3), F(4), 0),  # nu_p(u) < 0
+        (AdmissibleU(F(9, 2), 3), F(4), 0),  # u not an integer
+        (AdmissibleU(F(3), 3), F(7, 4), 0),  # rational q
+        (AdmissibleU(F(5), 5), F(3), 0),  # q not ≡ 1 mod p
+        (AdmissibleU(F(3), 3), F(4), F(1, 3)),  # target of negative valuation
+    ]
+    for uu, q, shift in cases:
+        params = BarnesParams((1, -2), uu.u, QBase(q))
+        for N in (1, 2):
+            target = h_closed(2, 1, params) + shift
+            expected = valuation(exact(2, 1, params, uu, N) - target, uu.p)
+            assert riemann_error_valuation(2, 1, params, uu, N, target) == expected
+    assert fallbacks == [(2, 1)] * (2 * len(cases))
+
+
+def test_riemann_error_valuation_checks_budget_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("summed before the budget check")
+
+    monkeypatch.setattr(pi, "_level_residue", no_work)
+    monkeypatch.setattr(pi, "multi_riemann_integral", no_work)
+    uu = AdmissibleU(F(3), 3)
+    params = BarnesParams((1, 2), F(3), QBase(F(4)))
+    with pytest.raises(BudgetError):
+        riemann_error_valuation(1, 0, params, uu, 4, h_closed(1, 0, params), budget=100)
+    with pytest.raises(PreconditionError):
+        riemann_error_valuation(1, 0, BarnesParams((1,), F(6), QBase(F(4))), uu, 1, F(0))
+
+
+def test_level_sums_name_the_argument_out_of_range():
+    uu = AdmissibleU(F(3), 3)
+    for call, parameter in (
+        (lambda: riemann_integral(lambda x: F(1), uu, 1, -1), "N"),
+        (lambda: riemann_integral(lambda x: F(1), uu, 0, 1), "d"),
+        (lambda: prop5_check(1, uu, F(4), 1, -1), "N"),
+        (lambda: prop5_check(-1, uu, F(4), 1, 1), "k"),
+    ):
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert exc.value.parameter == parameter
 
 
 def test_multi_riemann_budget():
