@@ -24,7 +24,8 @@ from .exact_numbers import Rational
 from .qnum import FractionalArg, QBase, qbracket, rational_power
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction, for the rational-function route
+# dense univariate polynomials over Fraction: the rational-function route
+# assembles over Z and returns its result in this form
 
 
 class Poly:
@@ -41,10 +42,6 @@ class Poly:
     @classmethod
     def const(cls, value: Rational) -> "Poly":
         return cls([value])
-
-    @classmethod
-    def monomial(cls, value: Rational, k: int) -> "Poly":
-        return cls([Fraction(0)] * k + [Fraction(value)])
 
     @property
     def is_zero(self) -> bool:
@@ -77,16 +74,10 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y != 0:
-                    out[i + j] += x * y
-        return Poly(out)
+        f, df = _cleared(self)
+        g, dg = _cleared(other)
+        den = df * dg
+        return Poly([Fraction(x, den) for x in _int_mul(f, g)])
 
     def scale(self, c: Rational) -> "Poly":
         c = Fraction(c)
@@ -155,17 +146,37 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
+def _int_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists, low degree first.
+
+    The package's one convolution loop. Zero coefficients are skipped, so a
+    product with a two-term factor costs two passes over the other operand.
+    """
+    if not f or not g:
+        return []
+    fs = [(i, x) for i, x in enumerate(f) if x]
+    gs = [(j, y) for j, y in enumerate(g) if y]
+    out = [0] * (len(f) + len(g) - 1)
+    for j, y in gs:
+        for i, x in fs:
+            out[i + j] += x * y
+    return out
+
+
+def _cleared(f: Poly) -> tuple[list[int], int]:
+    """(integer coefficients, den) with f = integer polynomial / den."""
+    den = 1
+    for c in f.coeffs:
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in f.coeffs], den
+
+
 def _integer_primitive(f: Poly) -> list[int]:
     """Integer coefficient list of f scaled to primitive (content 1)."""
     if f.is_zero:
         return []
-    den = 1
-    for c in f.coeffs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = _cleared(f)[0]
+    g = _int_content(ints)
     return [x // g for x in ints]
 
 
@@ -436,15 +447,31 @@ def h_carlitz(k: int, u: Rational, q: Rational) -> Rational:
 _FACTOR_Q = ("q",)  # the monomial q itself, from cleared negative powers
 
 
-def _factor_poly(key: tuple, u: Rational) -> Poly:
+def _int_factor(key: tuple, c: int, d: int) -> list[int]:
+    """Integer coefficients of a denominator factor at u = c/d, times d.
+
+    The monomial q carries no u, so it is not scaled.
+    """
     if key == _FACTOR_Q:
-        return Poly.monomial(1, 1)
+        return [0, 1]
     kind, m = key
-    if kind == "A":  # 1 - u q^m, m > 0
-        return Poly([Fraction(1)] + [Fraction(0)] * (m - 1) + [-u])
-    if kind == "B":  # q^m - u, m > 0 (cleared form of 1 - u q^-m)
-        return Poly([-u] + [Fraction(0)] * (m - 1) + [Fraction(1)])
+    if kind == "A":  # d (1 - u q^m) = d - c q^m, m > 0
+        return [d] + [0] * (m - 1) + [-c]
+    if kind == "B":  # d (q^m - u) = d q^m - c, m > 0 (cleared form of 1 - u q^-m)
+        return [-c] + [0] * (m - 1) + [d]
     raise InternalError(f"unknown factor key {key!r}")
+
+
+def _divexact_q_minus_1(f: list[int]) -> list[int]:
+    """f / (q - 1) over Z by synthetic division from the top."""
+    out = [0] * (len(f) - 1)
+    carry = 0
+    for i in range(len(f) - 1, 0, -1):
+        carry += f[i]
+        out[i - 1] = carry
+    if f and carry + f[0]:
+        raise InternalError("expected exact polynomial division, got a remainder")
+    return out
 
 
 def h_rational_in_q(
@@ -456,7 +483,8 @@ def h_rational_in_q(
     generic polynomial gcd ever runs on the structured products; the factor
     (1-q)^n in the prefactor divides the assembled numerator exactly (the
     q -> 1 limit exists), which is enforced by synthetic division with a
-    zero-remainder check.
+    zero-remainder check. Numerator and denominator are built over Z and
+    become a `Poly` only once, for the reduction.
     """
     a = tuple(int(x) for x in a)
     u = Fraction(u)
@@ -498,39 +526,49 @@ def h_rational_in_q(
         for key, mult in fac.items():
             lcm[key] = max(lcm.get(key, 0), mult)
 
-    poly_cache: dict[tuple, Poly] = {}
+    # With u = c/d, each factor other than q is an integer polynomial over d.
+    # Let E count those factors in the common denominator, with multiplicity.
+    # Term l carries d^(r - z_l) from its scalar (1-u)^(r - z_l) and
+    # d^(E - (r - z_l)) from its missing factors: d^E for every term, the
+    # same power the denominator carries. So d^E cancels, and both sides are
+    # assembled from the d-scaled factors of `_int_factor`.
+    c, d = u.numerator, u.denominator
+    factor_powers: dict[tuple, list[list[int]]] = {}
 
-    def fpoly(key: tuple) -> Poly:
-        if key not in poly_cache:
-            poly_cache[key] = _factor_poly(key, u)
-        return poly_cache[key]
+    def fpow(key: tuple, k: int) -> list[int]:
+        pows = factor_powers.setdefault(key, [[1]])
+        while len(pows) <= k:
+            pows.append(_int_mul(pows[-1], _int_factor(key, c, d)))
+        return pows[k]
 
-    numerator = Poly(())
+    numerator: list[int] = []
     for l in range(n + 1):
-        # scalar: C(n,l)(-1)^l (1-u)^(r - z_l) with z_l the count of l*a_j = 0
+        # scalar: C(n,l)(-1)^l (d-c)^(r - z_l) with z_l the count of l*a_j = 0
         z = sum(1 for aj in a if l * aj == 0)
-        scalar = Fraction(comb(n, l)) * (1 - u) ** (r - z)
+        scalar = comb(n, l) * (d - c) ** (r - z)
         if l % 2:
             scalar = -scalar
-        piece = Poly.monomial(scalar, term_shift[l])
+        piece = [0] * term_shift[l] + [scalar]
         for key, mult in lcm.items():
             missing = mult - term_factors[l].get(key, 0)
             if missing:
-                piece = piece * fpoly(key) ** missing
-        numerator = numerator + piece
+                piece = _int_mul(piece, fpow(key, missing))
+        if len(numerator) < len(piece):
+            numerator.extend([0] * (len(piece) - len(numerator)))
+        for i, x in enumerate(piece):
+            numerator[i] += x
 
-    denominator = Poly.const(1)
+    denominator = [1]
     for key, mult in lcm.items():
-        denominator = denominator * fpoly(key) ** mult
+        denominator = _int_mul(denominator, fpow(key, mult))
 
     # Strip (1-q)^n = (-1)^n (q-1)^n from the numerator by synthetic division.
-    q_minus_1 = Poly([Fraction(-1), Fraction(1)])
     for _ in range(n):
-        numerator = numerator.divexact(q_minus_1)
+        numerator = _divexact_q_minus_1(numerator)
     if n % 2:
-        numerator = -numerator
+        numerator = [-x for x in numerator]
 
-    rf = RationalFunctionQ(numerator, denominator)
+    rf = RationalFunctionQ(Poly(numerator), Poly(denominator))
     amax = max(abs(x) for x in a)
     bound = n * max(abs(w), 1) + r * amax * n * (n + 1) // 2 + n
     if rf.numerator.degree > bound or rf.denominator.degree > bound:

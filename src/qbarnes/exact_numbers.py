@@ -59,11 +59,28 @@ def is_prime(n: int) -> bool:
 
 
 def _int_valuation(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer."""
+    """Exponent of p in a nonzero integer, in O(log valuation) divisions.
+
+    Strips p, p^2, p^4, ... while each divides, then steps back down through
+    the same powers: what is left after the climb has valuation below the
+    last power's exponent, so each smaller power divides at most once.
+    """
+    if n % p:
+        return 0
+    powers = [p]
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    while True:
+        quotient, rem = divmod(n, powers[-1])
+        if rem:
+            break
+        n = quotient
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for k in range(len(powers) - 2, -1, -1):
+        quotient, rem = divmod(n, powers[k])
+        if not rem:
+            n = quotient
+            v += 1 << k
     return v
 
 

@@ -36,6 +36,10 @@ REPORT_SHA256 = {
 # path of riemann_error_valuation must reproduce digit for digit
 RIEMANN_LIMIT_SEED1_SHA256 = "f813cbe054d610349e6f57e5df2206436e1a72522f4ed67cab11a6abdbb61e4a"
 
+# sha256 of the seed-1 qlimit report, recorded from the Fraction-coefficient
+# assembly of h_rational_in_q: a second draw of (a, u, w) for its integer one
+QLIMIT_SEED1_SHA256 = "df9e88246ac94e361944d38080fcc57cacb0d21d4cf6e9fd380b67f50e431ebf"
+
 
 def _digest(report) -> str:
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
@@ -129,6 +133,7 @@ def test_criterion_07_q_limit_is_classical():
         "exactly, n <= 10, r <= 2, 10 samples",
         30,
     )
+    assert _digest(run_suite("qlimit", seed=1)) == QLIMIT_SEED1_SHA256
 
 
 def test_criterion_08_carlitz_bridge():

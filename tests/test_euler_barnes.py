@@ -111,8 +111,20 @@ def test_distribution_rejects_root_of_unity_u():
 
 
 def test_rational_in_q_evaluates_to_closed_form():
-    u = F(3)
-    for n, w, a in [(0, 0, (1,)), (2, 1, (1, 2)), (3, 2, (2, -1)), (4, 0, (1, 1, 2))]:
+    # u = c/d with d > 1 exercises the cancelled powers of d; negative w and
+    # negative a_j exercise the cleared factors q and q^m - u
+    for n, w, a, u in [
+        (0, 0, (1,), F(3)),
+        (2, 1, (1, 2), F(3)),
+        (3, 2, (2, -1), F(3)),
+        (4, 0, (1, 1, 2), F(3)),
+        (5, -1, (1, -2), F(5, 2)),
+        (8, 2, (2, -1), F(-2, 5)),
+        (6, -2, (-1, 2, 1), F(-3, 4)),
+        (7, 1, (-2,), F(5, 2)),
+        (8, -1, (1, -1), F(-3, 4)),
+        (3, 0, (-1, -2), F(-2, 5)),
+    ]:
         ratfn = h_rational_in_q(n, w, len(a), a, u)
         for q in (F(2), F(5, 3), F(-1, 2), F(7)):
             p = BarnesParams(a, u, QBase(q))
@@ -127,6 +139,33 @@ def test_rational_in_q_is_reduced():
     assert ratfn.denominator.leading == 1
     # no accidental pole at q = 1 after reduction
     assert ratfn.denominator(F(1)) != 0
+
+
+def test_rational_in_q_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def coeffs(expr):
+        return [F(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, q).all_coeffs())]
+
+    for n, w, a, u in [
+        (1, 0, (1,), F(3)),
+        (3, 1, (1, 2), F(5, 2)),
+        (4, -1, (2, -1), F(-2, 5)),
+        (3, 2, (-1, 1), F(-3, 4)),
+        (2, -2, (-2,), F(3)),
+    ]:
+        su = sympy.Rational(u.numerator, u.denominator)
+        total = sum(
+            sympy.binomial(n, l) * (-1) ** l * q ** (l * w)
+            * sympy.Mul(*[1 / (1 - q ** (l * aj) * su) for aj in a])
+            for l in range(n + 1)
+        )
+        num, den = sympy.fraction(sympy.cancel((1 - su) ** len(a) / (1 - q) ** n * total))
+        lead = sympy.Poly(den, q).LC()
+        ratfn = h_rational_in_q(n, w, len(a), a, u)
+        assert list(ratfn.numerator.coeffs) == coeffs(num / lead), (n, w, a, u)
+        assert list(ratfn.denominator.coeffs) == coeffs(den / lead), (n, w, a, u)
 
 
 def test_limit_q_to_1_matches_classical():

@@ -49,6 +49,21 @@ def test_valuation():
     assert valuation(F(0), 3) == INFINITY
 
 
+def test_valuation_of_large_powers():
+    # the climb through p^(2^k) and the step back down must land on k
+    # exactly, on both sides of powers of two and at valuations in the thousands
+    ks = (0, 1, 2, 3, 5, 63, 64, 65, 127, 128, 1000, 4095, 4096, 4806, 5000)
+    for p in (2, 3, 7):
+        for m in (1, 2, 3, 10, 7**5 + 3, 2**64 + 1):
+            if m % p == 0:
+                continue
+            for k in ks:
+                for sign in (1, -1):
+                    x = sign * p**k * m
+                    assert valuation(x, p) == k, (p, k, m, sign)
+                    assert valuation(F(m, x), p) == -k
+
+
 def test_rational_wire_format():
     assert format_rational(F(-3, 5)) == "-3/5"
     assert format_rational(F(4)) == "4"
