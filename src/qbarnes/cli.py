@@ -36,7 +36,6 @@ from .euler_barnes import (
     h_carlitz,
     h_closed,
     h_rational_in_q,
-    limit_q_to_1,
 )
 from .padic_integration import (
     DEFAULT_BUDGET,
@@ -180,7 +179,7 @@ def _rational_function(args) -> dict:
         "r": r,
         "numerator": ratfn.numerator.coeffs,
         "denominator": ratfn.denominator.coeffs,
-        "limit_q1": limit_q_to_1(args.n, args.w, r, args.a, args.u),
+        "limit_q1": ratfn(Fraction(1)),
     }
 
 

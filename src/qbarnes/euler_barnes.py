@@ -24,8 +24,9 @@ from .exact_numbers import Rational
 from .qnum import FractionalArg, QBase, qbracket, rational_power
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction: the rational-function route
-# assembles over Z and returns its result in this form
+# integer polynomials, low degree first: the rational-function route builds
+# and reduces its numerator and denominator over Z; `Poly` only holds the
+# monic result, over Fraction
 
 
 class Poly:
@@ -58,21 +59,6 @@ class Poly:
             raise PreconditionError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-x for x in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         f, df = _cleared(self)
         g, dg = _cleared(other)
@@ -84,22 +70,6 @@ class Poly:
         if c == 0:
             return Poly(())
         return Poly([c * x for x in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by q^k."""
-        if self.is_zero:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
-    def __pow__(self, n: int) -> "Poly":
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -114,28 +84,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * q + c
         return acc
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = other.degree
-        lead = other.leading
-        quo = [Fraction(0)] * max(len(rem) - dq, 0)
-        for i in range(len(rem) - dq - 1, -1, -1):
-            c = rem[i + dq] / lead
-            if c == 0:
-                continue
-            quo[i] = c
-            for j, y in enumerate(other.coeffs):
-                rem[i + j] -= c * y
-        return Poly(quo), Poly(rem)
-
-    def divexact(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise InternalError("expected exact polynomial division, got a remainder")
-        return q
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -163,21 +111,36 @@ def _int_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return out
 
 
+def _int_divexact(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f / g over Z by long division from the top; g has a nonzero top.
+
+    The package's one exact-division routine: a leading quotient that is not
+    an integer, or a nonzero remainder, raises `InternalError`.
+    """
+    rem = list(f)
+    dg = len(g) - 1
+    lead = g[-1]
+    gs = [(j, y) for j, y in enumerate(g) if y]
+    quo = [0] * max(len(rem) - dg, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + dg], lead)
+        if r:
+            raise InternalError("expected exact polynomial division, got a remainder")
+        if c:
+            quo[i] = c
+            for j, y in gs:
+                rem[i + j] -= c * y
+    if any(rem):
+        raise InternalError("expected exact polynomial division, got a remainder")
+    return quo
+
+
 def _cleared(f: Poly) -> tuple[list[int], int]:
     """(integer coefficients, den) with f = integer polynomial / den."""
     den = 1
     for c in f.coeffs:
         den = lcm(den, c.denominator)
     return [c.numerator * (den // c.denominator) for c in f.coeffs], den
-
-
-def _integer_primitive(f: Poly) -> list[int]:
-    """Integer coefficient list of f scaled to primitive (content 1)."""
-    if f.is_zero:
-        return []
-    ints = _cleared(f)[0]
-    g = _int_content(ints)
-    return [x // g for x in ints]
 
 
 # Machine primes for the coprimality probe. deg gcd mod P >= deg gcd over Q
@@ -233,6 +196,12 @@ def _int_content(f: list[int]) -> int:
     return g
 
 
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its content; f nonzero."""
+    c = _int_content(f)
+    return [x // c for x in f]
+
+
 def _primitive_prs_gcd(f: list[int], g: list[int]) -> list[int]:
     a, b = f, g
     if len(a) < len(b):
@@ -240,55 +209,77 @@ def _primitive_prs_gcd(f: list[int], g: list[int]) -> list[int]:
     while b:
         r = _pseudo_rem(a, b)
         if r:
-            c = _int_content(r)
-            r = [x // c for x in r]
+            r = _primitive(r)
         a, b = b, r
     return a
 
 
+def _int_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero primitive integer polynomials.
+
+    A modular probe certifies the common case, coprimality, and returns [1];
+    otherwise the primitive PRS runs. By Gauss's lemma the result divides f
+    and g exactly over Z.
+    """
+    for P in _PROBE_PRIMES:
+        if f[-1] % P and g[-1] % P:
+            if _gcd_degree_mod_p(f, g, P) == 0:
+                return [1]
+            break
+    return _primitive_prs_gcd(f, g)
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Q: fast modular coprimality probe, exact PRS fallback."""
+    """Monic gcd over Q of two `Poly`s, by `_int_gcd` on their primitive parts."""
     if f.is_zero:
         return g.monic()
     if g.is_zero:
         return f.monic()
-    F = _integer_primitive(f)
-    G = _integer_primitive(g)
-    for P in _PROBE_PRIMES:
-        if F[-1] % P and G[-1] % P:
-            if _gcd_degree_mod_p(F, G, P) == 0:
-                return Poly.const(1)
-            break
-    h = _primitive_prs_gcd(F, G)
-    return Poly(h).monic()
+    return Poly(_int_gcd(_primitive(_cleared(f)[0]), _primitive(_cleared(g)[0]))).monic()
+
+
+def _stripped(f: Sequence[int]) -> list[int]:
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return f
 
 
 class RationalFunctionQ:
-    """Reduced fraction of polynomials in q with a monic denominator."""
+    """Reduced fraction of polynomials in q with a monic denominator.
+
+    Built from integer coefficient lists, low degree first, and reduced over
+    Z: the shared power of q and the contents come off, then the primitive
+    gcd is divided out exactly. `Fraction`s appear only in the monic
+    `Poly` numerator and denominator that hold the result.
+    """
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator: Poly, denominator: Poly):
-        if denominator.is_zero:
+    def __init__(self, numerator: Sequence[int], denominator: Sequence[int]):
+        num = _stripped(numerator)
+        den = _stripped(denominator)
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if numerator.is_zero:
+        if not num:
             self.numerator = Poly(())
             self.denominator = Poly.const(1)
             return
         # shared monomial factor q^k, common after clearing negative powers
         k = 0
-        while numerator.coeffs[k] == 0 and denominator.coeffs[k] == 0:
+        while num[k] == 0 and den[k] == 0:
             k += 1
-        if k:
-            numerator = Poly(numerator.coeffs[k:])
-            denominator = Poly(denominator.coeffs[k:])
-        g = poly_gcd(numerator, denominator)
-        if g.degree > 0:
-            numerator = numerator.divexact(g)
-            denominator = denominator.divexact(g)
-        lead = denominator.leading
-        self.numerator = numerator.scale(1 / lead)
-        self.denominator = denominator.scale(1 / lead)
+        num, den = num[k:], den[k:]
+        cn, cd = _int_content(num), _int_content(den)
+        num = [x // cn for x in num]
+        den = [x // cd for x in den]
+        g = _int_gcd(num, den)
+        if len(g) > 1:
+            num = _int_divexact(num, g)
+            den = _int_divexact(den, g)
+        lead = cd * den[-1]
+        self.numerator = Poly([Fraction(cn * x, lead) for x in num])
+        self.denominator = Poly([Fraction(cd * x, lead) for x in den])
 
     def __call__(self, q: Rational) -> Rational:
         den = self.denominator(q)
@@ -462,29 +453,17 @@ def _int_factor(key: tuple, c: int, d: int) -> list[int]:
     raise InternalError(f"unknown factor key {key!r}")
 
 
-def _divexact_q_minus_1(f: list[int]) -> list[int]:
-    """f / (q - 1) over Z by synthetic division from the top."""
-    out = [0] * (len(f) - 1)
-    carry = 0
-    for i in range(len(f) - 1, 0, -1):
-        carry += f[i]
-        out[i - 1] = carry
-    if f and carry + f[0]:
-        raise InternalError("expected exact polynomial division, got a remainder")
-    return out
-
-
 def h_rational_in_q(
     n: int, w: int, r: int, a: Sequence[int], u: Rational
 ) -> RationalFunctionQ:
     """H_n^(r)(w, u, q | a) as a reduced rational function of q.
 
-    Assembled over an explicit least-common-denominator factor multiset so no
-    generic polynomial gcd ever runs on the structured products; the factor
-    (1-q)^n in the prefactor divides the assembled numerator exactly (the
-    q -> 1 limit exists), which is enforced by synthetic division with a
-    zero-remainder check. Numerator and denominator are built over Z and
-    become a `Poly` only once, for the reduction.
+    Numerator and denominator are assembled over Z from an explicit
+    least-common-denominator factor multiset, so no generic polynomial gcd
+    runs on the structured products. The factor (1-q)^n of the prefactor
+    divides the assembled numerator exactly (the q -> 1 limit exists), which
+    `_int_divexact` enforces. `RationalFunctionQ` then reduces the two integer
+    lists over Z; `Poly` only holds its monic result.
     """
     a = tuple(int(x) for x in a)
     u = Fraction(u)
@@ -562,13 +541,8 @@ def h_rational_in_q(
     for key, mult in lcm.items():
         denominator = _int_mul(denominator, fpow(key, mult))
 
-    # Strip (1-q)^n = (-1)^n (q-1)^n from the numerator by synthetic division.
-    for _ in range(n):
-        numerator = _divexact_q_minus_1(numerator)
-    if n % 2:
-        numerator = [-x for x in numerator]
-
-    rf = RationalFunctionQ(Poly(numerator), Poly(denominator))
+    one_minus_q_n = [comb(n, k) * (-1) ** k for k in range(n + 1)]
+    rf = RationalFunctionQ(_int_divexact(numerator, one_minus_q_n), denominator)
     amax = max(abs(x) for x in a)
     bound = n * max(abs(w), 1) + r * amax * n * (n + 1) // 2 + n
     if rf.numerator.degree > bound or rf.denominator.degree > bound:

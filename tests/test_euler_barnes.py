@@ -10,6 +10,7 @@ from qbarnes import (
     Poly,
     PreconditionError,
     QBase,
+    RationalFunctionQ,
     classical_gf_coefficients,
     distribution_check,
     h_addition,
@@ -18,7 +19,8 @@ from qbarnes import (
     h_rational_in_q,
     limit_q_to_1,
 )
-from qbarnes.euler_barnes import poly_gcd
+from qbarnes.errors import InternalError
+from qbarnes.euler_barnes import _int_divexact, poly_gcd
 
 
 def _params(a, u, q):
@@ -124,6 +126,12 @@ def test_rational_in_q_evaluates_to_closed_form():
         (7, 1, (-2,), F(5, 2)),
         (8, -1, (1, -1), F(-3, 4)),
         (3, 0, (-1, -2), F(-2, 5)),
+        # u = -1: numerator and denominator share a factor, so the PRS gcd
+        # and the exact division run
+        (3, 1, (1,), F(-1)),
+        (2, 0, (2, -1), F(-1)),
+        (3, -1, (1, 1), F(-1)),
+        (4, 2, (2,), F(-1)),
     ]:
         ratfn = h_rational_in_q(n, w, len(a), a, u)
         for q in (F(2), F(5, 3), F(-1, 2), F(7)):
@@ -141,6 +149,30 @@ def test_rational_in_q_is_reduced():
     assert ratfn.denominator(F(1)) != 0
 
 
+def test_rational_function_reduces_integer_lists():
+    def parts(num, den):
+        rf = RationalFunctionQ(num, den)
+        return list(rf.numerator.coeffs), list(rf.denominator.coeffs)
+
+    # 3q^2(1 + 2q) / (q^3 (2 + 5q)): the shared q^2 comes off
+    assert parts([0, 0, 3, 6], [0, 0, 0, 2, 5]) == ([F(3, 5), F(6, 5)], [0, F(2, 5), 1])
+    # contents 2 and 3, negative leading denominator coefficient
+    assert parts([4, 6], [-3, 0, -9]) == ([F(-4, 9), F(-2, 3)], [F(1, 3), 0, 1])
+    # 2(q - 1)(q + 2) / ((q - 1)(3q + 1)): the PRS gcd q - 1 divides out
+    assert parts([-4, 2, 2], [-1, -2, 3]) == ([F(4, 3), F(2, 3)], [F(1, 3), 1])
+    # trailing zeros
+    assert parts([1, 2, 0, 0], [3, 0, 0]) == ([F(1, 3), F(2, 3)], [1])
+    assert parts([0, 0], [5, 1]) == ([], [1])
+    with pytest.raises(ZeroDivisionError):
+        RationalFunctionQ([1], [0, 0])
+
+    assert _int_divexact([-2, 1, 1], [-1, 1]) == [2, 1]
+    with pytest.raises(InternalError):
+        _int_divexact([1, 1], [1, 2])  # leading quotient 1/2
+    with pytest.raises(InternalError):
+        _int_divexact([1, 0, 1], [-1, 1])  # q^2 + 1 = (q + 1)(q - 1) + 2
+
+
 def test_rational_in_q_matches_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")
@@ -154,6 +186,10 @@ def test_rational_in_q_matches_sympy_cancel():
         (4, -1, (2, -1), F(-2, 5)),
         (3, 2, (-1, 1), F(-3, 4)),
         (2, -2, (-2,), F(3)),
+        (3, 1, (1,), F(-1)),
+        (2, 0, (2, -1), F(-1)),
+        (3, -1, (1, 1), F(-1)),
+        (4, 2, (2,), F(-1)),
     ]:
         su = sympy.Rational(u.numerator, u.denominator)
         total = sum(
