@@ -10,6 +10,10 @@ in w, the Carlitz umbral recurrence for the r=1 numbers, and a closed-form
 rational function of q whose value at q = 1 is the classical Frobenius-Euler
 limit. Keeping the routes separate is the point: identity suites compare
 them rather than trusting any single one.
+
+The closed form (route 1) sums its n+1 terms as integer fractions over a
+balanced product tree and reduces once at the end; it still calls no other
+route.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Sequence
 
-from .errors import InternalError, PoleError, PreconditionError
+from .errors import ExponentAlignmentError, InternalError, PoleError, PreconditionError
 from .exact_numbers import Rational
 from .qnum import FractionalArg, QBase, qbracket, rational_power
 
@@ -342,47 +346,81 @@ def h_closed(n: int, w: FractionalArg | int, params: BarnesParams) -> Rational:
     """H_n^(r)(w, u, q | a) from the (n+1)-term closed form.
 
     Fractional w = m/f needs f to divide the base exponent of q, so q^(lw)
-    is an integer power of the root.
+    is an integer power of the root. The sum runs over Z: with root = s/t
+    and u = c/d, each factor 1/(1 - root^M u) is t^M d / (t^M d - s^M c)
+    (s and t swapped for M < 0), so term l is C(n,l)(-1)^l d^r s^A_l t^B_l
+    over an integer D_l. Shifting every A_l and B_l by their minimum leaves
+    integer numerators, a product tree adds the n+1 fractions, and one
+    `Fraction` reduces the result.
     """
     if n < 0:
         raise PreconditionError("n must be >= 0", parameter="n")
     w = FractionalArg.coerce(w)
     q = params.q
-    qv = q.value
-    if qv == 1:
+    if q.value == 1:
         raise PreconditionError("q = 1; use limit_q_to_1", parameter="q")
     if q.exponent % w.denominator != 0:
-        from .errors import ExponentAlignmentError
-
         raise ExponentAlignmentError(
             f"w = {w.numerator}/{w.denominator} needs its denominator to "
             f"divide the base exponent {q.exponent}",
             parameter="w",
         )
-    step = q.exponent // w.denominator
-    u = params.u
-    root_pow: dict[int, Rational] = {}
+    e = q.exponent
+    step = e // w.denominator
+    s, t = q.root.numerator, q.root.denominator
+    c, d = params.u.numerator, params.u.denominator
+    # q = 0 has no poles, and l = 1 is the first term with a nonzero power
+    if s == 0 and n > 0 and (w.numerator < 0 or min(params.a) < 0):
+        raise PreconditionError("0 cannot be raised to a negative power", parameter="q")
 
-    def rpow(e: int) -> Rational:
-        if e not in root_pow:
-            root_pow[e] = q.power(e)
-        return root_pow[e]
-
-    total = Fraction(0)
+    # term l = (-1)^l C(n,l) s^A t^B / D, the common d^r left out
+    terms: list[tuple[int, int, int, int]] = []
     for l in range(n + 1):
-        term = Fraction(comb(n, l))
-        if l % 2:
-            term = -term
-        term *= rpow(l * w.numerator * step)
+        W = l * w.numerator * step
+        A, B, D = W, -W, 1
         for j, aj in enumerate(params.a):
-            factor = 1 - rpow(l * aj * q.exponent) * u
+            M = l * aj * e
+            if M >= 0:
+                factor = t**M * d - s**M * c
+                B += M
+            else:
+                factor = s**-M * d - t**-M * c
+                A -= M
             if factor == 0:
                 raise PoleError(
                     f"pole 1 - q^(l a_j) u = 0 at l={l}, j={j}", parameter="u"
                 )
-            term /= factor
-        total += term
-    return (1 - u) ** params.r / (1 - qv) ** n * total
+            D *= factor
+        C = comb(n, l)
+        terms.append((-C if l % 2 else C, A, B, D))
+    # term 0 has A = B = 0, so both minima are <= 0
+    a_min = min(A for _, A, _, _ in terms)
+    b_min = min(B for _, _, B, _ in terms)
+    num, den = _sum_fractions(
+        [(C * s ** (A - a_min) * t ** (B - b_min), D) for C, A, B, D in terms]
+    )
+    # (1-u)^r d^r = (d-c)^r and 1/(1-q)^n = t^(en) / (t^e - s^e)^n
+    shift = e * n + b_min
+    num *= (d - c) ** params.r * t ** max(shift, 0)
+    den *= (t**e - s**e) ** n * s**-a_min * t ** max(-shift, 0)
+    return Fraction(num, den)
+
+
+def _sum_fractions(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of the fractions N/D in `terms` as one unreduced (N, D).
+
+    Adjacent pairs are added level by level (binary splitting), so the big
+    products are balanced and the cost follows fast multiplication rather
+    than growing quadratically with the size of the result.
+    """
+    while len(terms) > 1:
+        paired = [
+            (a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])
+        ]
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return terms[0]
 
 
 # ---------------------------------------------------------------------------

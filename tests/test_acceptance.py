@@ -40,6 +40,15 @@ RIEMANN_LIMIT_SEED1_SHA256 = "f813cbe054d610349e6f57e5df2206436e1a72522f4ed67cab
 # assembly of h_rational_in_q: a second draw of (a, u, w) for its integer one
 QLIMIT_SEED1_SHA256 = "df9e88246ac94e361944d38080fcc57cacb0d21d4cf6e9fd380b67f50e431ebf"
 
+# sha256 of the seed-1 reports of the suites that call h_closed most,
+# recorded from its one-Fraction-at-a-time sum: a second draw of samples
+# that its integer product-tree sum must reproduce byte for byte
+H_CLOSED_SEED1_SHA256 = {
+    "theorem1-gf": "0c5c4be483207a4c94615859ca5582d36543888f161dda825a235f937b05769b",
+    "addition": "f4a0c510ac9c99d309eac437375f40550da027b644ea0da57d7d6a45a1693de4",
+    "distribution": "77c12747ab8de2ed0538582d2266e7a2a7561921e4ab43921ef38f1631b0acf3",
+}
+
 
 def _digest(report) -> str:
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
@@ -72,6 +81,7 @@ def test_criterion_01_gf_equals_closed_form():
         "30 samples, r <= 3, n <= 12, x in {0,1,3}",
         30,
     )
+    assert _digest(run_suite("theorem1-gf", seed=1)) == H_CLOSED_SEED1_SHA256["theorem1-gf"]
 
 
 def test_criterion_02_addition_formula():
@@ -81,6 +91,7 @@ def test_criterion_02_addition_formula():
         "binomial addition formula exact for n <= 8, w <= 5, r <= 3, 20 samples",
         10,
     )
+    assert _digest(run_suite("addition", seed=1)) == H_CLOSED_SEED1_SHA256["addition"]
 
 
 def test_criterion_03_distribution_relation():
@@ -91,6 +102,7 @@ def test_criterion_03_distribution_relation():
         "n <= 8, r <= 2, w <= 2, 20 samples",
         60,
     )
+    assert _digest(run_suite("distribution", seed=1)) == H_CLOSED_SEED1_SHA256["distribution"]
 
 
 def test_criterion_04_riemann_sum_convergence():

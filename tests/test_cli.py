@@ -102,6 +102,9 @@ PRECONDITION_CASES = [
     ((*HBARNES, "--a", "1", "--u", "abc", "--q", "2"), "u"),
     ((*HBARNES, "--a", "1", "--u", "3/0", "--q", "2"), "u"),
     ((*HBARNES, "--a", "1,x", "--u", "3", "--q", "2"), "a"),
+    # q = 0 to a negative power, through a_j < 0 and through w < 0
+    ((*HBARNES, "--a", "-1", "--u", "3", "--q", "0"), "q"),
+    (("compute", "hbarnes", "--n", "1", "--w", "-1", "--a", "1", "--u", "3", "--q", "0"), "q"),
     ((*LVALUE_T1, "--precision", "0"), "precision"),
     ((*LVALUE_T1, "--level-N", "-1"), "level-N"),
     ((*HCHI, "--char", "quadratic"), "char"),

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbarnes import (
     BarnesParams,
+    ExponentAlignmentError,
     FractionalArg,
     PoleError,
     Poly,
@@ -70,6 +73,70 @@ def test_h_closed_permutation_invariance():
     pb = _params((3, 1, -2), u, q)
     for n in range(6):
         assert h_closed(n, 1, pa) == h_closed(n, 1, pb)
+
+
+def _h_closed_reference(n, w, params):
+    """The closed form as a plain loop: n+1 Fractions added one at a time."""
+    if n < 0:
+        raise PreconditionError("n must be >= 0", parameter="n")
+    w = FractionalArg.coerce(w)
+    q = params.q
+    if q.value == 1:
+        raise PreconditionError("q = 1; use limit_q_to_1", parameter="q")
+    if q.exponent % w.denominator != 0:
+        raise ExponentAlignmentError(
+            f"w = {w.numerator}/{w.denominator} needs its denominator to "
+            f"divide the base exponent {q.exponent}",
+            parameter="w",
+        )
+    step = q.exponent // w.denominator
+    u = params.u
+    total = F(0)
+    for l in range(n + 1):
+        term = F(comb(n, l)) * (-1) ** l * q.power(l * w.numerator * step)
+        for j, aj in enumerate(params.a):
+            factor = 1 - q.power(l * aj * q.exponent) * u
+            if factor == 0:
+                raise PoleError(f"pole 1 - q^(l a_j) u = 0 at l={l}, j={j}", parameter="u")
+            term /= factor
+        total += term
+    return (1 - u) ** params.r / (1 - q.value) ** n * total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PreconditionError, PoleError) as exc:
+        return (type(exc).__name__, str(exc), exc.parameter)
+
+
+def test_h_closed_matches_fraction_loop():
+    # roots: zero, negative, |root| < 1 and > 1; u: negative, non-integer,
+    # and powers of the root, which put poles at small l
+    roots = [F(0), F(-1), F(2), F(-2), F(3, 2), F(-2, 3), F(1, 3), F(-5, 4), F(3, 5)]
+    us = [F(-3), F(2), F(5, 2), F(-2, 5), F(3, 7), F(-7, 3)]
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(2000):
+        root, e = rng.choice(roots), rng.choice((1, 2, 3))
+        a = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3)))
+        u = root ** rng.randint(-4, 4) if root and rng.random() < 0.3 else rng.choice(us)
+        if u in (0, 1):
+            continue
+        w = FractionalArg(rng.randint(-3, 3), rng.choice((1, e, e, e, 2)))
+        n = rng.randint(0, 7)
+        params = BarnesParams(a, u, QBase(root, e))
+        want = _outcome(_h_closed_reference, n, w, params)
+        assert _outcome(h_closed, n, w, params) == want, (n, w, params)
+        if isinstance(want, tuple):
+            seen.add(want[0] if root else "q=0 " + want[1])
+        else:
+            seen.add(("w<0" if w.numerator < 0 else "w>=0", w.denominator, e))
+            seen.add(("mixed a" if min(a) < 0 < max(a) else "one-sign a", n == 0))
+            seen.add(("root<0" if root < 0 else "root>=0", abs(root) < 1))
+    assert {"PoleError", "ExponentAlignmentError", "q=0 0 cannot be raised to a negative power"} <= seen
+    assert {("w<0", 2, 2), ("w<0", 3, 3), ("mixed a", True), ("mixed a", False)} <= seen
+    assert {("root<0", True), ("root<0", False), ("root>=0", True)} <= seen
 
 
 def test_q_one_rejected():
