@@ -56,12 +56,23 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise PreconditionError(f"expected comma-separated integers, got {text!r}")
 
 
+def _json_rational(value: object) -> Fraction:
+    """A JSON character value: a rational string, or an integer (not a bool)."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise PreconditionError(
+        f"character value {json.dumps(value)} is not a string or an integer"
+    )
+
+
 def _parse_character(spec: str, context: PadicContext | None) -> DirichletCharacter:
     if spec.startswith("{"):
         try:
             obj = json.loads(spec)
             modulus = int(obj["modulus"])
-            values = [parse_rational(v) for v in obj["values"]]
+            values = [_json_rational(v) for v in obj["values"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"bad character JSON: {exc}")
         return DirichletCharacter(modulus, values)

@@ -14,10 +14,18 @@ them rather than trusting any single one.
 The closed form (route 1) sums its n+1 terms as integer fractions over a
 balanced product tree and reduces once at the end; it still calls no other
 route.
+
+The rational function (route 4) is built over Z in one loop over the terms.
+With u = c/d, each nonzero exponent m = l a_j contributes one denominator
+factor keyed by the signed integer m: d - c q^m for m > 0, and the cleared
+d q^|m| - c for m < 0, whose q^|m| moves to the numerator. The common
+denominator is the union of the per-term factor counts, times the power of q
+that makes every numerator piece an integer polynomial.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -473,33 +481,18 @@ def h_carlitz(k: int, u: Rational, q: Rational) -> Rational:
 # ---------------------------------------------------------------------------
 # route 4: closed-form rational function of q, and the q -> 1 limit
 
-_FACTOR_Q = ("q",)  # the monomial q itself, from cleared negative powers
-
-
-def _int_factor(key: tuple, c: int, d: int) -> list[int]:
-    """Integer coefficients of a denominator factor at u = c/d, times d.
-
-    The monomial q carries no u, so it is not scaled.
-    """
-    if key == _FACTOR_Q:
-        return [0, 1]
-    kind, m = key
-    if kind == "A":  # d (1 - u q^m) = d - c q^m, m > 0
-        return [d] + [0] * (m - 1) + [-c]
-    if kind == "B":  # d (q^m - u) = d q^m - c, m > 0 (cleared form of 1 - u q^-m)
-        return [-c] + [0] * (m - 1) + [d]
-    raise InternalError(f"unknown factor key {key!r}")
-
-
 def h_rational_in_q(
     n: int, w: int, r: int, a: Sequence[int], u: Rational
 ) -> RationalFunctionQ:
     """H_n^(r)(w, u, q | a) as a reduced rational function of q.
 
-    Numerator and denominator are assembled over Z from an explicit
-    least-common-denominator factor multiset, so no generic polynomial gcd
-    runs on the structured products. The factor (1-q)^n of the prefactor
-    divides the assembled numerator exactly (the q -> 1 limit exists), which
+    With u = c/d, term l is C(n,l)(-1)^l (d-c)^k q^E / prod F_m over the k
+    exponents m = l a_j that are nonzero: F_m = d - c q^m for m > 0, and
+    F_m = d q^|m| - c for m < 0, whose cleared q^|m| joins E = l w +
+    sum_{m<0} |m|. The common denominator takes each F_m, keyed by the signed
+    m, at its largest multiplicity in any term, times q^(-min E); so every
+    numerator piece is an integer polynomial. The factor (1-q)^n of the
+    prefactor divides the sum exactly (the q -> 1 limit exists), which
     `_int_divexact` enforces. `RationalFunctionQ` then reduces the two integer
     lists over Z; `Poly` only holds its monic result.
     """
@@ -514,70 +507,42 @@ def h_rational_in_q(
     if n < 0:
         raise PreconditionError("n must be >= 0", parameter="n")
 
-    # Per-term denominator factor multisets and numerator monomial shifts.
-    term_factors: list[dict[tuple, int]] = []
-    term_shift: list[int] = []
-    for l in range(n + 1):
-        fac: dict[tuple, int] = {}
-        shift = 0
-        exp_w = l * w
-        if exp_w >= 0:
-            shift += exp_w
-        else:
-            fac[_FACTOR_Q] = fac.get(_FACTOR_Q, 0) - exp_w
-        for aj in a:
-            m = l * aj
-            if m == 0:
-                continue  # constant (1-u), folded into the scalar below
-            if m > 0:
-                key = ("A", m)
-            else:
-                key = ("B", -m)
-                shift += -m
-            fac[key] = fac.get(key, 0) + 1
-        term_factors.append(fac)
-        term_shift.append(shift)
-
-    lcm: dict[tuple, int] = {}
-    for fac in term_factors:
-        for key, mult in fac.items():
-            lcm[key] = max(lcm.get(key, 0), mult)
-
-    # With u = c/d, each factor other than q is an integer polynomial over d.
-    # Let E count those factors in the common denominator, with multiplicity.
-    # Term l carries d^(r - z_l) from its scalar (1-u)^(r - z_l) and
-    # d^(E - (r - z_l)) from its missing factors: d^E for every term, the
-    # same power the denominator carries. So d^E cancels, and both sides are
-    # assembled from the d-scaled factors of `_int_factor`.
     c, d = u.numerator, u.denominator
-    factor_powers: dict[tuple, list[list[int]]] = {}
+    terms: list[tuple[Counter[int], int]] = []
+    for l in range(n + 1):
+        ms = Counter(l * aj for aj in a if l * aj)
+        terms.append((ms, l * w - sum(m for m in ms.elements() if m < 0)))
+    common: Counter[int] = Counter()
+    for ms, _ in terms:
+        common |= ms
+    # term 0 has E = 0, so e_min <= 0
+    e_min = min(e for _, e in terms)
 
-    def fpow(key: tuple, k: int) -> list[int]:
-        pows = factor_powers.setdefault(key, [[1]])
+    powers: dict[int, list[list[int]]] = {}
+
+    def fpow(m: int, k: int) -> list[int]:
+        pows = powers.setdefault(m, [[1]])
+        gap = [0] * (abs(m) - 1)
+        factor = [d, *gap, -c] if m > 0 else [-c, *gap, d]
         while len(pows) <= k:
-            pows.append(_int_mul(pows[-1], _int_factor(key, c, d)))
+            pows.append(_int_mul(pows[-1], factor))
         return pows[k]
 
     numerator: list[int] = []
-    for l in range(n + 1):
-        # scalar: C(n,l)(-1)^l (d-c)^(r - z_l) with z_l the count of l*a_j = 0
-        z = sum(1 for aj in a if l * aj == 0)
-        scalar = comb(n, l) * (d - c) ** (r - z)
-        if l % 2:
-            scalar = -scalar
-        piece = [0] * term_shift[l] + [scalar]
-        for key, mult in lcm.items():
-            missing = mult - term_factors[l].get(key, 0)
+    for l, (ms, e) in enumerate(terms):
+        piece = [0] * (e - e_min) + [(-1) ** l * comb(n, l) * (d - c) ** ms.total()]
+        for m, mult in common.items():
+            missing = mult - ms.get(m, 0)
             if missing:
-                piece = _int_mul(piece, fpow(key, missing))
+                piece = _int_mul(piece, fpow(m, missing))
         if len(numerator) < len(piece):
             numerator.extend([0] * (len(piece) - len(numerator)))
         for i, x in enumerate(piece):
             numerator[i] += x
 
-    denominator = [1]
-    for key, mult in lcm.items():
-        denominator = _int_mul(denominator, fpow(key, mult))
+    denominator = [0] * -e_min + [1]
+    for m, mult in common.items():
+        denominator = _int_mul(denominator, fpow(m, mult))
 
     one_minus_q_n = [comb(n, k) * (-1) ** k for k in range(n + 1)]
     rf = RationalFunctionQ(_int_divexact(numerator, one_minus_q_n), denominator)

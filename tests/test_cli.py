@@ -162,16 +162,24 @@ def test_lvalue_reports_padic_value(capsys):
 
 
 def test_character_json_spec(capsys):
-    spec = json.dumps({"modulus": 4, "values": ["0", "1", "0", "-1"]})
-    code, out = run_cli(
-        capsys, "compute", "hchi", "--k", "2", "--a", "1", "--u", "3", "--q", "4", "--char", spec
-    )
-    assert code == 0
-    assert json.loads(out)["value"] == "-2307/66845"
+    # values may be JSON strings or JSON integers
+    for values in (["0", "1", "0", "-1"], [0, 1, 0, -1]):
+        spec = json.dumps({"modulus": 4, "values": values})
+        code, out = run_cli(
+            capsys, "compute", "hchi", "--k", "2", "--a", "1", "--u", "3", "--q", "4", "--char", spec
+        )
+        assert code == 0, values
+        assert json.loads(out)["value"] == "-2307/66845"
 
 
 def test_bad_character_spec(capsys):
-    for spec in ("cubic:9", "quadratic:x", "trivial:x"):
+    for spec in (
+        "cubic:9",
+        "quadratic:x",
+        "trivial:x",
+        '{"modulus": 4, "values": [null, 1, 0, -1]}',
+        '{"modulus": 4, "values": [0, 1.5, 0, -1]}',
+    ):
         code, out = run_cli(
             capsys, "compute", "hchi", "--k", "2", "--a", "1", "--u", "3", "--q", "4", "--char", spec
         )

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +22,7 @@ from qbarnes import (
     h_rational_in_q,
     limit_q_to_1,
 )
+from qbarnes import euler_barnes
 from qbarnes.errors import InternalError
 from qbarnes.euler_barnes import _int_divexact, poly_gcd
 
@@ -179,10 +180,10 @@ def test_distribution_rejects_root_of_unity_u():
         distribution_check(1, 0, 2, p)
 
 
-def test_rational_in_q_evaluates_to_closed_form():
+def test_rational_in_q_evaluates_to_closed_form(monkeypatch):
     # u = c/d with d > 1 exercises the cancelled powers of d; negative w and
     # negative a_j exercise the cleared factors q and q^m - u
-    for n, w, a, u in [
+    cases = [
         (0, 0, (1,), F(3)),
         (2, 1, (1, 2), F(3)),
         (3, 2, (2, -1), F(3)),
@@ -199,11 +200,44 @@ def test_rational_in_q_evaluates_to_closed_form():
         (2, 0, (2, -1), F(-1)),
         (3, -1, (1, 1), F(-1)),
         (4, 2, (2,), F(-1)),
-    ]:
+    ]
+    # a seeded grid over mixed-sign a_j and w; a monic denominator coprime to
+    # the numerator that agrees with route 1 pins the unique reduced form
+    rng = random.Random(8)
+    for _ in range(300):
+        a = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3)))
+        d = rng.randint(2, 5)
+        c = rng.choice([x for x in range(-7, 8) if x and gcd(x, d) == 1])
+        u = F(-1) if rng.random() < 0.2 else F(c, d)
+        # n capped lower at larger r keeps the degrees, and the test, small
+        cases.append((rng.randint(0, (7, 6, 4)[len(a) - 1]), rng.randint(-3, 3), a, u))
+
+    gcd_degrees = []
+    int_gcd = euler_barnes._int_gcd
+
+    def recording_gcd(f, g):
+        result = int_gcd(f, g)
+        gcd_degrees.append(len(result) - 1)
+        return result
+
+    monkeypatch.setattr(euler_barnes, "_int_gcd", recording_gcd)
+    seen = set()
+    for n, w, a, u in cases:
         ratfn = h_rational_in_q(n, w, len(a), a, u)
+        assert ratfn.denominator.leading == 1, (n, w, a, u)
+        assert poly_gcd(ratfn.numerator, ratfn.denominator).degree == 0, (n, w, a, u)
         for q in (F(2), F(5, 3), F(-1, 2), F(7)):
-            p = BarnesParams(a, u, QBase(q))
-            assert ratfn(q) == h_closed(n, w, p)
+            try:
+                want = h_closed(n, w, BarnesParams(a, u, QBase(q)))
+            except PoleError:
+                seen.add("pole")
+                continue
+            assert ratfn(q) == want, (n, w, a, u, q)
+        seen.add(n == 0)
+        if w < 0 and min(a) < 0:
+            seen.add("w<0 and a_j<0")
+    assert {True, False, "w<0 and a_j<0", "pole"} <= seen
+    assert max(gcd_degrees) > 0
 
 
 def test_rational_in_q_is_reduced():
