@@ -146,10 +146,8 @@ class DirichletCharacter:
 
     @classmethod
     def teichmuller_character(cls, context: PadicContext) -> "DirichletCharacter":
-        """omega itself as a character mod p."""
-        p = context.p
-        vals = [0] + [teichmuller(x, context).unit for x in range(1, p)]
-        return cls(p, vals, context)
+        """omega itself as a character mod p: the trivial character twisted once."""
+        return twist_teichmuller(cls.trivial(1), 1, context)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -324,9 +322,7 @@ def angle_bracket(x: int, q: Rational, context: PadicContext) -> UnitProjection:
 
 
 def _tame_part(d: int, p: int) -> int:
-    while d % p == 0:
-        d //= p
-    return d
+    return d // p ** valuation(d, p)
 
 
 def _check_l_inputs(
@@ -441,9 +437,9 @@ def kummer_check(
 ) -> bool:
     """L(-k) ≡ L(-k2) mod p^n whenever k ≡ k2 mod (p-1) p^n.
 
-    Rational-mode characters are checked with exact rational valuations,
-    so the k = k2 corner (difference exactly zero) reports True instead of
-    exhausting p-adic precision.
+    Rational-mode characters are checked with the exact valuation of the
+    rational difference, which is not capped at the context precision;
+    teichmuller-mode ones with `agreement_valuation`, capped there.
     """
     p = context.p
     _check_l_inputs(chi, u, a1, context)

@@ -71,11 +71,16 @@ def _parse_character(spec: str, context: PadicContext | None) -> DirichletCharac
     if spec.startswith("{"):
         try:
             obj = json.loads(spec)
-            modulus = int(obj["modulus"])
-            values = [_json_rational(v) for v in obj["values"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            modulus, values = obj["modulus"], obj["values"]
+        except (json.JSONDecodeError, KeyError) as exc:
             raise PreconditionError(f"bad character JSON: {exc}")
-        return DirichletCharacter(modulus, values)
+        # json.loads reads true and false as bools, which are ints to isinstance
+        int_modulus = isinstance(modulus, int) and not isinstance(modulus, bool)
+        if not (int_modulus and isinstance(values, list)):
+            raise PreconditionError(
+                "character JSON needs an integer modulus and an array of values"
+            )
+        return DirichletCharacter(modulus, [_json_rational(v) for v in values])
     if spec == "teichmuller":
         if context is None:
             raise PreconditionError("teichmuller character needs --p and --precision")
@@ -252,7 +257,7 @@ OPS = {
     ),
     "gf-coeffs": Op(
         "n!-scaled generating-function coefficients", "n a u q", "x", "n_max=n a u q x",
-        lambda args: {"coefficients": q_gf_coefficients(_barnes(args), args.x, args.n)},
+        lambda args: {"coefficients": q_gf_coefficients(_barnes(args), args.x or 0, args.n)},
     ),
     "classical": Op(
         "classical Frobenius-Euler numbers H_n(w, v | a)", "n w a u", "", "n_max=n w a v=u",

@@ -330,31 +330,17 @@ def to_padic(x: Rational | int, context: PadicContext) -> PadicNumber:
 
 
 def agreement_valuation(a: PadicNumber, b: PadicNumber) -> int | float:
-    """Largest m (capped at the joint precision) with a ≡ b mod p^m.
+    """Largest m with a ≡ b mod p^m, capped at the joint precision.
 
-    A return value equal to the joint precision is a lower bound: the
-    operands are indistinguishable at every tracked digit.
+    This is the valuation of a - b. When every tracked digit of a - b
+    cancels, the operands are indistinguishable and the joint precision
+    min(a.abs_precision, b.abs_precision) is returned: a lower bound, not
+    an exact valuation. Two zeros agree to INFINITY.
     """
-    if a.context != b.context:
-        raise PreconditionError("operands belong to different p-adic contexts")
-    joint = min(a.abs_precision, b.abs_precision)
-    if joint is INFINITY:
-        return INFINITY
-    m = int(joint)
-    vmin = 0
-    for x in (a, b):
-        if not x.is_zero:
-            vmin = min(vmin, x.valuation)
-    if m - vmin <= 0:
-        raise PreconditionError("no shared digits to compare")
-    p = a.context.p
-    span = p ** (m - vmin)
-    ra = 0 if a.is_zero else a.unit * p ** (a.valuation - vmin) % span
-    rb = 0 if b.is_zero else b.unit * p ** (b.valuation - vmin) % span
-    d = (ra - rb) % span
-    if d == 0:
-        return m
-    return vmin + _int_valuation(d, p)
+    try:
+        return (a - b).valuation
+    except PrecisionExhaustedError:
+        return min(a.abs_precision, b.abs_precision)
 
 
 def padic_log(x: PadicNumber) -> PadicNumber:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import BudgetError, PoleError, PreconditionError
-from .exact_numbers import INFINITY, Rational, is_prime, valuation
+from .exact_numbers import Rational, is_prime, valuation
 from .euler_barnes import BarnesParams, h_closed
 from .qnum import FractionalArg, QBase, qbracket, qbracket_z
 
@@ -385,16 +385,16 @@ def prop5_check(
     The principal terms of the moment-measure cells x + p^N Z_p are
     [a1 x : q]^k u^x / (1 - u^(p^N)); their sum converges p-adically to the
     k-th moment (1/(1-u)) H_k. Since 1 - u^m = [m : u] (1 - u), that sum is
-    the level-N Riemann sum of [a1 x : q]^k divided by 1 - u. Returns the
-    exact valuation of the difference, INFINITY when the level-N sum is
-    already exact (k = 0).
+    the rank-1 `multi_riemann_integral(k, 0, ...)` with a = (a1,), divided by
+    1 - u, so the difference is `riemann_error_valuation` against H_k less
+    nu_p(1 - u). Exact, like that valuation; INFINITY when the level-N sum
+    is already exact (k = 0). The budget is checked before any work.
     """
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
     if N < 0:
         raise PreconditionError("N must be >= 0", parameter="N")
-    q = Fraction(q)
-    level_sum = riemann_integral(lambda x: qbracket(a1 * x, q) ** k, u, 1, N, budget)
-    approx = level_sum / (1 - u.u)
-    target = h_closed(k, 0, BarnesParams((a1,), u.u, QBase(q))) / (1 - u.u)
-    return valuation(approx - target, u.p)
+    _check_budget(u.p**N, budget)
+    params = BarnesParams((a1,), u.u, QBase(q))
+    error = riemann_error_valuation(k, 0, params, u, N, h_closed(k, 0, params), budget)
+    return error - valuation(1 - u.u, u.p)

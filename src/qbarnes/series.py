@@ -12,6 +12,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import PoleError, PreconditionError
+from .euler_barnes import BarnesParams
 from .exact_numbers import Rational
 from .qnum import rational_power
 
@@ -124,40 +125,28 @@ def classical_gf_coefficients(
     return [factorial(n) * gf.coefficient(n) for n in range(n_max + 1)]
 
 
-def q_gf_coefficients(
-    params,
-    x: int | None,
-    n_max: int,
-    j_max: int | None = None,
-) -> list[Rational]:
-    """n!-scaled coefficients of the q-deformed generating function.
+def q_gf_coefficients(params: BarnesParams, x: int, n_max: int) -> list[Rational]:
+    """n!-scaled coefficients of the q-deformed generating function at x.
 
-    G(t) = e^(t/(1-q)) (1-u)^r sum_j [prod_l 1/(1 - q^(j a_l) u)]
+    G(t) = e^(t/(1-q)) (1-u)^r sum_{j <= n_max} [prod_l 1/(1 - q^(j a_l) u)]
            (-1/(1-q))^j q^(jx) t^j / j!
 
-    x = None drops the q^(jx) factor (the numbers variant; same as x = 0).
-    The j-sum truncates at j_max (default n_max, never below it); terms with
-    j > n_max cannot reach t^n_max but their pole-freeness is still checked,
-    since admissibility of the parameters is a property of the whole sum.
+    Coefficient n is H_n(x, u, q | a); x = 0 gives the numbers H_n. Terms
+    with j > n_max cannot reach t^n_max, so the j-sum stops there, and a
+    pole 1 - q^(j a_l) u = 0 is reported for every j it reaches.
     """
-    from .euler_barnes import BarnesParams  # cycle-free at call time
-
     if not isinstance(params, BarnesParams):
         raise PreconditionError("params must be a BarnesParams", parameter="params")
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0", parameter="n")
-    if j_max is None:
-        j_max = n_max
-    if j_max < n_max:
-        raise PreconditionError("j_max must be >= n_max", parameter="j_max")
     q = params.q.value
     if q == 1:
         raise PreconditionError("q = 1; use the classical route", parameter="q")
     u = params.u
     r = params.r
     c = 1 / (1 - q)
-    jcoeffs = [Fraction(0)] * (n_max + 1)
-    for j in range(j_max + 1):
+    jcoeffs = []
+    for j in range(n_max + 1):
         prod = Fraction(1)
         for l, al in enumerate(params.a):
             factor = 1 - rational_power(q, j * al) * u
@@ -167,12 +156,7 @@ def q_gf_coefficients(
                     parameter="u",
                 )
             prod /= factor
-        if j > n_max:
-            continue
-        term = prod * (-c) ** j / factorial(j)
-        if x is not None:
-            term *= rational_power(q, j * x)
-        jcoeffs[j] = term
+        jcoeffs.append(prod * (-c) ** j / factorial(j) * rational_power(q, j * x))
     gf = TruncatedSeries.scalar_exp(c, n_max) * TruncatedSeries(jcoeffs, n_max)
     gf = gf.scale((1 - u) ** r)
     return [factorial(n) * gf.coefficient(n) for n in range(n_max + 1)]

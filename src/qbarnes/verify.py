@@ -4,7 +4,7 @@ Each suite runs a pinned, seeded parameter grid and reports per-check
 residuals (exact rationals, expected 0) or p-adic error valuations
 (expected to grow with the level). Nothing here is approximate: residuals
 come from exact arithmetic, and every valuation reported is exact, never a
-bound (riemann-limit's come from `riemann_error_valuation`).
+bound (riemann-limit's and prop5's come from `riemann_error_valuation`).
 
 A suite is a generator of checks over a seeded `ParameterSampler`; `_suite`
 turns it into the callable that builds the whole report. Suite names double
@@ -195,14 +195,12 @@ def _theorem1_gf(sampler: ParameterSampler, budget: int) -> Checks:
 
     def build(i):
         params = sampler.barnes(1 + i % 3, 3)
-        gf_numbers = q_gf_coefficients(params, None, n_max)
         gf_at_x = {x: q_gf_coefficients(params, x, n_max) for x in x_values}
         closed = {
             x: [h_closed(n, x, params) for n in range(n_max + 1)] for x in x_values
         }
-        pairs = [*zip(gf_numbers, closed[0])]
-        for x in x_values:
-            pairs.extend(zip(gf_at_x[x], closed[x]))
+        # x = 0 comes first and covers the numbers H_n = H_n(0)
+        pairs = [pair for x in x_values for pair in zip(gf_at_x[x], closed[x])]
         return {**_barnes_params(params), "n_max": n_max, "x": list(x_values)}, pairs
 
     return _sampled(sampler, 30, build)

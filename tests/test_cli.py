@@ -179,6 +179,10 @@ def test_bad_character_spec(capsys):
         "trivial:x",
         '{"modulus": 4, "values": [null, 1, 0, -1]}',
         '{"modulus": 4, "values": [0, 1.5, 0, -1]}',
+        '{"modulus": 4.7, "values": [0, 1, 0, -1]}',
+        '{"modulus": true, "values": [1]}',
+        '{"modulus": "4", "values": [0, 1, 0, -1]}',
+        '{"modulus": 4, "values": "0101"}',
     ):
         code, out = run_cli(
             capsys, "compute", "hchi", "--k", "2", "--a", "1", "--u", "3", "--q", "4", "--char", spec

