@@ -244,8 +244,8 @@ def h_chi(
     ud = u**d
     if ud == 1:
         raise PoleError("u^d = 1", parameter="u")
-    if q == 1:
-        raise PreconditionError("q = 1; use the classical route", parameter="q")
+    if q**d == 1:
+        raise PreconditionError(f"q^{d} = 1 makes the refined base degenerate", parameter="q")
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
     base = QBase(q, d)

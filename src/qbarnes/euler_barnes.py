@@ -20,7 +20,10 @@ With u = c/d, each nonzero exponent m = l a_j contributes one denominator
 factor keyed by the signed integer m: d - c q^m for m > 0, and the cleared
 d q^|m| - c for m < 0, whose q^|m| moves to the numerator. The common
 denominator is the union of the per-term factor counts, times the power of q
-that makes every numerator piece an integer polynomial.
+that makes every numerator piece an integer polynomial. One modular gcd
+(`_int_gcd`: images mod large primes, combined by the Chinese remainder
+theorem and certified by exact division) reduces the result; a single image
+of degree 0 settles the common, coprime case.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import ExponentAlignmentError, InternalError, PoleError, PreconditionError
-from .exact_numbers import Rational
+from .exact_numbers import Rational, is_prime
 from .qnum import FractionalArg, QBase, qbracket, rational_power
 
 # ---------------------------------------------------------------------------
@@ -123,11 +126,12 @@ def _int_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return out
 
 
-def _int_divexact(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """f / g over Z by long division from the top; g has a nonzero top.
+def _int_quotient(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
+    """f / g over Z by long division from the top, or None if g does not
+    divide f exactly; g has a nonzero top.
 
-    The package's one exact-division routine: a leading quotient that is not
-    an integer, or a nonzero remainder, raises `InternalError`.
+    The package's one long-division loop. It stops at the first leading
+    quotient that is not an integer.
     """
     rem = list(f)
     dg = len(g) - 1
@@ -137,12 +141,22 @@ def _int_divexact(f: Sequence[int], g: Sequence[int]) -> list[int]:
     for i in range(len(quo) - 1, -1, -1):
         c, r = divmod(rem[i + dg], lead)
         if r:
-            raise InternalError("expected exact polynomial division, got a remainder")
+            return None
         if c:
             quo[i] = c
             for j, y in gs:
                 rem[i + j] -= c * y
-    if any(rem):
+    return None if any(rem) else quo
+
+
+def _int_divexact(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f / g over Z where the caller knows g divides f; g has a nonzero top.
+
+    A remainder, or a leading quotient that is not an integer, is a broken
+    invariant and raises `InternalError`.
+    """
+    quo = _int_quotient(f, g)
+    if quo is None:
         raise InternalError("expected exact polynomial division, got a remainder")
     return quo
 
@@ -155,19 +169,10 @@ def _cleared(f: Poly) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in f.coeffs], den
 
 
-# Machine primes for the coprimality probe. deg gcd mod P >= deg gcd over Q
-# whenever P divides neither leading coefficient, so a probe degree of 0
-# certifies coprimality outright.
-_PROBE_PRIMES = (2305843009213693951, 2147483647, 999999937)
-
-
-def _gcd_degree_mod_p(f: list[int], g: list[int], P: int) -> int:
+def _gcd_mod(f: list[int], g: list[int], P: int) -> list[int]:
+    """Monic gcd of f and g in GF(P)[q] by Euclid; P divides neither top."""
     a = [c % P for c in f]
     b = [c % P for c in g]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
     while b:
         inv = pow(b[-1], -1, P)
         # a mod b in GF(P)
@@ -179,26 +184,8 @@ def _gcd_degree_mod_p(f: list[int], g: list[int], P: int) -> int:
         while a and a[-1] == 0:
             a.pop()
         a, b = b, a
-    return len(a) - 1
-
-
-def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """Integer pseudo-remainder of f by g (lc(g)^(deg f - deg g + 1) f mod g)."""
-    r = list(f)
-    d = len(g) - 1
-    lg = g[-1]
-    while len(r) - 1 >= d and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        lead = r[-1]
-        r = [lg * c for c in r]
-        shift = len(r) - 1 - d
-        for j, y in enumerate(g):
-            r[shift + j] -= lead * y
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+    inv = pow(a[-1], -1, P)
+    return [c * inv % P for c in a]
 
 
 def _int_content(f: list[int]) -> int:
@@ -214,31 +201,41 @@ def _primitive(f: list[int]) -> list[int]:
     return [x // c for x in f]
 
 
-def _primitive_prs_gcd(f: list[int], g: list[int]) -> list[int]:
-    a, b = f, g
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        if r:
-            r = _primitive(r)
-        a, b = b, r
-    return a
+def _int_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, f / h, g / h) for h the primitive gcd of two nonzero primitive
+    integer polynomials, by Brown's modular algorithm.
 
-
-def _int_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Primitive gcd of two nonzero primitive integer polynomials.
-
-    A modular probe certifies the common case, coprimality, and returns [1];
-    otherwise the primitive PRS runs. By Gauss's lemma the result divides f
-    and g exactly over Z.
+    For each prime P, going down from 2^61 - 1, that divides neither top,
+    the monic gcd mod P has degree >= deg h. Degree 0 certifies coprimality
+    at once, the common case, with one Euclid mod P. Otherwise each image,
+    scaled by gcd(lc f, lc g) so that it is the image of a fixed integer
+    multiple of h, joins a CRT accumulator; a lower degree shows that every
+    earlier prime was unlucky and restarts it, a higher one is skipped. The
+    primitive part of the symmetric lift is h once it divides f and g
+    exactly: a primitive common divisor of degree >= deg h is +-h. The two
+    quotients of that certificate are returned with it.
     """
-    for P in _PROBE_PRIMES:
+    lead = gcd(f[-1], g[-1])
+    P, modulus, image = 2**61 - 1, 1, []
+    while True:
         if f[-1] % P and g[-1] % P:
-            if _gcd_degree_mod_p(f, g, P) == 0:
-                return [1]
-            break
-    return _primitive_prs_gcd(f, g)
+            h = _gcd_mod(f, g, P)
+            if len(h) == 1:
+                return [1], f, g
+            if not image or len(h) < len(image):
+                modulus, image = 1, [0] * len(h)
+            if len(h) == len(image):
+                t = pow(modulus, -1, P)
+                image = [x + modulus * ((lead * y - x) * t % P) for x, y in zip(image, h)]
+                modulus *= P
+                lift = _primitive([x - modulus if 2 * x > modulus else x for x in image])
+                f_quo = _int_quotient(f, lift)
+                g_quo = None if f_quo is None else _int_quotient(g, lift)
+                if g_quo is not None:
+                    return lift, f_quo, g_quo
+        P -= 2
+        while not is_prime(P):
+            P -= 2
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -247,7 +244,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return g.monic()
     if g.is_zero:
         return f.monic()
-    return Poly(_int_gcd(_primitive(_cleared(f)[0]), _primitive(_cleared(g)[0]))).monic()
+    return Poly(_int_gcd(_primitive(_cleared(f)[0]), _primitive(_cleared(g)[0]))[0]).monic()
 
 
 def _stripped(f: Sequence[int]) -> list[int]:
@@ -261,9 +258,9 @@ class RationalFunctionQ:
     """Reduced fraction of polynomials in q with a monic denominator.
 
     Built from integer coefficient lists, low degree first, and reduced over
-    Z: the shared power of q and the contents come off, then the primitive
-    gcd is divided out exactly. `Fraction`s appear only in the monic
-    `Poly` numerator and denominator that hold the result.
+    Z: the shared power of q and the contents come off, then `_int_gcd`
+    returns the two cofactors of the primitive gcd. `Fraction`s appear only
+    in the monic `Poly` numerator and denominator that hold the result.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -285,10 +282,7 @@ class RationalFunctionQ:
         cn, cd = _int_content(num), _int_content(den)
         num = [x // cn for x in num]
         den = [x // cd for x in den]
-        g = _int_gcd(num, den)
-        if len(g) > 1:
-            num = _int_divexact(num, g)
-            den = _int_divexact(den, g)
+        _, num, den = _int_gcd(num, den)
         lead = cd * den[-1]
         self.numerator = Poly([Fraction(cn * x, lead) for x in num])
         self.denominator = Poly([Fraction(cd * x, lead) for x in den])
@@ -582,6 +576,8 @@ def distribution_check(n: int, w: int, f: int, params: BarnesParams) -> Rational
     if uf == 1:
         raise PoleError("u^f = 1 makes both sides singular", parameter="u")
     qv = params.q.value
+    if qv**f == 1:
+        raise PreconditionError(f"q^{f} = 1 makes the refined base degenerate", parameter="q")
     lhs = h_closed(n, w, params) / (u - 1) ** params.r
     fine = BarnesParams(params.a, uf, QBase(params.q.root, f))
     total = Fraction(0)

@@ -329,6 +329,8 @@ def measure_E_value(
     um = u.u**m
     if um == 1:
         raise PoleError("u^(f p^N) = 1", parameter="u")
+    if q**m == 1:
+        raise PreconditionError(f"q^{m} = 1 makes the refined base degenerate", parameter="q")
     base = QBase(q, m)
     inner = h_closed(
         k,

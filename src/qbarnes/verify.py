@@ -131,9 +131,10 @@ class ParameterSampler:
         self.rng = random.Random(seed)
         self.resamples = 0
 
-    def fraction(self, num_lo=-6, num_hi=6, den_hi=4, exclude=(0, 1)) -> Fraction:
+    def fraction(self, exclude=(0, 1)) -> Fraction:
+        """x/y with x in [-6, 6] and y in [1, 4], drawn again while in exclude."""
         while True:
-            x = Fraction(self.rng.randint(num_lo, num_hi), self.rng.randint(1, den_hi))
+            x = Fraction(self.rng.randint(-6, 6), self.rng.randint(1, 4))
             if x not in exclude:
                 return x
             self.resamples += 1

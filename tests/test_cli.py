@@ -80,6 +80,9 @@ COMPUTE_SHA256 = {
     ("compute", "lvalue", "--k", "1", "--a", "1", "--u", "5", "--q", "6", "--char", "trivial:1",
      "--p", "5", "--precision", "6", "--level-N", "3", "--budget", "10"):
         "506924a8f39f708b0098a544c48cc5af0f5fbd6fdf8e85ef6e7503b37a42e64d",
+    # u = -1: the reduction divides out a gcd of degree 22
+    ("compute", "hbarnes-poly", "--n", "6", "--w", "0", "--a", "1,-2", "--u", "-1"):
+        "d403065b69e76da6befe6d07538cb8d2f59fbed940f42e82fd0f49e4e2b071bc",
 }
 
 
@@ -129,6 +132,23 @@ def test_precondition_exit_code(capsys):
         payload = json.loads(out)
         assert payload["error"] == "PreconditionError"
         assert payload.get("parameter") == parameter
+
+
+def test_degenerate_refined_base_names_the_power(capsys):
+    # q = -1 is allowed, but the refined bases q^4 of a modulus-4 character
+    # and q^2 of a cell of modulus 2 are 1
+    for argv, message in (
+        (("compute", "hchi", "--k", "1", "--a", "1", "--u", "3", "--q", "-1", "--char", "quadratic:4"),
+         "q^4 = 1 makes the refined base degenerate"),
+        (("compute", "measure", "--k", "1", "--x", "0", "--u", "3", "--q", "-1", "--p", "3", "--f", "2"),
+         "q^2 = 1 makes the refined base degenerate"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        payload = json.loads(out)
+        assert payload["error"] == "PreconditionError"
+        assert payload["message"] == message
+        assert payload["parameter"] == "q"
 
 
 def test_pole_exit_code(capsys):

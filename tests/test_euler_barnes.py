@@ -24,7 +24,7 @@ from qbarnes import (
 )
 from qbarnes import euler_barnes
 from qbarnes.errors import InternalError
-from qbarnes.euler_barnes import _int_divexact, poly_gcd
+from qbarnes.euler_barnes import _int_divexact, _int_gcd, _int_mul, _int_quotient, poly_gcd
 
 
 def _params(a, u, q):
@@ -180,6 +180,14 @@ def test_distribution_rejects_root_of_unity_u():
         distribution_check(1, 0, 2, p)
 
 
+def test_distribution_rejects_degenerate_refined_base():
+    # q = -1 is a valid base, but the order-2 refined base q^2 is 1
+    with pytest.raises(PreconditionError, match=r"q\^2 = 1") as err:
+        distribution_check(1, 0, 2, _params((1,), F(3), F(-1)))
+    assert err.value.parameter == "q"
+    assert distribution_check(1, 0, 3, _params((1,), F(3), F(-1))) == 0
+
+
 def test_rational_in_q_evaluates_to_closed_form(monkeypatch):
     # u = c/d with d > 1 exercises the cancelled powers of d; negative w and
     # negative a_j exercise the cleared factors q and q^m - u
@@ -194,8 +202,8 @@ def test_rational_in_q_evaluates_to_closed_form(monkeypatch):
         (7, 1, (-2,), F(5, 2)),
         (8, -1, (1, -1), F(-3, 4)),
         (3, 0, (-1, -2), F(-2, 5)),
-        # u = -1: numerator and denominator share a factor, so the PRS gcd
-        # and the exact division run
+        # u = -1: numerator and denominator share a factor, so the modular
+        # gcd lifts a nontrivial image and certifies it by exact division
         (3, 1, (1,), F(-1)),
         (2, 0, (2, -1), F(-1)),
         (3, -1, (1, 1), F(-1)),
@@ -217,7 +225,7 @@ def test_rational_in_q_evaluates_to_closed_form(monkeypatch):
 
     def recording_gcd(f, g):
         result = int_gcd(f, g)
-        gcd_degrees.append(len(result) - 1)
+        gcd_degrees.append(len(result[0]) - 1)
         return result
 
     monkeypatch.setattr(euler_barnes, "_int_gcd", recording_gcd)
@@ -240,6 +248,86 @@ def test_rational_in_q_evaluates_to_closed_form(monkeypatch):
     assert max(gcd_degrees) > 0
 
 
+def _pseudo_rem(f, g):
+    """Integer pseudo-remainder of f by g (lc(g)^(deg f - deg g + 1) f mod g)."""
+    r = list(f)
+    d = len(g) - 1
+    lg = g[-1]
+    while len(r) - 1 >= d and r:
+        if r[-1] == 0:
+            r.pop()
+            continue
+        lead = r[-1]
+        r = [lg * c for c in r]
+        shift = len(r) - 1 - d
+        for j, y in enumerate(g):
+            r[shift + j] -= lead * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _prs_gcd_reference(f, g):
+    """Primitive gcd of two primitive integer polynomials by the primitive PRS."""
+    a, b = (f, g) if len(f) >= len(g) else (g, f)
+    while b:
+        r = _pseudo_rem(a, b)
+        if r:
+            c = 0
+            for x in r:
+                c = gcd(c, x)
+            r = [x // c for x in r]
+        a, b = b, r
+    return a
+
+
+def test_int_gcd_matches_prs_reference(monkeypatch):
+    # every (num, den) route 4 reduces, over u = c/d whose factors d - c q^m
+    # split over Z (u = -1, +-1/4, 4, 9, 1/8, -8) or not (u = 5/2); the
+    # nontrivial gcds all come from u = -1
+    pairs = []
+
+    def capturing_gcd(f, g):
+        pairs.append((f, g))
+        return _int_gcd(f, g)
+
+    monkeypatch.setattr(euler_barnes, "_int_gcd", capturing_gcd)
+    rng = random.Random(10)
+    us = [F(-1), F(1, 4), F(-1, 4), F(4), F(9), F(1, 8), F(-8), F(5, 2)]
+    for _ in range(400):
+        a = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3)))
+        n = rng.randint(0, (8, 5, 3)[len(a) - 1])
+        h_rational_in_q(n, rng.randint(-3, 3), len(a), a, rng.choice(us))
+    nontrivial = 0
+    for f, g in pairs:
+        h, f_quo, g_quo = _int_gcd(f, g)
+        want = _prs_gcd_reference(f, g)
+        assert h in (want, [-x for x in want]), (f, g)
+        assert _int_mul(h, f_quo) == f and _int_mul(h, g_quo) == g
+        nontrivial += len(h) > 1
+    assert nontrivial >= 20
+
+
+def test_int_gcd_survives_unlucky_primes():
+    P = 2**61 - 1
+    # q - 1 and q - 1 - P agree mod P: the first image is q - 1, which the
+    # certificate rejects, and the next prime shows coprimality
+    assert _int_gcd([-1, 1], [-1 - P, 1]) == ([1], [-1, 1], [-1 - P, 1])
+    # the first image (q + 1)(q - 1) is unlucky; the next, of lower degree,
+    # restarts the accumulator
+    h, f_quo, g_quo = _int_gcd(_int_mul([1, 1], [-1, 1]), _int_mul([1, 1], [-1 - P, 1]))
+    assert (h, f_quo, g_quo) == ([1, 1], [-1, 1], [-1 - P, 1])
+    # q + 2^100 needs two primes before its lift is exact
+    shared = [2**100, 1]
+    h, f_quo, g_quo = _int_gcd(_int_mul(shared, [1, 1]), _int_mul(shared, [-1, 1]))
+    assert (h, f_quo, g_quo) == (shared, [1, 1], [-1, 1])
+    # a leading coefficient divisible by the first prime skips it
+    assert _int_gcd([1, 0, P], [1, P])[0] == [1]
+    # mod P both are coprime; over Z they share P q + 1
+    h, f_quo, g_quo = _int_gcd(_int_mul([1, P], [2, 1]), _int_mul([1, P], [3, 1]))
+    assert (h, f_quo, g_quo) == ([1, P], [2, 1], [3, 1])
+
+
 def test_rational_in_q_is_reduced():
     ratfn = h_rational_in_q(3, 1, 2, (1, 2), F(3))
     g = poly_gcd(ratfn.numerator, ratfn.denominator)
@@ -259,7 +347,7 @@ def test_rational_function_reduces_integer_lists():
     assert parts([0, 0, 3, 6], [0, 0, 0, 2, 5]) == ([F(3, 5), F(6, 5)], [0, F(2, 5), 1])
     # contents 2 and 3, negative leading denominator coefficient
     assert parts([4, 6], [-3, 0, -9]) == ([F(-4, 9), F(-2, 3)], [F(1, 3), 0, 1])
-    # 2(q - 1)(q + 2) / ((q - 1)(3q + 1)): the PRS gcd q - 1 divides out
+    # 2(q - 1)(q + 2) / ((q - 1)(3q + 1)): the gcd q - 1 divides out
     assert parts([-4, 2, 2], [-1, -2, 3]) == ([F(4, 3), F(2, 3)], [F(1, 3), 1])
     # trailing zeros
     assert parts([1, 2, 0, 0], [3, 0, 0]) == ([F(1, 3), F(2, 3)], [1])
@@ -268,6 +356,8 @@ def test_rational_function_reduces_integer_lists():
         RationalFunctionQ([1], [0, 0])
 
     assert _int_divexact([-2, 1, 1], [-1, 1]) == [2, 1]
+    assert _int_quotient([1, 1], [1, 2]) is None
+    assert _int_quotient([1, 0, 1], [-1, 1]) is None
     with pytest.raises(InternalError):
         _int_divexact([1, 1], [1, 2])  # leading quotient 1/2
     with pytest.raises(InternalError):
