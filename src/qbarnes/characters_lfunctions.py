@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .errors import InternalError, PoleError, PreconditionError
+from .errors import InternalError, PreconditionError
 from .exact_numbers import (
     PadicContext,
     PadicNumber,
@@ -28,9 +28,9 @@ from .exact_numbers import (
     to_padic,
     valuation,
 )
-from .euler_barnes import BarnesParams, h_closed
+from .euler_barnes import refinement
 from .padic_integration import DEFAULT_BUDGET, AdmissibleU, _check_budget
-from .qnum import FractionalArg, QBase, qbracket, qbracket_z
+from .qnum import qbracket, qbracket_z
 
 _RATIONAL_VALUES = (Fraction(-1), Fraction(0), Fraction(1))
 
@@ -225,42 +225,29 @@ def h_chi(
     q: Rational,
     chi: DirichletCharacter,
 ):
-    """Twisted numbers H_{k,chi}^(r)(u, q | a) via the modulus-d expansion:
+    """Twisted numbers H_{k,chi}^(r)(u, q | a): the terms of the order-d
+    `refinement` of H_k(0, u, q | a) (see `euler_barnes`) over i in the
+    support of chi, weighted by chi(i_1)..chi(i_r). For d = 1 this is H_k.
 
-    (1-u)^r [d:q]^k / (1-u^d)^r *
-        sum over i in {0..d-1}^r of chi(i_1)..chi(i_r) u^(|i|)
-            H_k((a.i)/d, u^d, q^d | a)
-
-    For d = 1 this collapses to the untwisted H_k. The sum runs in the
-    character's scalars: exact rationals in rational mode, a PadicNumber in
-    teichmuller mode, with each term embedded once by `chi.lift`.
+    The sum runs in the character's scalars: exact rationals in rational
+    mode, a PadicNumber in teichmuller mode, with each term embedded once by
+    `chi.lift` and the prefactor last.
     """
     a = tuple(int(x) for x in a)
     if r != len(a):
         raise PreconditionError("r must equal len(a)", parameter="r")
-    u = Fraction(u)
-    q = Fraction(q)
-    d = chi.modulus
-    ud = u**d
-    if ud == 1:
-        raise PoleError("u^d = 1", parameter="u")
-    if q**d == 1:
-        raise PreconditionError(f"q^{d} = 1 makes the refined base degenerate", parameter="q")
+    support = [i for i in range(chi.modulus) if chi(i) != 0]
+    indices = itertools.product(support, repeat=r)
+    prefactor, terms = refinement(k, 0, a, u, q, chi.modulus, indices)
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
-    base = QBase(q, d)
-    params = BarnesParams(a, ud, base)
-    prefactor = (1 - u) ** r * qbracket(d, q) ** k / (1 - ud) ** r
-
-    support = [i for i in range(d) if chi(i) != 0]
     one = chi.lift(Fraction(1))
     total = chi.lift(Fraction(0))
-    for iv in itertools.product(support, repeat=r):
+    for iv, term in zip(itertools.product(support, repeat=r), terms):
         cv = one
         for ij in iv:
             cv = cv * chi.value(ij)
-        warg = FractionalArg(sum(aj * ij for aj, ij in zip(a, iv)), d)
-        total = total + cv * chi.lift(u ** sum(iv) * h_closed(k, warg, params))
+        total = total + cv * chi.lift(term)
     return chi.lift(prefactor) * total
 
 

@@ -24,6 +24,13 @@ that makes every numerator piece an integer polynomial. One modular gcd
 (`_int_gcd`: images mod large primes, combined by the Chinese remainder
 theorem and certified by exact division) reduces the result; a single image
 of degree 0 settles the common, coprime case.
+
+The order-f refinement is the distribution relation H_n(w, u, q | a) =
+(1-u)^r [f:q]^n / (1-u^f)^r sum_{i in {0..f-1}^r} u^|i| H_n((w + a.i)/f,
+u^f, q^f | a). `distribution_check` tests it, the moment measure of a cell
+of modulus f is its term i = (x,) over 1-u, and H_{k,chi} weights its terms
+by chi(i_1)..chi(i_r). `refinement` alone builds the refined base, and
+rejects u^f = 1 and q^f = 1, for all three.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ExponentAlignmentError, InternalError, PoleError, PreconditionError
 from .exact_numbers import Rational, is_prime
@@ -555,34 +562,44 @@ def limit_q_to_1(n: int, w: int, r: int, a: Sequence[int], u: Rational) -> Ratio
 
 
 # ---------------------------------------------------------------------------
-# the distribution relation, returned as an exact residual
+# the order-f refinement, and the distribution relation as an exact residual
+
+
+def refinement(
+    n: int, w: int, a: tuple[int, ...], u: Rational, q: Rational, f: int, indices: Iterable
+) -> tuple[Rational, Iterator[Rational]]:
+    """(prefactor, terms) of the order-f refinement of H_n(w, u, q | a):
+    (1-u)^r [f:q]^n / (1-u^f)^r, and u^|i| H_n((w + a.i)/f, u^f, q^f | a)
+    for each i in `indices`. u^f = 1 and q^f = 1 raise here; the refined
+    `BarnesParams` and the terms are built as the terms are consumed, after
+    the caller's own checks.
+    """
+    u, q = Fraction(u), Fraction(q)
+    uf = u**f
+    if uf == 1:
+        raise PoleError(f"u^{f} = 1 makes the refined prefactor singular", parameter="u")
+    if q**f == 1:
+        raise PreconditionError(f"q^{f} = 1 makes the refined base degenerate", parameter="q")
+    r = len(a)
+    prefactor = ((1 - u) / (1 - uf)) ** r * qbracket(f, q) ** n
+
+    def terms() -> Iterator[Rational]:
+        fine = BarnesParams(a, uf, QBase(q, f))
+        for iv in indices:
+            warg = FractionalArg(w + sum(aj * ij for aj, ij in zip(a, iv)), f)
+            yield u ** sum(iv) * h_closed(n, warg, fine)
+
+    return prefactor, terms()
 
 
 def distribution_check(n: int, w: int, f: int, params: BarnesParams) -> Rational:
-    """LHS - RHS of the order-f distribution relation; 0 when it holds.
-
-    LHS: H_n(w, u, q | a) / (u-1)^r.
-    RHS: [f:q]^n sum over i in {0..f-1}^r of u^(|i|)
-         H_n((w + a.i)/f, u^f, q^f | a) / (u^f - 1)^r.
-    """
+    """LHS - RHS of the order-f distribution relation, 0 when it holds: H_n(w)
+    less its `refinement` summed over i in {0..f-1}^r, over (u-1)^r."""
     if f < 1:
         raise PreconditionError("f must be >= 1", parameter="f")
     if params.q.exponent != 1:
-        raise PreconditionError(
-            "distribution check needs a base with exponent 1", parameter="q"
-        )
-    u = params.u
-    uf = u**f
-    if uf == 1:
-        raise PoleError("u^f = 1 makes both sides singular", parameter="u")
-    qv = params.q.value
-    if qv**f == 1:
-        raise PreconditionError(f"q^{f} = 1 makes the refined base degenerate", parameter="q")
-    lhs = h_closed(n, w, params) / (u - 1) ** params.r
-    fine = BarnesParams(params.a, uf, QBase(params.q.root, f))
-    total = Fraction(0)
-    for iv in itertools.product(range(f), repeat=params.r):
-        warg = FractionalArg(w + sum(aj * ij for aj, ij in zip(params.a, iv)), f)
-        total += u ** sum(iv) * h_closed(n, warg, fine)
-    rhs = qbracket(f, qv) ** n * total / (uf - 1) ** params.r
-    return lhs - rhs
+        raise PreconditionError("distribution check needs a base with exponent 1", parameter="q")
+    indices = itertools.product(range(f), repeat=params.r)
+    prefactor, terms = refinement(n, w, params.a, params.u, params.q.root, f, indices)
+    lhs = h_closed(n, w, params)
+    return (lhs - prefactor * sum(terms, Fraction(0))) / (params.u - 1) ** params.r

@@ -26,8 +26,8 @@ from typing import Callable
 
 from .errors import BudgetError, PoleError, PreconditionError
 from .exact_numbers import Rational, is_prime, valuation
-from .euler_barnes import BarnesParams, h_closed
-from .qnum import FractionalArg, QBase, qbracket, qbracket_z
+from .euler_barnes import BarnesParams, h_closed, refinement
+from .qnum import QBase, qbracket, qbracket_z
 
 #: Default cap on evaluation points for any single Riemann sum.
 DEFAULT_BUDGET = 250_000
@@ -202,17 +202,18 @@ def riemann_error_valuation(
 ) -> int | float:
     """nu_p(multi_riemann_integral(n, w, params, u, N) - target), exactly.
 
-    When u is an integer with v = nu_p(u) >= 1, q an integer ≡ 1 (mod p) and
-    the target p-integral, the level sum is taken mod p^K with
+    When n >= 1, u is an integer with v = nu_p(u) >= 1, q an integer ≡ 1
+    (mod p) and the target p-integral, the level sum is taken mod p^K with
     K = v p^N + N + GUARD_DIGITS: its error starts at the u^(p^N) tail, so
     its valuation is about v p^N. A nonzero residue is the valuation; a zero
-    residue, like every other input, takes the exact sum.
+    residue, like every other input, takes the exact sum (1 at n = 0).
     """
     points = _level_points(params, u, N, budget)
     p, v = u.p, u.valuation
     q, uu, target = params.q.value, u.u, Fraction(target)
     if (
-        v >= 1
+        n >= 1
+        and v >= 1
         and uu.denominator == 1
         and q.denominator == 1
         and q != 1
@@ -314,30 +315,18 @@ def measure_E_value(
     q: Rational,
     a1: int = 1,
 ) -> Rational:
-    """The k-th moment measure of a cell of modulus f p^N (d must be 1).
-
-    E_k(x + f p^N Z_p) = [f p^N : q]^k u^x / (1 - u^(f p^N))
-                         * H_k(a1 x / (f p^N), u^(f p^N), q^(f p^N) | a1)
+    """The k-th moment measure of a cell of modulus m = f p^N (d must be 1):
+    the term i = (x,) of the order-m `refinement` of H_k(0, u, q | a1) (see
+    `euler_barnes`) over 1 - u, that is [m : q]^k u^x / (1 - u^m)
+    * H_k(a1 x / m, u^m, q^m | a1).
     """
     if cell.d != 1:
         raise PreconditionError("moment-measure cells have modulus f p^N", parameter="d")
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
     cell.check(u.p)
-    q = Fraction(q)
-    m = cell.modulus(u.p)
-    um = u.u**m
-    if um == 1:
-        raise PoleError("u^(f p^N) = 1", parameter="u")
-    if q**m == 1:
-        raise PreconditionError(f"q^{m} = 1 makes the refined base degenerate", parameter="q")
-    base = QBase(q, m)
-    inner = h_closed(
-        k,
-        FractionalArg(a1 * cell.x, m),
-        BarnesParams((a1,), um, base),
-    )
-    return qbracket(m, q) ** k * u.u**cell.x / (1 - um) * inner
+    prefactor, terms = refinement(k, 0, (a1,), u.u, q, cell.modulus(u.p), [(cell.x,)])
+    return prefactor * next(terms) / (1 - u.u)
 
 
 def measure_additivity_check(

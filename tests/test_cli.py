@@ -151,6 +151,20 @@ def test_degenerate_refined_base_names_the_power(capsys):
         assert payload["parameter"] == "q"
 
 
+def test_refined_pole_names_the_power(capsys):
+    # u = -1 is allowed, but u^4 = 1 is a pole of the modulus-4 refinement
+    code, out = run_cli(
+        capsys, "compute", "hchi", "--k", "1", "--a", "1", "--u", "-1", "--q", "2",
+        "--char", "quadratic:4",
+    )
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "PoleError",
+        "message": "u^4 = 1 makes the refined prefactor singular",
+        "parameter": "u",
+    }
+
+
 def test_pole_exit_code(capsys):
     code, out = run_cli(
         capsys, "compute", "hbarnes", "--n", "1", "--w", "0", "--a", "1", "--u", "1/2", "--q", "2"

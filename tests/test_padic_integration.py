@@ -137,9 +137,33 @@ def test_riemann_error_valuation_matches_exact_path(monkeypatch):
             assert riemann_error_valuation(n, w, params, uu, N, target) == expected, (
                 p, a, v, q, n, w, N,
             )
-    # only n = 0 (a level sum equal to its target) fell back: every other
-    # valuation above was decided mod p^K
+    # only n = 0 reached the exact sum, which returns 1 there without
+    # summing: every other valuation above was decided mod p^K
     assert len(fallbacks) == len(cases) * 2 * 3 and all(n == 0 for n, _ in fallbacks)
+
+
+def test_riemann_error_valuation_skips_the_modular_sum_at_n_zero(monkeypatch):
+    # n = 0 makes the level sum exactly 1, so no residue mod p^K is summed
+    residue, moments = pi._level_residue, []
+
+    def no_zero_moment(n, *args):
+        if n == 0:
+            raise AssertionError("summed mod p^K at n = 0")
+        moments.append(n)
+        return residue(n, *args)
+
+    monkeypatch.setattr(pi, "_level_residue", no_zero_moment)
+    for p, a, q in ((3, (1,), 4), (5, (1, -2), 11), (7, (-1, 2), 8)):
+        uu = AdmissibleU(F(p), p)
+        params = BarnesParams(a, uu.u, QBase(F(q)))
+        for w, N in itertools.product((0, 1, -2), (0, 1, 2)):
+            assert riemann_error_valuation(0, w, params, uu, N, F(1)) == INFINITY
+        assert prop5_check(0, uu, F(q), a[0], 2) == INFINITY
+    # n >= 1 still takes the modular path
+    target = h_closed(1, 0, params)
+    expected = valuation(multi_riemann_integral(1, 0, params, uu, 1) - target, uu.p)
+    assert riemann_error_valuation(1, 0, params, uu, 1, target) == expected
+    assert moments == [1]
 
 
 def test_riemann_error_valuation_falls_back_outside_its_domain(monkeypatch):
