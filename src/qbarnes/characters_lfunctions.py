@@ -24,6 +24,7 @@ from .exact_numbers import (
     Rational,
     agreement_valuation,
     padic_pow,
+    padic_sum,
     teichmuller,
     to_padic,
     valuation,
@@ -231,7 +232,8 @@ def h_chi(
 
     The sum runs in the character's scalars: exact rationals in rational
     mode, a PadicNumber in teichmuller mode, with each term embedded once by
-    `chi.lift` and the prefactor last.
+    `chi.lift` and the prefactor last. p-adic terms are added in one pass
+    (`padic_sum`), so partial sums that cancel exactly lose no precision.
     """
     a = tuple(int(x) for x in a)
     if r != len(a):
@@ -242,12 +244,16 @@ def h_chi(
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
     one = chi.lift(Fraction(1))
-    total = chi.lift(Fraction(0))
+    weighted = []
     for iv, term in zip(itertools.product(support, repeat=r), terms):
         cv = one
         for ij in iv:
             cv = cv * chi.value(ij)
-        total = total + cv * chi.lift(term)
+        weighted.append(cv * chi.lift(term))
+    if chi.context is None:
+        total = sum(weighted, Fraction(0))
+    else:
+        total = padic_sum(weighted, chi.context)
     return chi.lift(prefactor) * total
 
 

@@ -458,25 +458,36 @@ def h_addition(n: int, w: int, params: BarnesParams) -> Rational:
 
 
 def h_carlitz(k: int, u: Rational, q: Rational) -> Rational:
-    """H_k(u) from (qH + 1)^m = u H_m for m >= 1, H_0 = 1.
+    """H_k(u) from (qH + 1)^m = u H_m for m >= 1, H_0 = 1 (L. Carlitz,
+    q-Bernoulli and Eulerian numbers, Trans. AMS 76, 1954).
 
-    Solving for H_m pivots on (u - q^m); u equal to any q^m up to k is a
-    pole of the recurrence.
+    With q = s/t and u = c/d, solving for H_m pivots on P_m = c t^m - d s^m,
+    so u = q^m for any m up to k is a pole of the recurrence. The values run
+    fraction-free, as in E. H. Bareiss's elimination (Math. Comp. 22, 1968):
+    every H_i is N_i / D over one running denominator D = P_1..P_m, step m
+    multiplies the stored N_i by P_m and appends N_m = d sum_{i<m} C(m,i)
+    s^i t^(m-i) N_i, and only the returned value is reduced.
     """
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
     u = Fraction(u)
     q = Fraction(q)
-    values = [Fraction(1)]
+    c, d = u.numerator, u.denominator
+    s, t = q.numerator, q.denominator
+    s_pow, t_pow = [1], [1]
+    numerators = [1]
+    den = 1
     for m in range(1, k + 1):
-        pivot = u - rational_power(q, m)
+        s_pow.append(s_pow[-1] * s)
+        t_pow.append(t_pow[-1] * t)
+        pivot = c * t_pow[m] - d * s_pow[m]
         if pivot == 0:
             raise PoleError(f"vanishing pivot u = q^{m} in the recurrence", parameter="u")
-        acc = Fraction(0)
-        for i in range(m):
-            acc += comb(m, i) * rational_power(q, i) * values[i]
-        values.append(acc / pivot)
-    return values[k]
+        acc = sum(comb(m, i) * s_pow[i] * t_pow[m - i] * n_i for i, n_i in enumerate(numerators))
+        numerators = [n_i * pivot for n_i in numerators]
+        numerators.append(d * acc)
+        den *= pivot
+    return Fraction(numerators[k], den)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .errors import InternalError, PreconditionError, PrecisionExhaustedError
 
@@ -211,18 +212,7 @@ class PadicNumber:
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        self._check_same_context(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        target = min(self.abs_precision, other.abs_precision)
-        vmin = min(self.valuation, other.valuation)
-        p = self.context.p
-        inner = self.unit * p ** (self.valuation - vmin) + other.unit * p ** (
-            other.valuation - vmin
-        )
-        return PadicNumber._reduce(self.context, vmin, inner, target - vmin)
+        return padic_sum((self, other), self.context)
 
     def __neg__(self) -> "PadicNumber":
         if self.is_zero:
@@ -312,6 +302,29 @@ class PadicNumber:
             "valuation": v,
             "unit": self.unit,
         }
+
+
+def padic_sum(terms: Iterable[PadicNumber], context: PadicContext) -> PadicNumber:
+    """The sum of `terms`, known modulo p^(the least abs_precision of a term).
+
+    The terms are added at that joint precision in one pass and reduced once,
+    so partial sums that cancel exactly cost nothing; only a total that
+    cancels every tracked digit raises `PrecisionExhaustedError`. Zero terms
+    are skipped, and no terms sum to zero.
+    """
+    nonzero = []
+    for t in terms:
+        if t.context is not context and t.context != context:
+            raise PreconditionError("operands belong to different p-adic contexts")
+        if not t.is_zero:
+            nonzero.append(t)
+    if len(nonzero) < 2:
+        return nonzero[0] if nonzero else PadicNumber.zero(context)
+    target = min(t.abs_precision for t in nonzero)
+    vmin = min(t.valuation for t in nonzero)
+    p = context.p
+    inner = sum(t.unit * p ** (t.valuation - vmin) for t in nonzero)
+    return PadicNumber._reduce(context, vmin, inner, target - vmin)
 
 
 def to_padic(x: Rational | int, context: PadicContext) -> PadicNumber:

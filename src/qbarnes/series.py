@@ -2,19 +2,30 @@
 
 Everything is a plain list of Fraction coefficients cut at a fixed order;
 multiplication truncates, reciprocal needs an invertible constant term. The
-two generating-function builders at the bottom turn series data into n!-scaled
-coefficient lists for identity checking.
+arithmetic itself runs over Z: `__mul__` scales each operand to the lcm of
+its denominators and convolves the integer numerators, and `reciprocal`
+runs its recurrence on integer numerators, so each output coefficient is
+reduced once instead of at every step. The two generating-function builders
+at the bottom turn series data into n!-scaled coefficient lists for identity
+checking.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .errors import PoleError, PreconditionError
 from .euler_barnes import BarnesParams
 from .exact_numbers import Rational
 from .qnum import rational_power
+
+
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers A_n and D > 0 with coeffs[n] = A_n / D, D the lcm of the
+    denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class TruncatedSeries:
@@ -64,32 +75,37 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         k = self._common_order(other)
-        out = [Fraction(0)] * (k + 1)
-        for i, a in enumerate(self.coeffs[: k + 1]):
-            if a == 0:
+        a, da = _over_common_denominator(self.coeffs[: k + 1])
+        b, db = _over_common_denominator(other.coeffs[: k + 1])
+        out = [0] * (k + 1)
+        for i, x in enumerate(a):
+            if x == 0:
                 continue
             for j in range(k + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, k)
+                out[i + j] += x * b[j]
+        den = da * db
+        return TruncatedSeries([Fraction(c, den) for c in out], k)
 
     def scale(self, c: Rational) -> "TruncatedSeries":
         c = Fraction(c)
         return TruncatedSeries([c * a for a in self.coeffs], self.order)
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be nonzero."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        """Multiplicative inverse; the constant term must be nonzero.
+
+        With a_k = A_k / D, b_0 = D / A_0 and b_n = -sum_{k=1..n} A_k b_(n-k)
+        / A_0. Each sum runs in Z over the lcm of the reduced denominators of
+        b_0..b_(n-1): keeping b_n reduced holds its size to that of the true
+        value, where carrying A_0^(n+1) as the denominator would not.
+        """
+        if self.coeffs[0] == 0:
             raise PoleError("series has no inverse: constant term is 0")
-        inv0 = 1 / a0
-        out = [inv0]
+        a, den = _over_common_denominator(self.coeffs)
+        out = [Fraction(den, a[0])]
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc += self.coeffs[k] * out[n - k]
-            out.append(-inv0 * acc)
+            num, den_n = _over_common_denominator(out)
+            acc = sum(a[k] * num[n - k] for k in range(1, n + 1))
+            out.append(Fraction(-acc, a[0] * den_n))
         return TruncatedSeries(out, self.order)
 
     def __eq__(self, other: object) -> bool:
@@ -107,7 +123,7 @@ def classical_gf_coefficients(
     """n!-scaled coefficients of (1-v)^r e^(wt) / prod_j (e^(a_j t) - v).
 
     This is the classical (q -> 1) generating function; v = 1 is the pole of
-    every factor and is rejected.
+    every factor and is rejected, as is a_j = 0.
     """
     v = Fraction(v)
     if v == 1:
@@ -115,6 +131,8 @@ def classical_gf_coefficients(
     r = len(a)
     if r < 1:
         raise PreconditionError("need at least one a_j", parameter="a")
+    if any(aj == 0 for aj in a):
+        raise PreconditionError("every a_j must be nonzero", parameter="a")
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0", parameter="n")
     den = TruncatedSeries.constant(1, n_max)

@@ -1,9 +1,11 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from qbarnes import PadicContext, to_padic
 from qbarnes.cli import OPS, main
 
 
@@ -83,6 +85,14 @@ COMPUTE_SHA256 = {
     # u = -1: the reduction divides out a gcd of degree 22
     ("compute", "hbarnes-poly", "--n", "6", "--w", "0", "--a", "1,-2", "--u", "-1"):
         "d403065b69e76da6befe6d07538cb8d2f59fbed940f42e82fd0f49e4e2b071bc",
+    # larger requests of the two routes that run over Z, taken from the
+    # Fraction loops they replaced
+    ("compute", "carlitz", "--k", "60", "--u=-5/2", "--q", "2/3"):
+        "c348b9d5af0ee1f58dd3934cec7a3668eb20229272148e53f59dfef366959086",
+    ("compute", "gf-coeffs", "--n", "40", "--a", "1,-2", "--u", "5/2", "--q=-3/2", "--x", "2"):
+        "8149a54b28443b3fccc30880ccdc4050f75ad21c8dbdc615042a764f7c6e278c",
+    ("compute", "classical", "--n", "40", "--w", "3", "--a", "2,-3", "--u=-5/4"):
+        "19fe97e30abdb9b82c430a03d92f500df07feadc06bff8422beb5d4588853ca2",
 }
 
 
@@ -90,6 +100,17 @@ def test_compute_output_is_pinned(capsys):
     for argv, digest in COMPUTE_SHA256.items():
         code, out = run_cli(capsys, *argv)
         assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, argv
+
+
+def test_hchi_partial_sum_cancelling_keeps_precision(capsys):
+    # the terms are +-u^|i|, and u^2 - u^3 - u^3 = 0 at u = 1/2 before u^4
+    # makes the total nonzero; omega is the quadratic character mod 3
+    argv = ("compute", "hchi", "--k", "0", "--a", "2,2", "--u", "1/2", "--q", "2", "--char")
+    code, out = run_cli(capsys, *argv, "teichmuller", "--p", "3")
+    assert code == 0
+    assert json.loads(out)["value"] == to_padic(Fraction(1, 49), PadicContext(3, 8)).to_json_dict()
+    code, out = run_cli(capsys, *argv, "quadratic:3")
+    assert (code, json.loads(out)["value"]) == (0, "1/49")
 
 
 HBARNES = ("compute", "hbarnes", "--n", "1", "--w", "0")
@@ -122,6 +143,7 @@ PRECONDITION_CASES = [
     ((*MEASURE, "--level-N", "1", "--a", "1,2"), "a"),
     (("compute", "gf-coeffs", "--n", "-1", "--a", "1", "--u", "3", "--q", "2"), "n"),
     (("compute", "classical", "--n", "-1", "--w", "0", "--a", "1", "--u", "3"), "n"),
+    (("compute", "classical", "--n", "3", "--w", "0", "--a", "0", "--u", "2"), "a"),
 ]
 
 

@@ -160,6 +160,69 @@ def test_carlitz_bridges_closed_form():
         assert h_carlitz(k, 1 / u, q) == h_closed(k, 0, p)
 
 
+def _h_carlitz_reference(k, u, q):
+    """`h_carlitz` as a Fraction loop that reduces at every step."""
+    if k < 0:
+        raise PreconditionError("k must be >= 0", parameter="k")
+    u = F(u)
+    q = F(q)
+    values = [F(1)]
+    for m in range(1, k + 1):
+        pivot = u - q**m
+        if pivot == 0:
+            raise PoleError(f"vanishing pivot u = q^{m} in the recurrence", parameter="u")
+        acc = F(0)
+        for i in range(m):
+            acc += comb(m, i) * q**i * values[i]
+        values.append(acc / pivot)
+    return values[k]
+
+
+def test_carlitz_matches_fraction_reference():
+    rng = random.Random(21)
+
+    def fraction(height):
+        return F(rng.randint(-height, height), rng.randint(1, height))
+
+    seen = set()
+    for _ in range(400):
+        k = rng.choice((-1, 0, 0, 1, 2, 5, 9, 14, 20))
+        q = rng.choice((F(0), F(-1), F(1), fraction(5), fraction(5), fraction(10**6)))
+        kind = rng.choice(("pole 1", "pole k", "zero", "random", "random", "q^(k+1)"))
+        m = {"pole 1": 1, "pole k": k, "q^(k+1)": k + 1}.get(kind)
+        if m is not None and m >= 1 and q != 0:
+            u = q**m
+        elif kind == "zero":
+            u = F(0)
+        else:
+            u = fraction(rng.choice((7, 10**6)))
+        want = _outcome(_h_carlitz_reference, k, u, q)
+        got = _outcome(h_carlitz, k, u, q)
+        assert (type(got), got) == (type(want), want), (k, u, q)
+        is_value = type(want) is F
+        seen.add("value" if is_value else "error")
+        message = "" if is_value else want[1]
+        seen |= {
+            name
+            for name, hit in (
+                ("k = 0", k == 0),
+                ("pole at m = 1", message.endswith("q^1 in the recurrence")),
+                ("pole at m = k > 1", k > 1 and message.endswith(f"q^{k} in the recurrence")),
+                ("q = 0", q == 0 and is_value),
+                ("u = 0", u == 0 and is_value),
+                ("q < 0", q < 0 and is_value),
+                ("u < 0", u < 0 and is_value),
+                ("|q| < 1", 0 < abs(q) < 1 and k > 2 and is_value),
+                ("k < 0", not is_value and want[2] == "k"),
+            )
+            if hit
+        }
+    assert seen == {
+        "value", "error", "k = 0", "pole at m = 1", "pole at m = k > 1", "q = 0",
+        "u = 0", "q < 0", "u < 0", "|q| < 1", "k < 0",
+    }
+
+
 def test_addition_formula():
     p = _params((1, 2), F(5, 3), F(3, 2))
     for n in range(6):

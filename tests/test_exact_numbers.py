@@ -17,6 +17,7 @@ from qbarnes import (
     padic_exp,
     padic_log,
     padic_pow,
+    padic_sum,
     parse_rational,
     teichmuller,
     to_padic,
@@ -113,6 +114,39 @@ def test_full_cancellation_raises():
     ctx = PadicContext(5, 3)
     with pytest.raises(PrecisionExhaustedError):
         to_padic(1, ctx) + to_padic(-1, ctx)
+
+
+def test_padic_sum_is_running_addition_without_partial_cancellation():
+    rng = random.Random(41)
+    ctx = PadicContext(3, 5)
+    zero = PadicNumber.zero(ctx)
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.2:
+                terms.append(zero)
+            else:
+                v, digits = rng.randint(-2, 3), rng.randint(1, 5)
+                terms.append(PadicNumber(ctx, v, rng.choice((1, 2)) + 3 * rng.randint(0, 80), digits))
+        try:
+            running = zero
+            for t in terms:
+                running = running + t
+        except PrecisionExhaustedError:
+            continue
+        total = padic_sum(terms, ctx)
+        assert total.to_json_dict() == running.to_json_dict()
+        assert total.abs_precision == running.abs_precision
+    one, minus_one = to_padic(1, ctx), to_padic(-1, ctx)
+    # 1 - 1 + 3 cancels on the way but not in total
+    assert padic_sum([one, minus_one, to_padic(3, ctx)], ctx).to_json_dict() == to_padic(3, ctx).to_json_dict()
+    with pytest.raises(PrecisionExhaustedError):
+        padic_sum([one, zero, minus_one], ctx)
+    assert padic_sum([], ctx).is_zero and padic_sum([zero], ctx).is_zero
+    with pytest.raises(PreconditionError):
+        padic_sum([one, to_padic(1, PadicContext(5, 5))], ctx)
+    with pytest.raises(PreconditionError):
+        one + PadicNumber.zero(PadicContext(5, 5))
 
 
 def test_division_and_pow():
