@@ -1,18 +1,21 @@
 """Dirichlet characters, twisted H-numbers, and the p-adic L-function.
 
-Characters come in two value modes. `rational` restricts to order <= 2
-(values in {-1, 0, 1}) and keeps every computation in exact rationals;
-`teichmuller` stores unit residues mod p^M whose (p-1)-st power is 1, which
-is what the omega-twists used in interpolation need. Twisting chi by
-omega^k bumps the modulus to lcm(d, p).
+A character's values live in its own scalars, fixed by its context. With
+no context they are the rationals {-1, 0, 1} (order <= 2), and every
+computation stays exact; with a PadicContext they are unit residues mod p^M
+whose (p-1)-st power is 1, which is what the omega-twists used in
+interpolation need. `lift` embeds a rational in those scalars. Twisting chi
+by omega^k bumps the modulus to lcm(d, p).
 
 The two L-value routes are deliberately independent: `l_riemann` sums the
-defining integral over the p-adic units at level N, while `l_at_negative`
+defining integral over the p-adic units at level N, with the one Riemann
+sum of `padic_integration` run in p-adic numbers, while `l_at_negative`
 evaluates the closed form with its Euler-like correction factor at u^p, q^p.
 The interpolation and Kummer suites compare them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -30,8 +33,8 @@ from .exact_numbers import (
     valuation,
 )
 from .euler_barnes import refinement
-from .padic_integration import DEFAULT_BUDGET, AdmissibleU, _check_budget
-from .qnum import qbracket, qbracket_z
+from .padic_integration import DEFAULT_BUDGET, AdmissibleU, riemann_integral
+from .qnum import qbracket
 
 _RATIONAL_VALUES = (Fraction(-1), Fraction(0), Fraction(1))
 
@@ -39,13 +42,13 @@ _RATIONAL_VALUES = (Fraction(-1), Fraction(0), Fraction(1))
 class DirichletCharacter:
     """A character mod d, stored as its full value table.
 
-    values[x] is chi(x) for 0 <= x < d; zero exactly off the units. Rational
-    mode fixes the value set to {-1, 0, 1} (so the order divides 2);
-    teichmuller mode stores integer residues mod p^M that are (p-1)-st roots
-    of unity, tied to a PadicContext.
+    values[x] is chi(x) for 0 <= x < d; zero exactly off the units. Without
+    a context (rational mode) the value set is {-1, 0, 1}, so the order
+    divides 2; with one (teichmuller mode) the values are integer residues
+    mod p^M that are (p-1)-st roots of unity.
     """
 
-    __slots__ = ("modulus", "mode", "values", "context")
+    __slots__ = ("modulus", "values", "context")
 
     def __init__(self, modulus, values, context: PadicContext | None = None):
         if modulus < 1:
@@ -58,14 +61,12 @@ class DirichletCharacter:
         self.modulus = modulus
         self.context = context
         if context is None:
-            self.mode = "rational"
             values = tuple(Fraction(v) for v in values)
             if any(v not in _RATIONAL_VALUES for v in values):
                 raise PreconditionError(
                     "rational-mode values must lie in {-1, 0, 1}", parameter="values"
                 )
         else:
-            self.mode = "teichmuller"
             mod = context.modulus
             values = tuple(int(v) % mod for v in values)
             if any(v != 0 and pow(v, context.p - 1, mod) != 1 for v in values):
@@ -165,33 +166,27 @@ class DirichletCharacter:
 
     def value(self, x: int) -> Rational | PadicNumber:
         """chi(x) in the character's own scalars (see `lift`)."""
-        v = self.values[x % self.modulus]
-        if self.context is None:
-            return v
-        if v == 0:
-            return PadicNumber.zero(self.context)
-        return PadicNumber(self.context, 0, v, self.context.precision)
-
-    def padic_value(self, x: int, context: PadicContext) -> PadicNumber:
-        """chi(x) as a PadicNumber at `context`."""
-        if self.mode == "rational":
-            return to_padic(self(x), context)
-        if context != self.context:
-            raise PreconditionError("character belongs to a different p-adic context")
-        return self.value(x)
+        return self.lift(self(x))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
         return (
             self.modulus == other.modulus
-            and self.mode == other.mode
             and self.values == other.values
             and self.context == other.context
         )
 
     def __repr__(self) -> str:
-        return f"DirichletCharacter(mod {self.modulus}, {self.mode})"
+        mode = "rational" if self.context is None else "teichmuller"
+        return f"DirichletCharacter(mod {self.modulus}, {mode})"
+
+
+def _check_char_context(chi: DirichletCharacter, context: PadicContext) -> None:
+    if chi.context is not None and chi.context != context:
+        raise PreconditionError(
+            "character belongs to a different p-adic context", parameter="char"
+        )
 
 
 def twist_teichmuller(
@@ -200,8 +195,7 @@ def twist_teichmuller(
     """chi * omega^k as a teichmuller-mode character mod lcm(d, p)."""
     p, M = context.p, context.precision
     mod = p**M
-    if chi.mode == "teichmuller" and chi.context != context:
-        raise PreconditionError("character belongs to a different p-adic context")
+    _check_char_context(chi, context)
     d = chi.modulus
     L = d * p // gcd(d, p)
     vals = []
@@ -326,10 +320,7 @@ def _check_l_inputs(
         raise PreconditionError("u and the context disagree on p", parameter="p")
     if gcd(a1, context.p) != 1:
         raise PreconditionError("a1 must be a p-adic unit", parameter="a")
-    if chi.mode == "teichmuller" and chi.context != context:
-        raise PreconditionError(
-            "character belongs to a different p-adic context", parameter="char"
-        )
+    _check_char_context(chi, context)
 
 
 def l_riemann(
@@ -348,39 +339,37 @@ def l_riemann(
         chi(x) <a1 x : q>^(-s) u^x
 
     D is the prime-to-p part of the character modulus; the p-part must be
-    resolved by the level, i.e. the character modulus divides D p^N.
+    resolved by the level, i.e. the character modulus divides D p^N. The sum
+    is `riemann_integral` of chi(x) <a1 x : q>^(-s), zero off the units, in
+    p-adic numbers at the context.
     """
     p = context.p
     _check_l_inputs(chi, u, a1, context)
     if N < 1:
         raise PreconditionError("N must be >= 1", parameter="level-N")
     D = _tame_part(chi.modulus, p)
-    m = D * p**N
-    if m % chi.modulus != 0:
+    if D * p**N % chi.modulus != 0:
         raise PreconditionError(
             "the level does not resolve the character's p-part", parameter="level-N"
         )
-    _check_budget(m, budget)
     if isinstance(s, PadicNumber):
         neg_s: int | PadicNumber = -s
     else:
         neg_s = -int(s)
-    up = to_padic(u.u, context)
-    upow = to_padic(1, context)
-    acc = PadicNumber.zero(context)
-    for x in range(m):
-        if x:
-            upow = upow * up
-        if gcd(x, p) != 1:
-            continue
-        cv = chi.padic_value(x, context)
-        if cv.is_zero:
-            continue
-        ab = angle_bracket(a1 * x, q, context)
-        acc = acc + padic_pow(ab.value, neg_s) * cv * upow
-    if acc.is_zero:
+    lift = functools.partial(to_padic, context=context)
+    chi_values = [lift(chi(x)) for x in range(chi.modulus)]
+    zero = PadicNumber.zero(context)
+
+    def integrand(x: int) -> PadicNumber:
+        cv = chi_values[x % chi.modulus]
+        if x % p == 0 or cv.is_zero:
+            return zero
+        return padic_pow(angle_bracket(a1 * x, q, context).value, neg_s) * cv
+
+    total = riemann_integral(integrand, u, D, N, budget, lift=lift)
+    if total.is_zero:
         raise InternalError("unit-restricted sum vanished identically")
-    return acc / to_padic(qbracket_z(m, u.u), context)
+    return total
 
 
 def _l_negative_exact(
@@ -448,7 +437,7 @@ def kummer_check(
             parameter="precision",
         )
     q = Fraction(q)
-    if chi.mode == "rational":
+    if chi.context is None:
         diff = _l_negative_exact(k, chi, u.u, q, a1, p) - _l_negative_exact(
             k2, chi, u.u, q, a1, p
         )

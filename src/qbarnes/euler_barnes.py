@@ -82,8 +82,8 @@ class Poly:
         return self.coeffs[-1]
 
     def __mul__(self, other: "Poly") -> "Poly":
-        f, df = _cleared(self)
-        g, dg = _cleared(other)
+        f, df = _over_common_denominator(self.coeffs)
+        g, dg = _over_common_denominator(other.coeffs)
         den = df * dg
         return Poly([Fraction(x, den) for x in _int_mul(f, g)])
 
@@ -116,11 +116,19 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers A_n and D > 0 with coeffs[n] = A_n / D, D the lcm of the
+    denominators (1 for no coefficients)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _int_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """Product of two integer coefficient lists, low degree first.
 
-    The package's one convolution loop. Zero coefficients are skipped, so a
-    product with a two-term factor costs two passes over the other operand.
+    The full, untruncated convolution (`TruncatedSeries.__mul__` has the
+    truncated one). Zero coefficients are skipped, so a product with a
+    two-term factor costs two passes over the other operand.
     """
     if not f or not g:
         return []
@@ -166,14 +174,6 @@ def _int_divexact(f: Sequence[int], g: Sequence[int]) -> list[int]:
     if quo is None:
         raise InternalError("expected exact polynomial division, got a remainder")
     return quo
-
-
-def _cleared(f: Poly) -> tuple[list[int], int]:
-    """(integer coefficients, den) with f = integer polynomial / den."""
-    den = 1
-    for c in f.coeffs:
-        den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in f.coeffs], den
 
 
 def _gcd_mod(f: list[int], g: list[int], P: int) -> list[int]:
@@ -251,7 +251,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return g.monic()
     if g.is_zero:
         return f.monic()
-    return Poly(_int_gcd(_primitive(_cleared(f)[0]), _primitive(_cleared(g)[0]))[0]).monic()
+    fz, gz = (_primitive(_over_common_denominator(h.coeffs)[0]) for h in (f, g))
+    return Poly(_int_gcd(fz, gz)[0]).monic()
 
 
 def _stripped(f: Sequence[int]) -> list[int]:

@@ -129,6 +129,17 @@ class PadicContext:
         return self.p**self.precision
 
 
+def _check_same_context(
+    a: PadicContext,
+    b: PadicContext,
+    message: str = "operands belong to different p-adic contexts",
+) -> None:
+    """Raise unless a and b are the same context; identity is tested first,
+    since the dataclass compare costs about as much as a multiplication."""
+    if a is not b and a != b:
+        raise PreconditionError(message)
+
+
 class PadicNumber:
     """Truncated p-adic number: p^valuation * unit, unit known mod p^digits.
 
@@ -205,10 +216,6 @@ class PadicNumber:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_context(self, other: "PadicNumber") -> None:
-        if self.context != other.context:
-            raise PreconditionError("operands belong to different p-adic contexts")
-
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
         if not isinstance(other, PadicNumber):
             return NotImplemented
@@ -229,7 +236,7 @@ class PadicNumber:
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        self._check_same_context(other)
+        _check_same_context(self.context, other.context)
         if self.is_zero or other.is_zero:
             return PadicNumber.zero(self.context)
         d = min(self.digits, other.digits)
@@ -240,7 +247,7 @@ class PadicNumber:
     def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        self._check_same_context(other)
+        _check_same_context(self.context, other.context)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero p-adic value")
         if self.is_zero:
@@ -314,8 +321,7 @@ def padic_sum(terms: Iterable[PadicNumber], context: PadicContext) -> PadicNumbe
     """
     nonzero = []
     for t in terms:
-        if t.context is not context and t.context != context:
-            raise PreconditionError("operands belong to different p-adic contexts")
+        _check_same_context(t.context, context)
         if not t.is_zero:
             nonzero.append(t)
     if len(nonzero) < 2:
@@ -434,8 +440,9 @@ def padic_pow(x: PadicNumber, s: int | PadicNumber) -> PadicNumber:
         return x**s
     if not isinstance(s, PadicNumber):
         raise PreconditionError("exponent must be an int or a PadicNumber", parameter="s")
-    if s.context != x.context:
-        raise PreconditionError("exponent belongs to a different p-adic context")
+    _check_same_context(
+        s.context, x.context, "exponent belongs to a different p-adic context"
+    )
     if s.is_zero:
         return PadicNumber(x.context, 0, 1, x.context.precision)
     if s.valuation < 0:

@@ -7,8 +7,12 @@ moment measures E_k built from the closed-form H-values at fractional
 arguments; the identity suites check their cell additivity, integrality,
 and convergence to the closed forms.
 
-Every value is exact: no convergence claim depends on rounding. The Riemann
-sums are exact rationals, and so is every valuation taken of them. The one
+Every value is exact: no convergence claim depends on rounding. One routine,
+`riemann_integral`, sums a function against mu_u at a level: in exact
+rationals for the moment sums here and in the eq. (8) bridge, and in
+p-adic numbers for the L-value sums of `characters_lfunctions`, which hand
+it their embedding as `lift`. `multi_riemann_integral` is its r-fold
+iterate. Every valuation taken of a rational sum is exact. The one
 shortcut, `riemann_error_valuation`, finds nu_p(level sum - target) from the
 sum modulo p^K, with K a few dozen digits above the error valuation the
 u-adic tail makes expected (X. Caruso, *Computations with p-adic numbers*,
@@ -22,7 +26,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable
 
 from .errors import BudgetError, PoleError, PreconditionError
 from .exact_numbers import Rational, is_prime, valuation
@@ -119,11 +123,16 @@ def riemann_integral(
     d: int = 1,
     N: int = 0,
     budget: int = DEFAULT_BUDGET,
-) -> Rational:
+    *,
+    lift: Callable[[Rational], Any] = Fraction,
+):
     """Level-N Riemann sum of the integrand against mu_u over Z_p.
 
     sum_{x < d p^N} f(x) mu_u(x + d p^N Z_p), evaluated at the smallest
-    nonnegative representatives.
+    nonnegative representatives. The sum runs in the integrand's scalars:
+    `lift` embeds the weights u^x and the normaliser [d p^N : u] there
+    (exact rationals by default). Each term is f(x) u^x, added to a running
+    total, and the total is divided once by the normaliser.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1", parameter="d")
@@ -131,16 +140,17 @@ def riemann_integral(
         raise PreconditionError("N must be >= 0", parameter="N")
     points = d * u.p**N
     _check_budget(points, budget)
-    uu = u.u
-    norm = qbracket_z(points, uu)
+    norm = qbracket_z(points, u.u)
     if norm == 0:
         raise PoleError("u^(d p^N) = 1", parameter="u")
-    total = Fraction(0)
-    upow = Fraction(1)
+    step = lift(u.u)
+    upow = lift(1)
+    total = lift(0)
     for x in range(points):
-        total += integrand(x) * upow
-        upow *= uu
-    return total / norm
+        if x:
+            upow = upow * step
+        total = total + integrand(x) * upow
+    return total / lift(norm)
 
 
 def _level_points(params: BarnesParams, u: AdmissibleU, N: int, budget: int) -> int:
@@ -165,30 +175,25 @@ def multi_riemann_integral(
     """r-fold level-N Riemann sum of [w + a.x : q]^n against mu_u per axis.
 
     Converges p-adically to H_n^(r)(w, u, q | a); params.u must be the same
-    u the integrator carries.
+    u the integrator carries. It is the r-fold iterate of `riemann_integral`:
+    the one-axis sum over x_1 of the (r-1)-fold sum at w + a_1 x_1.
     """
-    points = _level_points(params, u, N, budget)
+    _level_points(params, u, N, budget)
     if n == 0:
         # the integrand is 1, and sum_xs u^|xs| = [p^N : u]^r is the normaliser
         return Fraction(1)
-    r = params.r
     qv = params.q.value
-    uu = u.u
-    u_powers = [Fraction(1)]
-    for _ in range(r * (points - 1)):
-        u_powers.append(u_powers[-1] * uu)
     bracket_pow: dict[int, Rational] = {}
 
-    def integrand(arg: int) -> Rational:
-        if arg not in bracket_pow:
-            bracket_pow[arg] = qbracket(arg, qv) ** n
-        return bracket_pow[arg]
+    def level_sum(arg: int, axes: tuple[int, ...]) -> Rational:
+        if not axes:
+            if arg not in bracket_pow:
+                bracket_pow[arg] = qbracket(arg, qv) ** n
+            return bracket_pow[arg]
+        aj, rest = axes[0], axes[1:]
+        return riemann_integral(lambda x: level_sum(arg + aj * x, rest), u, 1, N, budget)
 
-    total = Fraction(0)
-    for xs in itertools.product(range(points), repeat=r):
-        arg = w + sum(aj * xj for aj, xj in zip(params.a, xs))
-        total += integrand(arg) * u_powers[sum(xs)]
-    return total / qbracket_z(points, uu) ** r
+    return level_sum(w, params.a)
 
 
 def riemann_error_valuation(

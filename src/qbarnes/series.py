@@ -12,20 +12,13 @@ checking.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Sequence
 
 from .errors import PoleError, PreconditionError
-from .euler_barnes import BarnesParams
+from .euler_barnes import BarnesParams, _over_common_denominator
 from .exact_numbers import Rational
 from .qnum import rational_power
-
-
-def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers A_n and D > 0 with coeffs[n] = A_n / D, D the lcm of the
-    denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class TruncatedSeries:

@@ -49,6 +49,15 @@ H_CLOSED_SEED1_SHA256 = {
     "distribution": "77c12747ab8de2ed0538582d2266e7a2a7561921e4ab43921ef38f1631b0acf3",
 }
 
+# sha256 of the seed-1 reports of the suites that sum against mu_u one axis
+# at a time, recorded from their own loops (a rational one for eq8-bridge, a
+# p-adic one in l_riemann for interpolation): a second draw of samples that
+# the one riemann_integral, in either scalars, must reproduce byte for byte
+LEVEL_SUM_SEED1_SHA256 = {
+    "eq8-bridge": "134d834893636a2388350dde0395b05e17f409ffe897a6f5606290470c4d6a9e",
+    "interpolation": "2eb8cd26e0a8f98616b8433499670393974bbd603867d3fb276088dc3f31048f",
+}
+
 
 def _digest(report) -> str:
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
@@ -167,6 +176,8 @@ def test_criterion_09_bridge_and_interpolation():
         "precision, p in {3,5}, k <= 4, trivial and quadratic characters",
         180,
     )
+    for name, digest in LEVEL_SUM_SEED1_SHA256.items():
+        assert _digest(run_suite(name, seed=1)) == digest, f"the seed-1 {name} report changed"
 
 
 def test_criterion_10_kummer_congruences():

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from qbarnes import (
+    DEFAULT_BUDGET,
     AdmissibleU,
     BarnesParams,
+    BudgetError,
     DirichletCharacter,
     PadicContext,
     PadicNumber,
@@ -18,6 +22,8 @@ from qbarnes import (
     kummer_check,
     l_at_negative,
     l_riemann,
+    padic_pow,
+    qbracket_z,
     teichmuller,
     to_padic,
     twist_teichmuller,
@@ -63,9 +69,9 @@ def test_teichmuller_character():
     ctx = PadicContext(5, 4)
     omega = DirichletCharacter.teichmuller_character(ctx)
     assert omega.modulus == 5
-    w2 = omega.padic_value(2, ctx)
+    w2 = omega.value(2)
     assert w2 == teichmuller(2, ctx)
-    assert omega.padic_value(5, ctx).is_zero
+    assert omega.value(5).is_zero
 
 
 def test_twist_zero_pattern():
@@ -74,7 +80,7 @@ def test_twist_zero_pattern():
     tw = twist_teichmuller(q4, 1, ctx)
     assert tw.modulus == 20
     for x in range(20):
-        vanishes = tw.padic_value(x, ctx).is_zero
+        vanishes = tw.value(x).is_zero
         assert vanishes == (x % 2 == 0 or x % 5 == 0)
 
 
@@ -170,3 +176,132 @@ def test_l_riemann_rejects_non_unit_a1():
     triv = DirichletCharacter.trivial(1)
     with pytest.raises(PreconditionError):
         l_riemann(-1, triv, uu, F(6), 10, ctx, 1)
+
+
+def test_twist_names_the_character_on_a_context_mismatch():
+    ctx, other = PadicContext(5, 4), PadicContext(5, 6)
+    omega = DirichletCharacter.teichmuller_character(ctx)
+    with pytest.raises(PreconditionError) as twist:
+        twist_teichmuller(omega, 1, other)
+    with pytest.raises(PreconditionError) as closed:
+        l_at_negative(1, omega, AdmissibleU(F(5), 5), F(6), 1, other)
+    assert twist.value.parameter == closed.value.parameter == "char"
+    assert str(twist.value) == str(closed.value)
+
+
+def _l_riemann_reference(s, chi, u, q, a1, context, N, budget=DEFAULT_BUDGET):
+    """The loop l_riemann ran before it summed through riemann_integral: its
+    own checks, budget check, u-power walk and normaliser, and chi(x) taken
+    per point as the removed `DirichletCharacter.padic_value` took it."""
+    p = context.p
+    if u.p != p:
+        raise PreconditionError("u and the context disagree on p", parameter="p")
+    if gcd(a1, p) != 1:
+        raise PreconditionError("a1 must be a p-adic unit", parameter="a")
+    if chi.context is not None and chi.context != context:
+        raise PreconditionError(
+            "character belongs to a different p-adic context", parameter="char"
+        )
+    if N < 1:
+        raise PreconditionError("N must be >= 1", parameter="level-N")
+    D = chi.modulus
+    while D % p == 0:
+        D //= p
+    m = D * p**N
+    if m % chi.modulus != 0:
+        raise PreconditionError(
+            "the level does not resolve the character's p-part", parameter="level-N"
+        )
+    if m > budget:
+        raise BudgetError(
+            f"{m} evaluation points exceed the budget of {budget}", parameter="budget"
+        )
+    neg_s = -s if isinstance(s, PadicNumber) else -int(s)
+    up = to_padic(u.u, context)
+    upow = to_padic(1, context)
+    acc = PadicNumber.zero(context)
+    for x in range(m):
+        if x:
+            upow = upow * up
+        if gcd(x, p) != 1:
+            continue
+        v = chi(x)
+        if chi.context is None:
+            cv = to_padic(v, context)
+        elif v == 0:
+            cv = PadicNumber.zero(context)
+        else:
+            cv = PadicNumber(chi.context, 0, v, chi.context.precision)
+        if cv.is_zero:
+            continue
+        ab = angle_bracket(a1 * x, q, context)
+        acc = acc + padic_pow(ab.value, neg_s) * cv * upow
+    assert not acc.is_zero
+    return acc / to_padic(qbracket_z(m, u.u), context)
+
+
+def _outcome(call):
+    """A value as (valuation, unit, digits), or an error as (type, parameter,
+    message): both routes must agree on every digit and every error."""
+    try:
+        value = call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc).__name__, getattr(exc, "parameter", None), str(exc)
+    assert type(value) is PadicNumber
+    return value.valuation, value.unit, value.digits
+
+
+def test_l_riemann_matches_the_loop_it_replaced():
+    # 240 seeded draws: p in {3, 5}, v = nu_p(u) in {-1, 1, 2}, rational and
+    # teichmuller characters and their omega^k twists, mixed-sign unit a1,
+    # integer and p-adic s, q = 1 or q ≡ 1 (mod p); plus budget, level and
+    # context errors
+    rng = random.Random(13)
+    rational = [
+        DirichletCharacter.trivial(1),
+        DirichletCharacter.quadratic(3),
+        DirichletCharacter.quadratic(4),
+        DirichletCharacter.from_generator(5, 2, F(-1)),
+        DirichletCharacter.from_generator(9, 2, F(-1)),
+    ]
+    seen = set()
+    for _ in range(240):
+        p = rng.choice((3, 5))
+        ctx = PadicContext(p, rng.choice((4, 6, 8)))
+        chi = rng.choice(rational)
+        kind = rng.choice(("rational", "teichmuller", "twist", "twist"))
+        if kind == "teichmuller":
+            chi = DirichletCharacter.teichmuller_character(ctx)
+        elif kind == "twist":
+            chi = twist_teichmuller(chi, rng.randint(0, 3), ctx)
+        u = F(p) ** rng.choice((-1, 1, 2)) * rng.choice((1, 2, -1, F(1, 2)))
+        uu = AdmissibleU(u, p)
+        q = rng.choice((F(1), F(1 + p), F(1 - 2 * p), F(1 + p, 1 + 3 * p)))
+        a1 = rng.choice((1, 2, -1, 1 + p, p - 1, -1 - p))
+        if rng.random() < 0.3:
+            s = to_padic(rng.choice((F(3), F(-2), F(1, 2), F(7 * p + 1))), ctx)
+        else:
+            s = rng.randint(-4, 3)
+        N = rng.randint(1, 3 if p == 3 else 2)
+        budget = rng.choice((DEFAULT_BUDGET, 60))
+        other = ctx
+        error = rng.random()
+        if error < 0.08:
+            other = PadicContext(p, ctx.precision + 1)  # a twist's context differs
+        elif error < 0.12:
+            uu = AdmissibleU(F(7), 7)  # u at another prime
+        elif error < 0.16:
+            N = 0
+        expected = _outcome(lambda: _l_riemann_reference(s, chi, uu, q, a1, other, N, budget))
+        got = _outcome(lambda: l_riemann(s, chi, uu, q, a1, other, N, budget))
+        assert got == expected, (p, chi, u, q, a1, s, N, budget)
+        if isinstance(expected[0], str):
+            seen.add(expected[1])  # the parameter the error names
+        else:
+            seen.add("p-adic s" if isinstance(s, PadicNumber) else "integer s")
+            seen.add("rational" if chi.context is None else "teichmuller")
+    assert seen == {
+        "p-adic s", "integer s", "rational", "teichmuller",
+        "char", "p", "level-N", "budget",
+        None,  # padic_pow: an exponent s from a context other than the call's
+    }

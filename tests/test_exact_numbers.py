@@ -85,6 +85,21 @@ def test_context_validation():
     assert PadicContext(5, 3).modulus == 125
 
 
+def test_mixed_contexts_are_rejected_by_every_operation():
+    # an equal context built apart computes; a different one raises the same
+    # message from every operation, and names the exponent in padic_pow
+    ctx, twin, other = PadicContext(5, 6), PadicContext(5, 6), PadicContext(5, 4)
+    x, y, z = to_padic(6, ctx), to_padic(11, twin), to_padic(11, other)
+    assert x * y == to_padic(66, ctx) and y / x == to_padic(F(11, 6), ctx)
+    assert x + y == to_padic(17, ctx) and padic_sum([x, y], ctx) == to_padic(17, ctx)
+    assert padic_pow(x, to_padic(2, twin)) == to_padic(36, ctx)
+    for call in (lambda: x * z, lambda: x / z, lambda: x + z, lambda: padic_sum([x, z], ctx)):
+        with pytest.raises(PreconditionError, match="^operands belong to different p-adic contexts$"):
+            call()
+    with pytest.raises(PreconditionError, match="^exponent belongs to a different p-adic context$"):
+        padic_pow(x, to_padic(2, other))
+
+
 def test_to_padic_basic():
     ctx = PadicContext(3, 2)
     half = to_padic(F(1, 2), ctx)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,8 @@ from qbarnes import (
     BarnesParams,
     BudgetError,
     MeasureCell,
+    PadicContext,
+    PadicNumber,
     PreconditionError,
     QBase,
     h_closed,
@@ -23,6 +26,7 @@ from qbarnes import (
     qbracket_z,
     riemann_error_valuation,
     riemann_integral,
+    to_padic,
     valuation,
 )
 
@@ -98,6 +102,87 @@ def test_multi_riemann_zero_moment_equals_the_general_loop():
             ) / qbracket_z(points, uu.u) ** len(a)
             value = multi_riemann_integral(0, 1, params, uu, N)
             assert value == loop == 1 and type(value) is F
+
+
+def _multi_riemann_reference(n, w, params, u, N, budget=pi.DEFAULT_BUDGET):
+    """The r-fold product loop multi_riemann_integral ran before it became an
+    iterate of riemann_integral: one u-power table, one normaliser."""
+    if params.u != u.u:
+        raise PreconditionError("params.u and the integrator's u differ", parameter="u")
+    if N < 0:
+        raise PreconditionError("N must be >= 0", parameter="N")
+    points = u.p**N
+    if points**params.r > budget:
+        raise BudgetError(
+            f"{points**params.r} evaluation points exceed the budget of {budget}",
+            parameter="budget",
+        )
+    if n == 0:
+        return F(1)
+    u_powers = [u.u**s for s in range(params.r * (points - 1) + 1)]
+    total = F(0)
+    for xs in itertools.product(range(points), repeat=params.r):
+        arg = w + sum(aj * xj for aj, xj in zip(params.a, xs))
+        total += qbracket(arg, params.q.value) ** n * u_powers[sum(xs)]
+    return total / qbracket_z(points, u.u) ** params.r
+
+
+def _outcome(call):
+    """A value with its type, or an error as (type, parameter, message)."""
+    try:
+        value = call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc).__name__, getattr(exc, "parameter", None), str(exc)
+    return type(value).__name__, value
+
+
+def test_multi_riemann_matches_the_loop_it_replaced():
+    # 200 seeded draws: r in 1..3 with mixed-sign a, v = nu_p(u) in {-1, 1, 2}
+    # with either sign of u, integer and rational q (q ≡ 1 mod p or not, and
+    # negative), n in 0..4, w in -2..2; plus budget, level and u errors
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(200):
+        p = rng.choice((3, 5))
+        r = rng.randint(1, 3)
+        a = tuple(rng.choice((1, 2, -1, -2, 3)) for _ in range(r))
+        u = F(p) ** rng.choice((-1, 1, 2)) * rng.choice((1, -1, 2, F(1, 2)))
+        uu = AdmissibleU(u, p)
+        q = rng.choice((F(1 + p), F(1 - p), F(2), F(3, 2), F(-2, 3), F(1 + p, 1 + 2 * p)))
+        params = BarnesParams(a, u, QBase(q))
+        n, w = rng.randint(0, 4), rng.randint(-2, 2)
+        N = rng.randint(0, {1: 4, 2: 2, 3: 2}[r] if p == 3 else {1: 3, 2: 2, 3: 1}[r])
+        budget = rng.choice((pi.DEFAULT_BUDGET, 30))
+        error = rng.random()
+        if error < 0.05:
+            N = -1
+        elif error < 0.1:
+            params = BarnesParams(a, u * p * p, QBase(q))  # the integrator's u differs
+        expected = _outcome(lambda: _multi_riemann_reference(n, w, params, uu, N, budget))
+        got = _outcome(lambda: multi_riemann_integral(n, w, params, uu, N, budget))
+        assert got == expected, (p, a, u, q, n, w, N, budget)
+        seen.add(expected[1] if expected[0].endswith("Error") else f"r{r}")
+    assert seen == {"r1", "r2", "r3", "N", "u", "budget"}
+
+
+def test_riemann_integral_lift_runs_the_sum_in_padic_scalars():
+    # lifting every scalar of a rational level sum into Q_p gives the p-adic
+    # image of the rational sum, to every digit the context tracks
+    ctx = PadicContext(5, 10)
+
+    def lift(x):
+        return to_padic(x, ctx)
+
+    for u in (F(5), F(2, 25), F(-25, 3)):
+        uu = AdmissibleU(u, 5)
+        for d, N, k in ((1, 0, 1), (1, 2, 2), (3, 1, 3), (2, 2, 0)):
+            def integrand(x):
+                return qbracket(x + 1, F(6)) ** k
+
+            rational = riemann_integral(integrand, uu, d, N)
+            padic = riemann_integral(lambda x: lift(integrand(x)), uu, d, N, lift=lift)
+            assert type(padic) is PadicNumber and padic == lift(rational)
+            assert padic.digits == ctx.precision
 
 
 def _counting_fallbacks(monkeypatch):
