@@ -317,7 +317,10 @@ def _dispatch_compute(args) -> dict:
     op = OPS[args.op]
     missing = [f for f in op.required.split() if getattr(args, f.replace("-", "_")) is None]
     if missing:
-        raise PreconditionError("missing required flags: " + ", ".join("--" + f for f in missing))
+        raise PreconditionError(
+            "missing required flags: " + ", ".join("--" + f for f in missing),
+            parameter=missing[0],
+        )
     payload = {"op": args.op}
     for field in op.echo.split():
         name, _, flag = field.partition("=")
@@ -326,10 +329,21 @@ def _dispatch_compute(args) -> dict:
     return {key: _value_json(value) for key, value in payload.items()}
 
 
+# The parser main() builds on its first call and reuses. build_parser stays a
+# factory that returns a new parser per call: perfbench's tracer wraps
+# parse_args on each parser it returns, once.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one `qbarnes` command on `argv` (default: sys.argv[1:]) and
+    return its exit code. main may be called repeatedly in one process: it
+    builds the argument parser on its first call and reuses it after."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         if args.command == "compute":
             payload = _dispatch_compute(args)
             _emit(payload, args.format)

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qbarnes import PadicContext, to_padic
-from qbarnes.cli import OPS, main
+from qbarnes import cli
+from qbarnes.cli import OPS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +146,11 @@ PRECONDITION_CASES = [
     (("compute", "gf-coeffs", "--n", "-1", "--a", "1", "--u", "3", "--q", "2"), "n"),
     (("compute", "classical", "--n", "-1", "--w", "0", "--a", "1", "--u", "3"), "n"),
     (("compute", "classical", "--n", "3", "--w", "0", "--a", "0", "--u", "2"), "a"),
+    # missing required flags name the first one in the op's required order
+    (("compute", "hbarnes", "--n", "1"), "w"),
+    (("compute", "hchi", "--k", "2", "--a", "1", "--u", "3", "--q", "4"), "char"),
+    (LVALUE_T1[:-2], "p"),
+    (("compute", "mu", "--u", "3", "--p", "3"), "x"),
 ]
 
 
@@ -154,6 +161,16 @@ def test_precondition_exit_code(capsys):
         payload = json.loads(out)
         assert payload["error"] == "PreconditionError"
         assert payload.get("parameter") == parameter
+
+
+def test_missing_flags_message_lists_every_flag(capsys):
+    code, out = run_cli(capsys, "compute", "hbarnes", "--n", "1")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "PreconditionError",
+        "message": "missing required flags: --w, --a, --u, --q",
+        "parameter": "w",
+    }
 
 
 def test_degenerate_refined_base_names_the_power(capsys):
@@ -268,6 +285,54 @@ def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+def run_or_usage_error(capsys, argv):
+    """(exit code, stdout) of main(argv), argparse's usage exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for argv, code in (
+        (("compute", "carlitz", "--k", "3", "--u", "3", "--q", "2"), 0),
+        (("--format", "csv", "compute", "carlitz", "--k", "1", "--u", "3", "--q", "2"), 0),
+        (("verify", "prop5"), 0),
+        ((*HBARNES, "--a", "1", "--u", "3", "--q", "1"), 2),
+        (("verify", "nonsense"), 2),
+        (("compute", "hbarnes", "--n", "1"), 2),
+    ):
+        assert run_or_usage_error(capsys, argv)[0] == code, argv
+    assert len(builds) == 1
+    # perfbench's tracer wraps parse_args on every parser build_parser returns
+    assert build_parser() is not build_parser()
+
+
+def test_held_parser_matches_a_fresh_parser_per_request(capsys, monkeypatch):
+    requests = [*COMPUTE_SHA256, *(argv for argv, _ in PRECONDITION_CASES)]
+    reference = {}
+    for argv in requests:
+        # the reference: a new parser for each request
+        monkeypatch.setattr(cli, "_parser", build_parser())
+        reference[argv] = run_or_usage_error(capsys, argv)
+
+    monkeypatch.setattr(cli, "_parser", None)
+    order = requests * 2
+    random.Random(14).shuffle(order)
+    for argv in order:
+        assert run_or_usage_error(capsys, argv) == reference[argv], argv
+        assert run_or_usage_error(capsys, ("verify", "nonsense")) == (2, "")
 
 
 def test_readme_table_lists_each_compute_op_and_its_flags():
