@@ -114,6 +114,18 @@ def _named(flag: str, parse):
 _character = _named("char", _parse_character)
 
 
+def _parse_budget(text: str) -> int:
+    """A --budget value, of verify and of compute alike: at least 1 point,
+    checked before any work (and before `verify all` starts its workers)."""
+    try:
+        budget = int(text)
+    except ValueError:  # argparse's usage error, worded as for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if budget < 1:
+        raise PreconditionError("budget must be >= 1", parameter="budget")
+    return budget
+
+
 def _value_json(value) -> object:
     if isinstance(value, PadicNumber):
         return value.to_json_dict()
@@ -172,7 +184,7 @@ FLAGS = {
     "precision": dict(type=int, default=8, help="p-adic working digits (default 8)"),
     "level-N": dict(type=int, default=0, help="cell refinement level N"),
     "char": dict(help="character: trivial:D, quadratic:D, teichmuller, or JSON"),
-    "budget": dict(type=int, default=DEFAULT_BUDGET, help="summation budget"),
+    "budget": dict(type=_parse_budget, default=DEFAULT_BUDGET, help="summation budget"),
 }
 
 
@@ -308,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run an identity suite")
     verify.add_argument("suite", choices=[*SUITES, "all"])
-    verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    verify.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET)
 
     return parser
 

@@ -9,12 +9,21 @@ bound (riemann-limit's and prop5's come from `riemann_error_valuation`).
 A suite is a generator of checks over a seeded `ParameterSampler`; `_suite`
 turns it into the callable that builds the whole report. Suite names double
 as the CLI `verify` vocabulary.
+
+The suites share no state, so `all` runs them in up to one worker process
+per usable CPU and joins their reports in table order: the output is the
+same byte for byte as one process running them in turn, which is what
+happens on one usable CPU. To profile `all` in one process, pin it to one
+CPU (`taskset -c 0 qbarnes verify all`), or run a single suite.
 """
 from __future__ import annotations
 
+import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterator
 
 from .characters_lfunctions import (
@@ -537,7 +546,7 @@ def _suite(name: str, checks: Callable[[ParameterSampler, int], Checks]):
 
 
 # Every suite keeps the (seed, budget) signature, even those that draw no
-# samples or sum no points, so that run_suite calls them all alike.
+# samples or sum no points, so that _suite_report calls them all alike.
 SUITES: dict[str, Callable[..., SuiteReport]] = {
     name: _suite(name, checks)
     for name, checks in (
@@ -558,16 +567,51 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
 }
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS
+    keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _suite_mapper(workers: int):
+    """`map`, or with more than one worker a process pool's `map`."""
+    if workers == 1:
+        yield map
+        return
+    # imported here: it costs about as much as importing qbarnes
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) as pool:
+        yield pool.map
+
+
+def _suite_report(name: str, seed: int, budget: int) -> SuiteReport:
+    """The report of SUITES[name]. Worker processes are handed this function
+    and a suite's name, which pickle by name; an entry of SUITES need not."""
+    return SUITES[name](seed=seed, budget=budget)
+
+
 def run_suite(name: str, seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+    """The report of suite `name`, or of every suite for "all".
+
+    "all" runs the suites in up to one worker process per usable CPU, or in
+    this process on one CPU, and joins their checks in table order, so its
+    report is the same either way. When suites raise, the error is that of
+    the first of them in table order. To profile "all" in one process, run
+    it under `taskset -c 0`, or run one suite at a time.
+    """
     if name == "all":
         combined = SuiteReport("all")
-        for sub in SUITES.values():
-            rep = sub(seed=seed, budget=budget)
-            combined.checks.extend(rep.checks)
+        with _suite_mapper(min(len(SUITES), _usable_cpus())) as mapper:
+            for rep in mapper(_suite_report, SUITES, repeat(seed), repeat(budget)):
+                combined.checks.extend(rep.checks)
         return combined
     if name not in SUITES:
         raise PreconditionError(
             f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}",
             parameter="suite",
         )
-    return SUITES[name](seed=seed, budget=budget)
+    return _suite_report(name, seed, budget)

@@ -151,6 +151,13 @@ PRECONDITION_CASES = [
     (("compute", "hchi", "--k", "2", "--a", "1", "--u", "3", "--q", "4"), "char"),
     (LVALUE_T1[:-2], "p"),
     (("compute", "mu", "--u", "3", "--p", "3"), "x"),
+    # a budget below 1 point, on every command that takes --budget, before
+    # any work: with or without a level sum to spend it on
+    ((*LVALUE_T1, "--budget", "-1"), "budget"),
+    ((*LVALUE_T1, "--level-N", "1", "--budget", "0"), "budget"),
+    (("verify", "carlitz-bridge", "--budget", "-1"), "budget"),
+    (("verify", "prop5", "--budget", "-1"), "budget"),
+    (("verify", "all", "--budget", "0"), "budget"),
 ]
 
 
