@@ -10,17 +10,16 @@ A suite is a generator of checks over a seeded `ParameterSampler`; `_suite`
 turns it into the callable that builds the whole report. Suite names double
 as the CLI `verify` vocabulary.
 
-The suites share no state, so `all` runs them in up to one worker process
-per usable CPU and joins their reports in table order: the output is the
-same byte for byte as one process running them in turn, which is what
-happens on one usable CPU. To profile `all` in one process, pin it to one
-CPU (`taskset -c 0 qbarnes verify all`), or run a single suite.
+The suites share no state, so `all` runs them in forked worker processes,
+one per usable CPU, and joins their reports in table order: the output is
+the same byte for byte as one process running them in turn, which is what
+happens where the platform has no fork. A single suite runs in the calling
+process; run the suites one at a time to profile them.
 """
 from __future__ import annotations
 
 import os
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -575,39 +574,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _suite_mapper(workers: int):
-    """`map`, or with more than one worker a process pool's `map`."""
-    if workers == 1:
-        yield map
-        return
-    # imported here: it costs about as much as importing qbarnes
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers) as pool:
-        yield pool.map
-
-
 def _suite_report(name: str, seed: int, budget: int) -> SuiteReport:
     """The report of SUITES[name]. Worker processes are handed this function
     and a suite's name, which pickle by name; an entry of SUITES need not."""
     return SUITES[name](seed=seed, budget=budget)
 
 
+def _suite_reports(seed: int, budget: int) -> list[SuiteReport]:
+    """Every suite's report, in table order, from a pool of forked processes,
+    one per usable CPU. Where the platform has no fork they run in this
+    process: spawn and forkserver workers re-run the caller's main module,
+    so an unguarded script that runs "all" would fail in them."""
+    # imported here: concurrent.futures costs about as much as qbarnes
+    import multiprocessing
+
+    jobs = (_suite_report, SUITES, repeat(seed), repeat(budget))
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(*jobs))
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(SUITES), _usable_cpus())
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(*jobs))
+
+
 def run_suite(name: str, seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
     """The report of suite `name`, or of every suite for "all".
 
-    "all" runs the suites in up to one worker process per usable CPU, or in
-    this process on one CPU, and joins their checks in table order, so its
-    report is the same either way. When suites raise, the error is that of
-    the first of them in table order. To profile "all" in one process, run
-    it under `taskset -c 0`, or run one suite at a time.
+    "all" runs the suites in forked worker processes, one per usable CPU
+    (in this process where there is no fork), and joins their checks in
+    table order, so its report is the same either way. When suites raise,
+    the error is that of the first of them in table order. A single suite
+    runs in this process, so run them one at a time to profile them.
     """
     if name == "all":
         combined = SuiteReport("all")
-        with _suite_mapper(min(len(SUITES), _usable_cpus())) as mapper:
-            for rep in mapper(_suite_report, SUITES, repeat(seed), repeat(budget)):
-                combined.checks.extend(rep.checks)
+        for rep in _suite_reports(seed, budget):
+            combined.checks.extend(rep.checks)
         return combined
     if name not in SUITES:
         raise PreconditionError(

@@ -1,10 +1,13 @@
-"""`verify all`: its suites run in worker processes, one per usable CPU, or
-in this process on one CPU, and either way print the same bytes as CI pins
-for `qbarnes --seed 0 verify all`."""
+"""`verify all`: its suites run in forked worker processes, one per usable
+CPU, or in this process where the platform has no fork, and either way print
+the same bytes as CI pins for `qbarnes --seed 0 verify all`."""
 import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 import pickle
+
+import pytest
 
 from qbarnes import errors, verify
 from qbarnes.cli import main
@@ -19,30 +22,33 @@ def run_cli(capsys, *argv):
 
 
 def pools_built(monkeypatch, cpus: int) -> list:
-    """Pretend this process may run on `cpus` CPUs; the list fills with one
-    entry per ProcessPoolExecutor that run_suite builds."""
+    """Pretend this process may run on `cpus` CPUs; the list fills with the
+    worker count and start method of each ProcessPoolExecutor that
+    run_suite builds."""
     built = []
 
     class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
+        def __init__(self, workers, mp_context):
+            built.append((workers, mp_context.get_start_method()))
+            super().__init__(workers, mp_context=mp_context)
 
     monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     return built
 
 
-def test_verify_all_in_worker_processes_prints_the_pinned_report(capsys, monkeypatch):
-    built = pools_built(monkeypatch, 2)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_all_in_forked_workers_prints_the_pinned_report(capsys, monkeypatch, cpus):
+    built = pools_built(monkeypatch, cpus)
     code, out = run_cli(capsys, "--seed", "0", "verify", "all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SEED0_SHA256
-    assert built == [(2,)]
+    assert built == [(cpus, "fork")]
 
 
-def test_verify_all_on_one_cpu_starts_no_process(capsys, monkeypatch):
-    built = pools_built(monkeypatch, 1)
+def test_verify_all_without_fork_starts_no_process(capsys, monkeypatch):
+    built = pools_built(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     code, out = run_cli(capsys, "--seed", "0", "verify", "all")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SEED0_SHA256
