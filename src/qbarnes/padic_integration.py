@@ -13,12 +13,16 @@ rationals for the moment sums here and in the eq. (8) bridge, and in
 p-adic numbers for the L-value sums of `characters_lfunctions`, which hand
 it their embedding as `lift`. `multi_riemann_integral` is its r-fold
 iterate. Every valuation taken of a rational sum is exact. The one
-shortcut, `riemann_error_valuation`, finds nu_p(level sum - target) from the
-sum modulo p^K, with K a few dozen digits above the error valuation the
-u-adic tail makes expected (X. Caruso, *Computations with p-adic numbers*,
-arXiv:1701.06794, on fixed-precision p-adic sums). A nonzero residue fixes
-the valuation exactly; a zero residue falls back to the exact sum, so no
-valuation is ever capped at K.
+shortcut, `riemann_error_valuations`, finds nu_p(level sum - target) for
+several moments n at once from the sums modulo p^K, with K a few dozen
+digits above the error valuation the u-adic tail makes expected (X. Caruso,
+*Computations with p-adic numbers*, arXiv:1701.06794, on fixed-precision
+p-adic sums). One pass over the points takes each point's q-bracket
+numerator once and its n-th powers by running products, and keeps each
+n's sum as a Horner sum in u on the fly. A nonzero residue fixes that n's
+valuation exactly; a zero residue sends that n alone to the exact sum, so
+no valuation is ever capped at K. `riemann_error_valuation` is its one-n
+case.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .errors import BudgetError, PoleError, PreconditionError
 from .exact_numbers import Rational, is_prime, valuation
@@ -205,37 +209,58 @@ def riemann_error_valuation(
     target: Rational,
     budget: int = DEFAULT_BUDGET,
 ) -> int | float:
-    """nu_p(multi_riemann_integral(n, w, params, u, N) - target), exactly.
+    """nu_p(multi_riemann_integral(n, w, params, u, N) - target), exactly:
+    the one-n case of `riemann_error_valuations`."""
+    return riemann_error_valuations((n,), w, params, u, N, (target,), budget)[0]
 
-    When n >= 1, u is an integer with v = nu_p(u) >= 1, q an integer ≡ 1
-    (mod p) and the target p-integral, the level sum is taken mod p^K with
-    K = v p^N + N + GUARD_DIGITS: its error starts at the u^(p^N) tail, so
-    its valuation is about v p^N. A nonzero residue is the valuation; a zero
-    residue, like every other input, takes the exact sum (1 at n = 0).
+
+def riemann_error_valuations(
+    ns: Sequence[int],
+    w: int,
+    params: BarnesParams,
+    u: AdmissibleU,
+    N: int,
+    targets: Sequence[Rational],
+    budget: int = DEFAULT_BUDGET,
+) -> list[int | float]:
+    """nu_p(multi_riemann_integral(n, w, params, u, N) - target) for each n
+    in `ns` and its target, exactly.
+
+    When u is an integer with v = nu_p(u) >= 1 and q an integer ≡ 1
+    (mod p), the level sums of every n >= 1 with a p-integral target are
+    taken mod p^K with K = v p^N + N + GUARD_DIGITS, together in one pass
+    over the points: their error starts at the u^(p^N) tail, so its
+    valuation is about v p^N. A nonzero residue is that n's valuation; a
+    zero residue, like every other input, sends that n alone to the exact
+    sum (1 at n = 0). The budget is checked before any work.
     """
     points = _level_points(params, u, N, budget)
     p, v = u.p, u.valuation
-    q, uu, target = params.q.value, u.u, Fraction(target)
-    if (
-        n >= 1
-        and v >= 1
-        and uu.denominator == 1
-        and q.denominator == 1
-        and q != 1
-        and (q - 1) % p == 0
-        and valuation(target, p) >= 0
-    ):
-        K = v * points + N + GUARD_DIGITS
-        residue = _level_residue(
-            n, w, params.a, int(q), int(uu), p, v, points, K, target
-        )
-        if residue:
-            return valuation(residue, p)
-    return valuation(multi_riemann_integral(n, w, params, u, N, budget) - target, p)
+    q, uu = params.q.value, u.u
+    targets = [Fraction(t) for t in targets]
+    residues = [0] * len(ns)
+    if v >= 1 and uu.denominator == 1 and q.denominator == 1 and q != 1 and (q - 1) % p == 0:
+        picked = [
+            i for i, (n, t) in enumerate(zip(ns, targets)) if n >= 1 and valuation(t, p) >= 0
+        ]
+        if picked:
+            K = v * points + N + GUARD_DIGITS
+            found = _level_residues(
+                [ns[i] for i in picked], w, params.a, int(q), int(uu), p, v, points, K,
+                [targets[i] for i in picked],
+            )
+            for i, residue in zip(picked, found):
+                residues[i] = residue
+    return [
+        valuation(residue, p)
+        if residue
+        else valuation(multi_riemann_integral(n, w, params, u, N, budget) - target, p)
+        for n, target, residue in zip(ns, targets, residues)
+    ]
 
 
-def _level_residue(
-    n: int,
+def _level_residues(
+    ns: Sequence[int],
     w: int,
     a: tuple[int, ...],
     q: int,
@@ -244,43 +269,61 @@ def _level_residue(
     v: int,
     points: int,
     K: int,
-    target: Fraction,
-) -> int:
-    """(level sum - target) mod p^K, up to a p-adic unit factor.
+    targets: Sequence[Fraction],
+) -> list[int]:
+    """(level sum - target) mod p^K for each n >= 1 in `ns` and its target,
+    up to a p-adic unit factor.
 
     With e = nu_p(q - 1) and the unit c = (q - 1)/p^e, [x : q] = b(x)/c where
     b(x) = (q^x - 1)/p^e is p-integral. The level sum is
-    c^-n T / [p^N : u]^r with T = sum_xs b(w + a.xs)^n u^|xs|, and dividing
-    by the unit c^-n / [p^N : u]^r leaves T - target c^n [p^N : u]^r. A term
-    carries u^|xs| = p^(v |xs|) (u / p^v)^|xs|, so b is needed only mod
+    c^-n T_n / [p^N : u]^r with T_n = sum_xs b(w + a.xs)^n u^|xs|, and
+    dividing by the unit c^-n / [p^N : u]^r leaves
+    T_n - target c^n [p^N : u]^r. A term carries
+    u^|xs| = p^(v |xs|) (u / p^v)^|xs|, so b is needed only mod
     p^(K - v |xs|), and terms with v |xs| >= K vanish.
+
+    One pass serves every n: b is taken once per point, and its powers by
+    running products. Each T_n is a Horner sum in u, kept on the fly: the
+    points are walked by size s = |xs| from the largest down, and before
+    each size every running T_n is multiplied by u.
     """
     e = valuation(q - 1, p)
     pe = p**e
     mod = p**K
     s_max = min(len(a) * (points - 1), (K - 1) // v)
-    moduli = _shrinking_moduli(p, v, K + e, s_max + 1)
     tables = [_axis_powers(q, aj, p, v, points, K + e) for aj in a]
-    qw = pow(q, w, moduli[0])
-    by_size = [0] * (s_max + 1)
+    of_size: list[list[tuple[int, ...]]] = [[] for _ in range(s_max + 1)]
     for xs in itertools.product(range(points), repeat=len(a)):
         s = sum(xs)
-        if s > s_max:
-            continue
-        m = moduli[s]
-        power = qw
-        for table, x in zip(tables, xs):
-            power = power * table[x] % m
-        # b^n left unreduced: one reduction mod p^K at the end costs less
-        # than one per term
-        by_size[s] += ((power - 1) // pe) ** n
-    total = 0
-    for s in range(s_max, -1, -1):  # Horner in u: by_size[s] gets u^s
-        total = total * u + by_size[s]
+        if s <= s_max:
+            of_size[s].append(xs)
+    exponents = sorted(set(ns))
+    steps = [n - m for m, n in zip([0, *exponents], exponents)]
+    totals = [0] * len(exponents)
+    qw = pow(q, w, p ** (K + e))
+    # m = p^(K + e - v s), the digits a term of size s needs
+    m, pv = p ** (K + e - v * s_max), p**v
+    for s in range(s_max, -1, -1):
+        totals = [total * u for total in totals]
+        for xs in of_size[s]:
+            power = qw
+            for table, x in zip(tables, xs):
+                power = power * table[x] % m
+            b, bn = (power - 1) // pe, 1
+            for i, step in enumerate(steps):
+                # b^n left unreduced: one reduction mod p^K at the end costs
+                # less than one per term
+                bn *= b**step
+                totals[i] += bn
+        m *= pv
     norm = (1 - pow(u, points, mod)) * pow(1 - u, -1, mod) % mod
     c = (q - 1) // pe
-    t = target.numerator * pow(target.denominator, -1, mod)
-    return (total - t * pow(c, n, mod) * pow(norm, len(a), mod)) % mod
+    scale = pow(norm, len(a), mod)
+    sums = dict(zip(exponents, totals))
+    return [
+        (sums[n] - t.numerator * pow(t.denominator, -1, mod) * pow(c, n, mod) * scale) % mod
+        for n, t in zip(ns, targets)
+    ]
 
 
 def _shrinking_moduli(p: int, v: int, digits: int, count: int) -> list[int]:
@@ -294,7 +337,7 @@ def _shrinking_moduli(p: int, v: int, digits: int, count: int) -> list[int]:
 
 @functools.lru_cache(maxsize=8)
 def _axis_powers(q: int, aj: int, p: int, v: int, points: int, digits: int) -> tuple[int, ...]:
-    """q^(aj x) mod p^(digits - v x) for x < p^N; the (n, w) checks of one
+    """q^(aj x) mod p^(digits - v x) for x < p^N; the w checks of one
     level share these. Each step multiplies by the small integer q^|aj|:
     upwards in x for aj > 0, downwards from q^(aj (p^N - 1)) for aj < 0."""
     moduli = _shrinking_moduli(p, v, digits, points)
@@ -304,12 +347,19 @@ def _axis_powers(q: int, aj: int, p: int, v: int, points: int, digits: int) -> t
         for m in moduli[1:]:
             powers.append(powers[-1] * step % m)
         return tuple(powers)
-    # going down in x, the moduli grow: keep every digit until the entry
+    # going down in x, the moduli grow: `power` keeps every digit. It is
+    # reduced to the largest modulus of a block of 32 entries once, so each
+    # entry drops at most 32 v digits; dropping all v x of them per entry
+    # costs time quadratic in p^N.
     power = pow(q, aj * (points - 1), moduli[0])
     powers = [0] * points
-    for x in range(points - 1, -1, -1):
-        powers[x] = power % moduli[x]
-        power = power * step % moduli[0]
+    for top in range(points - 1, -1, -32):
+        low = max(top - 31, 0)
+        block = power % moduli[low]
+        for x in range(top, low - 1, -1):
+            powers[x] = block % moduli[x]
+            block = block * step % moduli[low]
+        power = power * step ** (top - low + 1) % moduli[0]
     return tuple(powers)
 
 

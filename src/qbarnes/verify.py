@@ -4,17 +4,18 @@ Each suite runs a pinned, seeded parameter grid and reports per-check
 residuals (exact rationals, expected 0) or p-adic error valuations
 (expected to grow with the level). Nothing here is approximate: residuals
 come from exact arithmetic, and every valuation reported is exact, never a
-bound (riemann-limit's and prop5's come from `riemann_error_valuation`).
+bound (riemann-limit's and prop5's come from `riemann_error_valuations`).
 
 A suite is a generator of checks over a seeded `ParameterSampler`; `_suite`
 turns it into the callable that builds the whole report. Suite names double
 as the CLI `verify` vocabulary.
 
 The suites share no state, so `all` runs them in forked worker processes,
-one per usable CPU, and joins their reports in table order: the output is
-the same byte for byte as one process running them in turn, which is what
-happens where the platform has no fork. A single suite runs in the calling
-process; run the suites one at a time to profile them.
+one per usable CPU. The longest suite starts first, and the reports are
+joined in table order: the output is the same byte for byte as one process
+running them in turn, which is what happens where the platform has no fork.
+A single suite runs in the calling process; run the suites one at a time to
+profile them.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ from .padic_integration import (
     measure_bound_check,
     multi_riemann_integral,  # unused here; perfbench/tracer.py wraps it under this name
     prop5_check,
-    riemann_error_valuation,
+    riemann_error_valuations,
     riemann_integral,
 )
 from .qnum import QBase, qbracket
@@ -322,13 +323,19 @@ def _riemann_limit(sampler: ParameterSampler, budget: int) -> Checks:
             q, uu, base = _sample_padic_qu(sampler, p, v)
             a = tuple(sampler.nonzero_int(-2, 2) for _ in range(r))
             params = BarnesParams(a, uu.u, QBase(q))
-            for n in range(4):
+            ns = range(4)
+            # each (w, level) takes every n in one pass; the checks keep the
+            # (n, w) order, and every draw above comes before any sum
+            by_w = {}
+            for w in (0, 1):
+                targets = [h_closed(n, w, params) for n in ns]
+                by_w[w] = [
+                    riemann_error_valuations(ns, w, params, uu, N, targets, budget)
+                    for N in levels
+                ]
+            for n in ns:
                 for w in (0, 1):
-                    target = h_closed(n, w, params)
-                    vals = [
-                        riemann_error_valuation(n, w, params, uu, N, target, budget)
-                        for N in levels
-                    ]
+                    vals = [at_level[n] for at_level in by_w[w]]
                     if v >= 1:
                         ok = _weakly_increasing(vals) and vals[-1] >= levels[-1] - 1
                     else:
@@ -580,32 +587,55 @@ def _suite_report(name: str, seed: int, budget: int) -> SuiteReport:
     return SUITES[name](seed=seed, budget=budget)
 
 
+# SUITES' names by measured cost, the longest first (seed 0, in process):
+# `all` submits them in this order, so the pool starts the suite that sets
+# its critical path at once (Graham's LPT rule), and joins them in table order.
+_LONGEST_FIRST = (
+    "riemann-limit",
+    "qlimit",
+    "distribution",
+    "addition",
+    "measure-additivity",
+    "interpolation",
+    "theorem1-gf",
+    "eq8-bridge",
+    "kummer",
+    "unit-power",
+    "measure-bound",
+    "prop5",
+    "carlitz-bridge",
+)
+
+
 def _suite_reports(seed: int, budget: int) -> list[SuiteReport]:
     """Every suite's report, in table order, from a pool of forked processes,
-    one per usable CPU. Where the platform has no fork they run in this
-    process: spawn and forkserver workers re-run the caller's main module,
-    so an unguarded script that runs "all" would fail in them."""
+    one per usable CPU. The pool starts the longest suite first, in the
+    order of _LONGEST_FIRST; the reports, and an error, are taken in table
+    order. Where the platform has no fork the suites run in this process,
+    in table order: spawn and forkserver workers re-run the caller's main
+    module, so an unguarded script that runs "all" would fail in them."""
     # imported here: concurrent.futures costs about as much as qbarnes
     import multiprocessing
 
-    jobs = (_suite_report, SUITES, repeat(seed), repeat(budget))
     if "fork" not in multiprocessing.get_all_start_methods():
-        return list(map(*jobs))
+        return list(map(_suite_report, SUITES, repeat(seed), repeat(budget)))
     from concurrent.futures import ProcessPoolExecutor
 
     workers = min(len(SUITES), _usable_cpus())
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(*jobs))
+        futures = {name: pool.submit(_suite_report, name, seed, budget) for name in _LONGEST_FIRST}
+        return [futures[name].result() for name in SUITES]
 
 
 def run_suite(name: str, seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
     """The report of suite `name`, or of every suite for "all".
 
     "all" runs the suites in forked worker processes, one per usable CPU
-    (in this process where there is no fork), and joins their checks in
-    table order, so its report is the same either way. When suites raise,
-    the error is that of the first of them in table order. A single suite
-    runs in this process, so run them one at a time to profile them.
+    (in this process where there is no fork). The longest suite starts
+    first, but the checks are still joined in table order, so the report is
+    the same either way. When suites raise, the error is that of the first
+    of them in table order. A single suite runs in this process, so run them
+    one at a time to profile them.
     """
     if name == "all":
         combined = SuiteReport("all")

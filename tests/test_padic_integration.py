@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,7 @@ from qbarnes import (
     qbracket,
     qbracket_z,
     riemann_error_valuation,
+    riemann_error_valuations,
     riemann_integral,
     to_padic,
     valuation,
@@ -213,12 +215,14 @@ def test_riemann_error_valuation_matches_exact_path(monkeypatch):
         for v in (1, 2)
     ]
     cases += [(3, (1, -2), 1, 1 - 2 * 3, 2), (5, (-1,), 2, 6, -1)]
+    ns, grid = range(4), {}
     for p, a, v, q, c in cases:
         uu = AdmissibleU(F(p) ** v * c, p)
         params = BarnesParams(a, uu.u, QBase(F(q)))
-        for n, w, N in itertools.product(range(4), (0, 1), (0, 1, 2)):
+        for n, w, N in itertools.product(ns, (0, 1), (0, 1, 2)):
             target = h_closed(n, w, params)
             expected = valuation(exact(n, w, params, uu, N) - target, p)
+            grid[p, a, v, q, c, n, w, N] = target, expected
             assert riemann_error_valuation(n, w, params, uu, N, target) == expected, (
                 p, a, v, q, n, w, N,
             )
@@ -226,18 +230,32 @@ def test_riemann_error_valuation_matches_exact_path(monkeypatch):
     # summing: every other valuation above was decided mod p^K
     assert len(fallbacks) == len(cases) * 2 * 3 and all(n == 0 for n, _ in fallbacks)
 
+    # the many-n form: one call per (case, w, N) gives every n's valuation,
+    # the same as the single-n calls and the exact path, and again only
+    # n = 0 reaches the exact sum
+    fallbacks.clear()
+    for p, a, v, q, c in cases:
+        uu = AdmissibleU(F(p) ** v * c, p)
+        params = BarnesParams(a, uu.u, QBase(F(q)))
+        for w, N in itertools.product((0, 1), (0, 1, 2)):
+            targets, expected = zip(*(grid[p, a, v, q, c, n, w, N] for n in ns))
+            assert riemann_error_valuations(ns, w, params, uu, N, targets) == list(expected), (
+                p, a, v, q, w, N,
+            )
+    assert len(fallbacks) == len(cases) * 2 * 3 and all(n == 0 for n, _ in fallbacks)
+
 
 def test_riemann_error_valuation_skips_the_modular_sum_at_n_zero(monkeypatch):
     # n = 0 makes the level sum exactly 1, so no residue mod p^K is summed
-    residue, moments = pi._level_residue, []
+    residues, moments = pi._level_residues, []
 
-    def no_zero_moment(n, *args):
-        if n == 0:
+    def no_zero_moment(ns, *args):
+        if 0 in ns:
             raise AssertionError("summed mod p^K at n = 0")
-        moments.append(n)
-        return residue(n, *args)
+        moments.extend(ns)
+        return residues(ns, *args)
 
-    monkeypatch.setattr(pi, "_level_residue", no_zero_moment)
+    monkeypatch.setattr(pi, "_level_residues", no_zero_moment)
     for p, a, q in ((3, (1,), 4), (5, (1, -2), 11), (7, (-1, 2), 8)):
         uu = AdmissibleU(F(p), p)
         params = BarnesParams(a, uu.u, QBase(F(q)))
@@ -249,6 +267,61 @@ def test_riemann_error_valuation_skips_the_modular_sum_at_n_zero(monkeypatch):
     expected = valuation(multi_riemann_integral(1, 0, params, uu, 1) - target, uu.p)
     assert riemann_error_valuation(1, 0, params, uu, 1, target) == expected
     assert moments == [1]
+
+
+def test_riemann_error_valuations_send_only_a_zero_residue_to_the_exact_sum(monkeypatch):
+    # a zero residue at n = 2 alone: n = 2 (and n = 0, which never sums mod
+    # p^K) reach the exact sum, n = 1 and n = 3 keep their residues; the
+    # valuations come back in the order of ns, whatever that order is
+    residues = pi._level_residues
+
+    def zero_at_two(ns, *args):
+        return [0 if n == 2 else r for n, r in zip(ns, residues(ns, *args))]
+
+    monkeypatch.setattr(pi, "_level_residues", zero_at_two)
+    fallbacks = _counting_fallbacks(monkeypatch)
+    uu = AdmissibleU(F(5), 5)
+    params = BarnesParams((1, -2), uu.u, QBase(F(11)))
+    for ns in ((0, 1, 2, 3), (3, 2, 1, 0)):
+        fallbacks.clear()
+        for w, N in itertools.product((0, 1), (1, 2)):
+            targets = [h_closed(n, w, params) for n in ns]
+            expected = [
+                valuation(multi_riemann_integral(n, w, params, uu, N) - t, 5)
+                for n, t in zip(ns, targets)
+            ]
+            assert riemann_error_valuations(ns, w, params, uu, N, targets) == expected
+        assert fallbacks == [(n, w) for w in (0, 1) for _ in (1, 2) for n in ns if n in (0, 2)]
+
+
+def test_axis_powers_are_the_powers_of_q_mod_each_entrys_modulus():
+    # 81 and 125 points: for aj < 0, blocks of 32 entries and a short last one
+    for p, v, N, q in ((3, 1, 4, 7), (3, 2, 4, 4), (5, 2, 3, 11)):
+        points = p**N
+        digits = v * points + N + 3
+        for aj in (-2, -1, 1, 2):
+            assert pi._axis_powers(q, aj, p, v, points, digits) == tuple(
+                pow(q, aj * x, p ** (digits - v * x)) for x in range(points)
+            ), (p, v, N, q, aj)
+
+
+def test_riemann_error_valuations_keep_no_term_of_the_level_sum():
+    # the Horner sums in u are kept on the fly: no list of the 2,401 terms
+    # b^n (nor of their moduli) lives through the pass. Binning the terms by
+    # size per n, and summing the bins after the pass, peaks near 6 MB here;
+    # the pass itself near 0.4 MB.
+    uu = AdmissibleU(F(7) ** 2 * 3, 7)
+    params = BarnesParams((1,), uu.u, QBase(F(15)))
+    ns, N = range(4), 4
+    targets = [h_closed(n, 1, params) for n in ns]
+    expected = riemann_error_valuations(ns, 1, params, uu, N, targets)  # warms _axis_powers
+    tracemalloc.start()
+    try:
+        assert riemann_error_valuations(ns, 1, params, uu, N, targets) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000, peak
 
 
 def test_riemann_error_valuation_falls_back_outside_its_domain(monkeypatch):
@@ -274,7 +347,7 @@ def test_riemann_error_valuation_checks_budget_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("summed before the budget check")
 
-    monkeypatch.setattr(pi, "_level_residue", no_work)
+    monkeypatch.setattr(pi, "_level_residues", no_work)
     monkeypatch.setattr(pi, "multi_riemann_integral", no_work)
     uu = AdmissibleU(F(3), 3)
     params = BarnesParams((1, 2), F(3), QBase(F(4)))

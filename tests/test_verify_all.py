@@ -1,6 +1,7 @@
 """`verify all`: its suites run in forked worker processes, one per usable
-CPU, or in this process where the platform has no fork, and either way print
-the same bytes as CI pins for `qbarnes --seed 0 verify all`."""
+CPU, longest first, or in this process where the platform has no fork, and
+either way print the same bytes as CI pins for `qbarnes --seed 0 verify
+all`."""
 import concurrent.futures
 import hashlib
 import json
@@ -63,6 +64,66 @@ def test_verify_all_reports_the_first_failing_suite_in_table_order(capsys, monke
     assert (code, out) == run_cli(capsys, "verify", "riemann-limit", "--budget", "10")
     assert code == 4
     assert json.loads(out)["error"] == "BudgetError"
+
+
+def stub_suites(monkeypatch, raising: dict[str, str] | None = None) -> None:
+    """Replace every suite with one that returns a single check named after
+    it at once, or raises a PreconditionError with the message `raising`
+    gives for its name. Forked workers inherit the replacements."""
+    def stub(name):
+        def run(seed, budget):
+            if raising and name in raising:
+                raise errors.PreconditionError(raising[name], parameter=name)
+            return verify.SuiteReport(name, [verify.CheckResult(f"{name}/stub", {}, True, "0")])
+        return run
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, stub(name))
+
+
+def test_the_cost_order_names_every_suite_once():
+    # a suite added to SUITES fails here until it is placed by its cost
+    assert sorted(verify._LONGEST_FIRST) == sorted(verify.SUITES)
+
+
+def test_verify_all_starts_the_longest_suite_first_and_joins_in_table_order(
+    capsys, monkeypatch
+):
+    submitted = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, name, *args):
+            submitted.append(name)
+            return super().submit(fn, name, *args)
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    stub_suites(monkeypatch)
+    code, out = run_cli(capsys, "verify", "all")
+    assert code == 0
+    assert submitted == list(verify._LONGEST_FIRST) and submitted[0] == "riemann-limit"
+    checks = [check["name"] for check in json.loads(out)["checks"]]
+    assert checks == [f"{name}/stub" for name in verify.SUITES]
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_verify_all_reports_the_first_failing_suite_in_table_order_not_in_start_order(
+    capsys, monkeypatch, fork
+):
+    # riemann-limit starts first and fails; theorem1-gf, first in the
+    # table, fails too, and its error is the one printed
+    built = pools_built(monkeypatch, 2)
+    if not fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    stub_suites(monkeypatch, {name: f"{name} failed" for name in ("theorem1-gf", "riemann-limit")})
+    code, out = run_cli(capsys, "verify", "all")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "PreconditionError",
+        "message": "theorem1-gf failed",
+        "parameter": "theorem1-gf",
+    }
+    assert built == ([(2, "fork")] if fork else [])
 
 
 def _subclasses(cls):
