@@ -24,11 +24,11 @@ from .characters_lfunctions import (
 )
 from .errors import PreconditionError, QBarnesError
 from .exact_numbers import (
-    INFINITY,
     PadicContext,
     PadicNumber,
     agreement_valuation,
     format_rational,
+    format_valuation,
     parse_rational,
 )
 from .euler_barnes import (
@@ -230,7 +230,7 @@ def _l_value(args) -> dict:
         ag = agreement_valuation(level, closed)
         out["riemann"] = level
         out["level_N"] = args.level_N
-        out["agreement_valuation"] = "inf" if ag == INFINITY else int(ag)
+        out["agreement_valuation"] = format_valuation(ag)
     return out
 
 

@@ -102,6 +102,11 @@ def format_rational(x: Rational | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_valuation(v: int | float) -> int | str:
+    """Wire form of a valuation: the int, or "inf" for INFINITY."""
+    return "inf" if v == INFINITY else int(v)
+
+
 def parse_rational(s: str) -> Rational:
     try:
         return Fraction(s.strip())
@@ -302,11 +307,10 @@ class PadicNumber:
         )
 
     def to_json_dict(self) -> dict:
-        v = "inf" if self.is_zero else self.valuation
         return {
             "p": self.context.p,
             "M": self.context.precision,
-            "valuation": v,
+            "valuation": format_valuation(self.valuation),
             "unit": self.unit,
         }
 

@@ -21,8 +21,7 @@ p-adic sums). One pass over the points takes each point's q-bracket
 numerator once and its n-th powers by running products, and keeps each
 n's sum as a Horner sum in u on the fly. A nonzero residue fixes that n's
 valuation exactly; a zero residue sends that n alone to the exact sum, so
-no valuation is ever capped at K. `riemann_error_valuation` is its one-n
-case.
+no valuation is ever capped at K.
 """
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ from .qnum import QBase, qbracket, qbracket_z
 #: Default cap on evaluation points for any single Riemann sum.
 DEFAULT_BUDGET = 250_000
 
-#: p-adic digits `riemann_error_valuation` keeps above the error valuation
+#: p-adic digits `riemann_error_valuations` keeps above the error valuation
 #: v p^N + N it expects; a valuation beyond them costs an exact fallback.
 GUARD_DIGITS = 40
 
@@ -157,12 +156,17 @@ def riemann_integral(
     return total / lift(norm)
 
 
-def _level_points(params: BarnesParams, u: AdmissibleU, N: int, budget: int) -> int:
-    """Checks the inputs of an r-fold level-N sum; returns p^N, the points per axis."""
+def _level_points(
+    ns: Sequence[int], params: BarnesParams, u: AdmissibleU, N: int, budget: int
+) -> int:
+    """Checks the inputs of the r-fold level-N sums of the moments `ns`;
+    returns p^N, the points per axis."""
     if params.u != u.u:
         raise PreconditionError("params.u and the integrator's u differ", parameter="u")
     if N < 0:
         raise PreconditionError("N must be >= 0", parameter="N")
+    if any(n < 0 for n in ns):
+        raise PreconditionError("n must be >= 0", parameter="n")
     points = u.p**N
     _check_budget(points**params.r, budget)
     return points
@@ -182,7 +186,7 @@ def multi_riemann_integral(
     u the integrator carries. It is the r-fold iterate of `riemann_integral`:
     the one-axis sum over x_1 of the (r-1)-fold sum at w + a_1 x_1.
     """
-    _level_points(params, u, N, budget)
+    _level_points((n,), params, u, N, budget)
     if n == 0:
         # the integrand is 1, and sum_xs u^|xs| = [p^N : u]^r is the normaliser
         return Fraction(1)
@@ -198,20 +202,6 @@ def multi_riemann_integral(
         return riemann_integral(lambda x: level_sum(arg + aj * x, rest), u, 1, N, budget)
 
     return level_sum(w, params.a)
-
-
-def riemann_error_valuation(
-    n: int,
-    w: int,
-    params: BarnesParams,
-    u: AdmissibleU,
-    N: int,
-    target: Rational,
-    budget: int = DEFAULT_BUDGET,
-) -> int | float:
-    """nu_p(multi_riemann_integral(n, w, params, u, N) - target), exactly:
-    the one-n case of `riemann_error_valuations`."""
-    return riemann_error_valuations((n,), w, params, u, N, (target,), budget)[0]
 
 
 def riemann_error_valuations(
@@ -232,9 +222,14 @@ def riemann_error_valuations(
     over the points: their error starts at the u^(p^N) tail, so its
     valuation is about v p^N. A nonzero residue is that n's valuation; a
     zero residue, like every other input, sends that n alone to the exact
-    sum (1 at n = 0). The budget is checked before any work.
+    sum (1 at n = 0). Every input, and the budget, is checked before any
+    work; `ns` and `targets` must have the same length.
     """
-    points = _level_points(params, u, N, budget)
+    if len(ns) != len(targets):
+        raise PreconditionError(
+            f"{len(ns)} moments but {len(targets)} targets", parameter="targets"
+        )
+    points = _level_points(ns, params, u, N, budget)
     p, v = u.p, u.valuation
     q, uu = params.q.value, u.u
     targets = [Fraction(t) for t in targets]
@@ -326,21 +321,15 @@ def _level_residues(
     ]
 
 
-def _shrinking_moduli(p: int, v: int, digits: int, count: int) -> list[int]:
-    """p^(digits - v s) for s < count: the digits a term carrying u^s needs."""
-    pv = p**v
-    moduli = [p**digits]
-    for _ in range(count - 1):
-        moduli.append(moduli[-1] // pv)
-    return moduli
-
-
 @functools.lru_cache(maxsize=8)
 def _axis_powers(q: int, aj: int, p: int, v: int, points: int, digits: int) -> tuple[int, ...]:
     """q^(aj x) mod p^(digits - v x) for x < p^N; the w checks of one
     level share these. Each step multiplies by the small integer q^|aj|:
     upwards in x for aj > 0, downwards from q^(aj (p^N - 1)) for aj < 0."""
-    moduli = _shrinking_moduli(p, v, digits, points)
+    pv = p**v
+    moduli = [p**digits]
+    for _ in range(points - 1):
+        moduli.append(moduli[-1] // pv)
     step = q ** abs(aj)
     if aj > 0:
         powers = [1]
@@ -432,15 +421,13 @@ def prop5_check(
     [a1 x : q]^k u^x / (1 - u^(p^N)); their sum converges p-adically to the
     k-th moment (1/(1-u)) H_k. Since 1 - u^m = [m : u] (1 - u), that sum is
     the rank-1 `multi_riemann_integral(k, 0, ...)` with a = (a1,), divided by
-    1 - u, so the difference is `riemann_error_valuation` against H_k less
+    1 - u, so the difference is `riemann_error_valuations` against H_k less
     nu_p(1 - u). Exact, like that valuation; INFINITY when the level-N sum
     is already exact (k = 0). The budget is checked before any work.
     """
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
-    if N < 0:
-        raise PreconditionError("N must be >= 0", parameter="N")
-    _check_budget(u.p**N, budget)
     params = BarnesParams((a1,), u.u, QBase(q))
-    error = riemann_error_valuation(k, 0, params, u, N, h_closed(k, 0, params), budget)
+    _level_points((k,), params, u, N, budget)
+    error = riemann_error_valuations((k,), 0, params, u, N, (h_closed(k, 0, params),), budget)[0]
     return error - valuation(1 - u.u, u.p)

@@ -41,6 +41,7 @@ from .exact_numbers import (
     PadicContext,
     agreement_valuation,
     format_rational,
+    format_valuation,
     padic_pow,
     to_padic,
     valuation,
@@ -103,10 +104,6 @@ class SuiteReport:
         }
 
 
-def _fmt_val(v) -> object:
-    return "inf" if v == INFINITY else int(v)
-
-
 def _weakly_increasing(vals) -> bool:
     return all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -128,7 +125,7 @@ def _qu(q: Fraction, u: Fraction) -> dict:
 
 def _level_record(levels, vals) -> dict:
     """The per-level valuations of a convergence check, for its params."""
-    return {"levels": list(levels), "valuations": [_fmt_val(x) for x in vals]}
+    return {"levels": list(levels), "valuations": [format_valuation(x) for x in vals]}
 
 
 class ParameterSampler:
@@ -543,7 +540,7 @@ def _suite(name: str, checks: Callable[[ParameterSampler, int], Checks]):
                 params,
                 passed,
                 residual=format_rational(value) if exact else None,
-                error_valuation=None if exact else _fmt_val(value),
+                error_valuation=None if exact else format_valuation(value),
             ))
         return report
 

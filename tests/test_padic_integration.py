@@ -25,7 +25,6 @@ from qbarnes import (
     prop5_check,
     qbracket,
     qbracket_z,
-    riemann_error_valuation,
     riemann_error_valuations,
     riemann_integral,
     to_padic,
@@ -188,7 +187,7 @@ def test_riemann_integral_lift_runs_the_sum_in_padic_scalars():
 
 
 def _counting_fallbacks(monkeypatch):
-    """Patches the exact sum riemann_error_valuation falls back to; returns
+    """Patches the exact sum riemann_error_valuations falls back to; returns
     the list each fallback call appends its (n, w) to."""
     calls = []
     exact = pi.multi_riemann_integral
@@ -223,7 +222,7 @@ def test_riemann_error_valuation_matches_exact_path(monkeypatch):
             target = h_closed(n, w, params)
             expected = valuation(exact(n, w, params, uu, N) - target, p)
             grid[p, a, v, q, c, n, w, N] = target, expected
-            assert riemann_error_valuation(n, w, params, uu, N, target) == expected, (
+            assert riemann_error_valuations((n,), w, params, uu, N, (target,))[0] == expected, (
                 p, a, v, q, n, w, N,
             )
     # only n = 0 reached the exact sum, which returns 1 there without
@@ -260,12 +259,12 @@ def test_riemann_error_valuation_skips_the_modular_sum_at_n_zero(monkeypatch):
         uu = AdmissibleU(F(p), p)
         params = BarnesParams(a, uu.u, QBase(F(q)))
         for w, N in itertools.product((0, 1, -2), (0, 1, 2)):
-            assert riemann_error_valuation(0, w, params, uu, N, F(1)) == INFINITY
+            assert riemann_error_valuations((0,), w, params, uu, N, (F(1),))[0] == INFINITY
         assert prop5_check(0, uu, F(q), a[0], 2) == INFINITY
     # n >= 1 still takes the modular path
     target = h_closed(1, 0, params)
     expected = valuation(multi_riemann_integral(1, 0, params, uu, 1) - target, uu.p)
-    assert riemann_error_valuation(1, 0, params, uu, 1, target) == expected
+    assert riemann_error_valuations((1,), 0, params, uu, 1, (target,))[0] == expected
     assert moments == [1]
 
 
@@ -339,7 +338,7 @@ def test_riemann_error_valuation_falls_back_outside_its_domain(monkeypatch):
         for N in (1, 2):
             target = h_closed(2, 1, params) + shift
             expected = valuation(exact(2, 1, params, uu, N) - target, uu.p)
-            assert riemann_error_valuation(2, 1, params, uu, N, target) == expected
+            assert riemann_error_valuations((2,), 1, params, uu, N, (target,))[0] == expected
     assert fallbacks == [(2, 1)] * (2 * len(cases))
 
 
@@ -352,18 +351,32 @@ def test_riemann_error_valuation_checks_budget_before_any_work(monkeypatch):
     uu = AdmissibleU(F(3), 3)
     params = BarnesParams((1, 2), F(3), QBase(F(4)))
     with pytest.raises(BudgetError):
-        riemann_error_valuation(1, 0, params, uu, 4, h_closed(1, 0, params), budget=100)
+        riemann_error_valuations((1,), 0, params, uu, 4, (h_closed(1, 0, params),), budget=100)
     with pytest.raises(PreconditionError):
-        riemann_error_valuation(1, 0, BarnesParams((1,), F(6), QBase(F(4))), uu, 1, F(0))
+        riemann_error_valuations((1,), 0, BarnesParams((1,), F(6), QBase(F(4))), uu, 1, (F(0),))
 
 
-def test_level_sums_name_the_argument_out_of_range():
+def test_level_sums_name_the_argument_out_of_range(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("summed before the inputs were checked")
+
+    monkeypatch.setattr(pi, "_level_residues", no_work)
+    monkeypatch.setattr(pi, "multi_riemann_integral", no_work)
     uu = AdmissibleU(F(3), 3)
+    params = BarnesParams((1,), uu.u, QBase(F(4)))
+    h1 = h_closed(1, 0, params)
     for call, parameter in (
         (lambda: riemann_integral(lambda x: F(1), uu, 1, -1), "N"),
         (lambda: riemann_integral(lambda x: F(1), uu, 0, 1), "d"),
         (lambda: prop5_check(1, uu, F(4), 1, -1), "N"),
         (lambda: prop5_check(-1, uu, F(4), 1, 1), "k"),
+        # a negative moment: [0 : q]^n = 0^n has no value
+        (lambda: multi_riemann_integral(-1, 0, params, uu, 2), "n"),
+        (lambda: riemann_error_valuations((-1,), 0, params, uu, 2, (F(0),)), "n"),
+        (lambda: riemann_error_valuations((1, -1), 0, params, uu, 2, (h1, F(0))), "n"),
+        # one target per moment: neither list is cut to the other's length
+        (lambda: riemann_error_valuations((1, 2), 0, params, uu, 2, (h1,)), "targets"),
+        (lambda: riemann_error_valuations((1,), 0, params, uu, 2, (h1, h1)), "targets"),
     ):
         with pytest.raises(PreconditionError) as exc:
             call()
