@@ -11,7 +11,7 @@ The two L-value routes are deliberately independent: `l_riemann` sums the
 defining integral over the p-adic units at level N, with the one Riemann
 sum of `padic_integration` run in p-adic numbers, while `l_at_negative`
 evaluates the closed form with its Euler-like correction factor at u^p, q^p.
-The interpolation and Kummer suites compare them.
+The interpolation suite compares them.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .exact_numbers import (
     to_padic,
     valuation,
 )
-from .euler_barnes import refinement
+from .euler_barnes import _integer_a, refinement
 from .padic_integration import DEFAULT_BUDGET, AdmissibleU, riemann_integral
 from .qnum import qbracket
 
@@ -228,15 +228,15 @@ def h_chi(
     mode, a PadicNumber in teichmuller mode, with each term embedded once by
     `chi.lift` and the prefactor last. p-adic terms are added in one pass
     (`padic_sum`), so partial sums that cancel exactly lose no precision.
+
+    A u^d = 1 or q^d = 1 fault wins over k < 0, which wins over an r or a_j one.
     """
-    a = tuple(int(x) for x in a)
-    if r != len(a):
-        raise PreconditionError("r must equal len(a)", parameter="r")
     support = [i for i in range(chi.modulus) if chi(i) != 0]
     indices = itertools.product(support, repeat=r)
     prefactor, terms = refinement(k, 0, a, u, q, chi.modulus, indices)
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
+    _integer_a(a, r)
     one = chi.lift(Fraction(1))
     weighted = []
     for iv, term in zip(itertools.product(support, repeat=r), terms):
@@ -416,12 +416,11 @@ def kummer_check(
     q: Rational,
     a1: int,
     context: PadicContext,
-) -> bool:
-    """L(-k) ≡ L(-k2) mod p^n whenever k ≡ k2 mod (p-1) p^n.
-
-    Rational-mode characters are checked with the exact valuation of the
-    rational difference, which is not capped at the context precision;
-    teichmuller-mode ones with `agreement_valuation`, capped there.
+) -> int | float:
+    """nu_p(L(-k) - L(-k2)) of `_l_negative_exact`, at least n by the Kummer
+    congruence when k ≡ k2 mod (p-1) p^n: exact for a rational-mode
+    character, not capped at the context precision, and `agreement_valuation`,
+    capped there, for a teichmuller-mode one.
     """
     p = context.p
     _check_l_inputs(chi, u, a1, context)
@@ -436,12 +435,7 @@ def kummer_check(
             "context precision too small to witness the congruence",
             parameter="precision",
         )
-    q = Fraction(q)
+    la, lb = (_l_negative_exact(j, chi, u.u, Fraction(q), a1, p) for j in (k, k2))
     if chi.context is None:
-        diff = _l_negative_exact(k, chi, u.u, q, a1, p) - _l_negative_exact(
-            k2, chi, u.u, q, a1, p
-        )
-        return valuation(diff, p) >= n
-    va = l_at_negative(k, chi, u, q, a1, context)
-    vb = l_at_negative(k2, chi, u, q, a1, context)
-    return agreement_valuation(va, vb) >= n
+        return valuation(la - lb, p)
+    return agreement_valuation(la, lb)

@@ -83,7 +83,7 @@ def _parse_character(spec: str, context: PadicContext | None) -> DirichletCharac
         return DirichletCharacter(modulus, [_json_rational(v) for v in values])
     if spec == "teichmuller":
         if context is None:
-            raise PreconditionError("teichmuller character needs --p and --precision")
+            raise PreconditionError("teichmuller character needs --p")
         return DirichletCharacter.teichmuller_character(context)
     kind, _, rest = spec.partition(":")
     if kind in ("trivial", "quadratic"):

@@ -164,18 +164,6 @@ def _int_quotient(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
     return None if any(rem) else quo
 
 
-def _int_divexact(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """f / g over Z where the caller knows g divides f; g has a nonzero top.
-
-    A remainder, or a leading quotient that is not an integer, is a broken
-    invariant and raises `InternalError`.
-    """
-    quo = _int_quotient(f, g)
-    if quo is None:
-        raise InternalError("expected exact polynomial division, got a remainder")
-    return quo
-
-
 def _gcd_mod(f: list[int], g: list[int], P: int) -> list[int]:
     """Monic gcd of f and g in GF(P)[q] by Euclid; P divides neither top."""
     a = [c % P for c in f]
@@ -314,15 +302,37 @@ class RationalFunctionQ:
 
 
 # ---------------------------------------------------------------------------
-# parameter bundle
+# parameter bundle, and the checks on a and u that every H-route shares
+
+
+def _integer_a(a: Sequence[Rational], r: int) -> tuple[int, ...]:
+    """a_1..a_r as ints: r must be len(a), and every a_j a nonzero integer; an
+    entry equal to one is converted, any other (3/2, say) rejected, not rounded."""
+    if r != len(a):
+        raise PreconditionError("r must equal len(a)", parameter="r")
+    ints = tuple(int(x) for x in a)
+    if ints != tuple(a):
+        raise PreconditionError("every a_j must be an integer", parameter="a")
+    if not ints:
+        raise PreconditionError("need at least one a_j", parameter="a")
+    if 0 in ints:
+        raise PreconditionError("every a_j must be nonzero", parameter="a")
+    return ints
+
+
+def _barnes_u(u: Rational) -> Fraction:
+    """u as a Fraction; the closed form degenerates at u = 0 and u = 1."""
+    u = Fraction(u)
+    if u == 0 or u == 1:
+        raise PreconditionError("u must avoid 0 and 1", parameter="u")
+    return u
 
 
 @dataclass(frozen=True)
 class BarnesParams:
     """The (a_1..a_r, u, q) triple every H-route shares.
 
-    u = 0 and u = 1 are degenerate (the closed form's prefactor or all its
-    denominator factors collapse); a_j = 0 likewise. q may be any QBase,
+    a and u are checked by `_integer_a` and `_barnes_u`. q may be any QBase,
     including one with exponent > 1 for fractional-argument work.
     """
 
@@ -331,14 +341,8 @@ class BarnesParams:
     q: QBase
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "u", Fraction(self.u))
-        if len(self.a) < 1:
-            raise PreconditionError("need at least one a_j", parameter="a")
-        if any(aj == 0 for aj in self.a):
-            raise PreconditionError("every a_j must be nonzero", parameter="a")
-        if self.u == 0 or self.u == 1:
-            raise PreconditionError("u must avoid 0 and 1", parameter="u")
+        object.__setattr__(self, "a", _integer_a(self.a, len(self.a)))
+        object.__setattr__(self, "u", _barnes_u(self.u))
         if not isinstance(self.q, QBase):
             q = self.q
             object.__setattr__(self, "q", QBase(Fraction(q)))
@@ -505,18 +509,12 @@ def h_rational_in_q(
     sum_{m<0} |m|. The common denominator takes each F_m, keyed by the signed
     m, at its largest multiplicity in any term, times q^(-min E); so every
     numerator piece is an integer polynomial. The factor (1-q)^n of the
-    prefactor divides the sum exactly (the q -> 1 limit exists), which
-    `_int_divexact` enforces. `RationalFunctionQ` then reduces the two integer
-    lists over Z; `Poly` only holds its monic result.
+    prefactor divides the sum exactly (the q -> 1 limit exists), so a
+    remainder raises `InternalError`. `RationalFunctionQ` then reduces the two
+    integer lists over Z; `Poly` only holds its monic result.
     """
-    a = tuple(int(x) for x in a)
-    u = Fraction(u)
-    if r != len(a):
-        raise PreconditionError("r must equal len(a)", parameter="r")
-    if len(a) < 1 or any(x == 0 for x in a):
-        raise PreconditionError("every a_j must be nonzero", parameter="a")
-    if u == 0 or u == 1:
-        raise PreconditionError("u must avoid 0 and 1", parameter="u")
+    a = _integer_a(a, r)
+    u = _barnes_u(u)
     if n < 0:
         raise PreconditionError("n must be >= 0", parameter="n")
 
@@ -558,7 +556,10 @@ def h_rational_in_q(
         denominator = _int_mul(denominator, fpow(m, mult))
 
     one_minus_q_n = [comb(n, k) * (-1) ** k for k in range(n + 1)]
-    rf = RationalFunctionQ(_int_divexact(numerator, one_minus_q_n), denominator)
+    quotient = _int_quotient(numerator, one_minus_q_n)
+    if quotient is None:
+        raise InternalError("expected exact polynomial division, got a remainder")
+    rf = RationalFunctionQ(quotient, denominator)
     amax = max(abs(x) for x in a)
     bound = n * max(abs(w), 1) + r * amax * n * (n + 1) // 2 + n
     if rf.numerator.degree > bound or rf.denominator.degree > bound:
@@ -598,7 +599,7 @@ def refinement(
     def terms() -> Iterator[Rational]:
         fine = BarnesParams(a, uf, QBase(q, f))
         for iv in indices:
-            warg = FractionalArg(w + sum(aj * ij for aj, ij in zip(a, iv)), f)
+            warg = FractionalArg(w + sum(aj * ij for aj, ij in zip(fine.a, iv)), f)
             yield u ** sum(iv) * h_closed(n, warg, fine)
 
     return prefactor, terms()

@@ -114,6 +114,14 @@ def parse_rational(s: str) -> Rational:
         raise PreconditionError(f"bad rational literal {s!r}: {exc}")
 
 
+def check_odd_prime(p: int) -> None:
+    """Raise unless p is odd and prime; p = 2 is prime but out of scope."""
+    if p == 2:
+        raise PreconditionError("p = 2 is out of scope, p must be odd", parameter="p")
+    if p < 3 or not is_prime(p):
+        raise PreconditionError(f"p = {p} is not an odd prime", parameter="p")
+
+
 @dataclass(frozen=True)
 class PadicContext:
     """Working prime p (odd) and precision: arithmetic is modulo p^precision."""
@@ -122,10 +130,7 @@ class PadicContext:
     precision: int
 
     def __post_init__(self):
-        if self.p == 2:
-            raise PreconditionError("p = 2 is out of scope, p must be odd", parameter="p")
-        if self.p < 3 or not is_prime(self.p):
-            raise PreconditionError(f"p = {self.p} is not an odd prime", parameter="p")
+        check_odd_prime(self.p)
         if self.precision < 1:
             raise PreconditionError("precision must be >= 1", parameter="precision")
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .errors import BudgetError, PoleError, PreconditionError
-from .exact_numbers import Rational, is_prime, valuation
+from .exact_numbers import Rational, check_odd_prime, valuation
 from .euler_barnes import BarnesParams, h_closed, refinement
 from .qnum import QBase, qbracket, qbracket_z
 
@@ -66,8 +66,7 @@ class AdmissibleU:
 
     def __post_init__(self):
         object.__setattr__(self, "u", Fraction(self.u))
-        if not is_prime(self.p) or self.p == 2:
-            raise PreconditionError("p must be an odd prime", parameter="p")
+        check_odd_prime(self.p)
         if self.u == 0:
             raise PreconditionError("AdmissibleU rejects u = 0", parameter="u")
         if valuation(self.u, self.p) == 0:

@@ -16,7 +16,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import PoleError, PreconditionError
-from .euler_barnes import BarnesParams, _over_common_denominator
+from .euler_barnes import BarnesParams, _integer_a, _over_common_denominator
 from .exact_numbers import Rational
 from .qnum import rational_power
 
@@ -116,16 +116,13 @@ def classical_gf_coefficients(
     """n!-scaled coefficients of (1-v)^r e^(wt) / prod_j (e^(a_j t) - v).
 
     This is the classical (q -> 1) generating function; v = 1 is the pole of
-    every factor and is rejected, as is a_j = 0.
+    every factor and is rejected, and a is checked by `_integer_a`.
     """
     v = Fraction(v)
     if v == 1:
         raise PreconditionError("v = 1 is a pole of the generating function", parameter="u")
     r = len(a)
-    if r < 1:
-        raise PreconditionError("need at least one a_j", parameter="a")
-    if any(aj == 0 for aj in a):
-        raise PreconditionError("every a_j must be nonzero", parameter="a")
+    a = _integer_a(a, r)
     if n_max < 0:
         raise PreconditionError("n_max must be >= 0", parameter="n")
     den = TruncatedSeries.constant(1, n_max)

@@ -31,6 +31,7 @@ from .characters_lfunctions import (
     _l_negative_exact,
     _tame_part,
     angle_bracket,
+    kummer_check,
     l_at_negative,
     l_riemann,
     twist_teichmuller,
@@ -485,18 +486,17 @@ def _kummer(sampler: ParameterSampler, budget: int) -> Checks:
     ]
     for p, n, pairs, label in cases:
         chi = _CHARACTERS[label]()
+        ctx = PadicContext(p, n + 1)
         q = Fraction(1 + p)
-        u = Fraction(p)
+        uu = AdmissibleU(Fraction(p), p)
         a1 = 1
         for k, k2 in pairs:
-            la = _l_negative_exact(k, chi, u, q, a1, p)
-            lb = _l_negative_exact(k2, chi, u, q, a1, p)
-            val = valuation(la - lb, p)
+            val = kummer_check(k, k2, n, chi, uu, q, a1, ctx)
             yield f"p{p}-n{n}-{label}-k{k}-k{k2}", {
                 "p": p,
                 "n": n,
                 "character": label,
-                **_qu(q, u),
+                **_qu(q, uu.u),
                 "a1": a1,
                 "k": k,
                 "k2": k2,

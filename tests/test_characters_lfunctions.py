@@ -157,7 +157,7 @@ def test_kummer_congruence_example():
     ctx = PadicContext(5, 8)
     uu = AdmissibleU(F(5), 5)
     triv = DirichletCharacter.trivial(1)
-    assert kummer_check(1, 21, 1, triv, uu, F(6), 1, ctx)
+    assert kummer_check(1, 21, 1, triv, uu, F(6), 1, ctx) == 5
     with pytest.raises(PreconditionError):
         kummer_check(1, 22, 1, triv, uu, F(6), 1, ctx)  # 21 not ≡ 22
     # the L-value preconditions hold here too: a1 = 5 is not a 5-adic unit,
@@ -168,6 +168,24 @@ def test_kummer_congruence_example():
         with pytest.raises(PreconditionError) as kummer:
             kummer_check(1, 21, 1, triv, u, F(6), a1, ctx)
         assert closed.value.parameter == kummer.value.parameter == parameter
+
+
+def test_kummer_check_teichmuller_mode_matches_rational_mode():
+    # the kummer suite's cases: twisting by omega^0 carries the rational
+    # character into teichmuller mode, where agreement_valuation, capped at
+    # 12 digits, still reads each exact valuation
+    for p, n, pairs, chi, want in (
+        (3, 1, ((1, 7), (2, 8), (4, 10)), DirichletCharacter.trivial(1), 4),
+        (3, 2, ((1, 19), (2, 20), (3, 21)), DirichletCharacter.quadratic(4), 9),
+        (5, 1, ((1, 21), (2, 22), (3, 23)), DirichletCharacter.trivial(1), 5),
+        (5, 2, ((1, 101), (2, 102), (3, 103)), DirichletCharacter.trivial(1), 6),
+    ):
+        ctx = PadicContext(p, 12)
+        uu = AdmissibleU(F(p), p)
+        twist = twist_teichmuller(chi, 0, ctx)
+        for k, k2 in pairs:
+            assert kummer_check(k, k2, n, chi, uu, F(1 + p), 1, ctx) == want
+            assert kummer_check(k, k2, n, twist, uu, F(1 + p), 1, ctx) == want
 
 
 def test_l_riemann_rejects_non_unit_a1():

@@ -170,6 +170,34 @@ def test_precondition_exit_code(capsys):
         assert payload.get("parameter") == parameter
 
 
+def test_p_2_is_rejected_alike_on_every_op(capsys):
+    for argv in (
+        (*MU, "--p", "2"),
+        (*MEASURE, "--p", "2"),
+        (*HCHI, "--char", "teichmuller", "--p", "2"),
+        (*LVALUE_T1, "--p", "2"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert (code, json.loads(out)) == (2, {
+            "error": "PreconditionError",
+            "message": "p = 2 is out of scope, p must be odd",
+            "parameter": "p",
+        }), argv
+
+
+def test_teichmuller_character_needs_only_p(capsys):
+    code, out = run_cli(capsys, *HCHI, "--char", "teichmuller")
+    assert (code, json.loads(out)) == (2, {
+        "error": "PreconditionError",
+        "message": "teichmuller character needs --p",
+        "parameter": "char",
+    })
+    # --precision defaults to 8
+    code, out = run_cli(capsys, *HCHI, "--char", "teichmuller", "--p", "3")
+    assert code == 0
+    assert json.loads(out)["value"]["M"] == 8
+
+
 def test_missing_flags_message_lists_every_flag(capsys):
     code, out = run_cli(capsys, "compute", "hbarnes", "--n", "1")
     assert code == 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbarnes import (
     BarnesParams,
+    DirichletCharacter,
     ExponentAlignmentError,
     FractionalArg,
     PoleError,
@@ -18,13 +19,14 @@ from qbarnes import (
     distribution_check,
     h_addition,
     h_carlitz,
+    h_chi,
     h_closed,
     h_rational_in_q,
     limit_q_to_1,
 )
 from qbarnes import euler_barnes
 from qbarnes.errors import InternalError
-from qbarnes.euler_barnes import _int_divexact, _int_gcd, _int_mul, _int_quotient, poly_gcd
+from qbarnes.euler_barnes import _int_gcd, _int_mul, _int_quotient, poly_gcd
 
 
 def _params(a, u, q):
@@ -138,6 +140,27 @@ def test_h_closed_matches_fraction_loop():
     assert {"PoleError", "ExponentAlignmentError", "q=0 0 cannot be raised to a negative power"} <= seen
     assert {("w<0", 2, 2), ("w<0", 3, 3), ("mixed a", True), ("mixed a", False)} <= seen
     assert {("root<0", True), ("root<0", False), ("root>=0", True)} <= seen
+
+
+def test_non_integral_a_j_is_rejected_not_rounded():
+    # 3/2 was once taken as 1 (BarnesParams, h_rational_in_q), 5/2 as 2
+    # (h_chi), and 3/2 as itself (classical_gf_coefficients)
+    triv = DirichletCharacter.trivial(1)
+    for call in (
+        lambda: BarnesParams((F(3, 2),), F(3), QBase(F(2))),
+        lambda: h_rational_in_q(2, 0, 1, (F(3, 2),), F(3)),
+        lambda: limit_q_to_1(2, 0, 1, (F(3, 2),), F(3)),
+        lambda: h_chi(2, 1, (F(5, 2),), F(3), F(2), triv),
+        lambda: h_chi(2, 2, (1, F(3, 2)), F(3), F(2), DirichletCharacter.trivial(2)),
+        lambda: classical_gf_coefficients(0, F(3), (F(3, 2),), 2),
+    ):
+        with pytest.raises(PreconditionError, match="must be an integer") as err:
+            call()
+        assert err.value.parameter == "a"
+    # an entry equal to an integer is taken as that integer
+    assert BarnesParams((F(2), -1.0), F(3), QBase(F(2))).a == (2, -1)
+    assert h_chi(2, 1, (F(2),), F(3), F(2), triv) == h_chi(2, 1, (2,), F(3), F(2), triv)
+    assert classical_gf_coefficients(0, F(3), (F(2),), 3) == classical_gf_coefficients(0, F(3), (2,), 3)
 
 
 def test_q_one_rejected():
@@ -418,13 +441,16 @@ def test_rational_function_reduces_integer_lists():
     with pytest.raises(ZeroDivisionError):
         RationalFunctionQ([1], [0, 0])
 
-    assert _int_divexact([-2, 1, 1], [-1, 1]) == [2, 1]
-    assert _int_quotient([1, 1], [1, 2]) is None
-    assert _int_quotient([1, 0, 1], [-1, 1]) is None
-    with pytest.raises(InternalError):
-        _int_divexact([1, 1], [1, 2])  # leading quotient 1/2
-    with pytest.raises(InternalError):
-        _int_divexact([1, 0, 1], [-1, 1])  # q^2 + 1 = (q + 1)(q - 1) + 2
+    assert _int_quotient([-2, 1, 1], [-1, 1]) == [2, 1]
+    assert _int_quotient([1, 1], [1, 2]) is None  # leading quotient 1/2
+    assert _int_quotient([1, 0, 1], [-1, 1]) is None  # q^2 + 1 = (q + 1)(q - 1) + 2
+
+
+def test_rational_in_q_remainder_is_an_internal_error(monkeypatch):
+    # (1 - q)^n always divides the summed numerator; a remainder is a bug
+    monkeypatch.setattr(euler_barnes, "_int_quotient", lambda f, g: None)
+    with pytest.raises(InternalError, match="exact polynomial division"):
+        h_rational_in_q(2, 0, 1, (1,), F(3))
 
 
 def test_rational_in_q_matches_sympy_cancel():

@@ -6,7 +6,9 @@ were when each built its own refined base. Values must agree exactly
 (p-adic ones digit for digit), and errors by type, parameter and message.
 Two differences are allowed: the u^f = 1 message, which now names the
 power, and an h_chi whose running p-adic sum cancels exactly, which now
-returns the total (`_h_chi_reference_mapped`).
+returns the total (`_h_chi_reference_mapped`). One change is made to
+`_h_chi_reference` itself: it checks r after k, where h_chi now checks r
+with the a_j, not first.
 """
 import itertools
 import random
@@ -36,8 +38,6 @@ from qbarnes.qnum import FractionalArg, qbracket
 
 def _h_chi_reference(k, r, a, u, q, chi, one_pass=False):
     a = tuple(int(x) for x in a)
-    if r != len(a):
-        raise PreconditionError("r must equal len(a)", parameter="r")
     u = F(u)
     q = F(q)
     d = chi.modulus
@@ -48,6 +48,8 @@ def _h_chi_reference(k, r, a, u, q, chi, one_pass=False):
         raise PreconditionError(f"q^{d} = 1 makes the refined base degenerate", parameter="q")
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
+    if r != len(a):
+        raise PreconditionError("r must equal len(a)", parameter="r")
     base = QBase(q, d)
     params = BarnesParams(a, ud, base)
     prefactor = (1 - u) ** r * qbracket(d, q) ** k / (1 - ud) ** r
