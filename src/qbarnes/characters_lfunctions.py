@@ -118,35 +118,6 @@ class DirichletCharacter:
         )
 
     @classmethod
-    def from_generator(
-        cls,
-        modulus: int,
-        generator: int,
-        image,
-        context: PadicContext | None = None,
-    ) -> "DirichletCharacter":
-        """Build a character of a cyclic unit group by chi(generator) = image.
-
-        chi(1) ends as image^phi(d): an image of the wrong order fails there.
-        """
-        units = [x for x in range(modulus) if gcd(x, modulus) == 1]
-        exponent = {1 % modulus: 0}
-        x = 1 % modulus
-        for j in range(1, len(units) + 1):
-            x = x * generator % modulus
-            exponent[x] = j
-        if len(exponent) != len(units):
-            raise PreconditionError(
-                f"{generator} does not generate the units mod {modulus}",
-                parameter="generator",
-            )
-        return cls(
-            modulus,
-            [image ** exponent[x] if x in exponent else 0 for x in range(modulus)],
-            context,
-        )
-
-    @classmethod
     def teichmuller_character(cls, context: PadicContext) -> "DirichletCharacter":
         """omega itself as a character mod p: the trivial character twisted once."""
         return twist_teichmuller(cls.trivial(1), 1, context)
@@ -255,30 +226,13 @@ def h_chi(
 # unit projection <x : q> = [x : q] / omega(x)
 
 
-class UnitProjection:
-    """A principal unit: the value is ≡ 1 (mod p) by construction."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: PadicNumber):
-        p = value.context.p
-        if value.is_zero or value.valuation != 0 or value.unit % p != 1:
-            raise PreconditionError(
-                "unit projection must be ≡ 1 (mod p); check gcd(x, p) and q ≡ 1 (mod p)",
-                parameter="x",
-            )
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"UnitProjection({self.value!r})"
-
-
-def angle_bracket(x: int, q: Rational, context: PadicContext) -> UnitProjection:
+def angle_bracket(x: int, q: Rational, context: PadicContext) -> PadicNumber:
     """<x : q> = [x : q] / omega(x) for a unit x and q ≡ 1 (mod p).
 
     [x : q] is computed exactly mod p^M by working mod p^(M+e) with
     e = nu_p(q - 1): lifting-the-exponent gives nu_p(1 - q^x) = e for unit
-    x, so one division by p^e costs exactly the headroom e.
+    x, so one division by p^e costs exactly the headroom e. The result is a
+    principal unit (≡ 1 mod p), the base `padic_pow` needs.
     """
     p, M = context.p, context.precision
     if gcd(x, p) != 1:
@@ -301,7 +255,11 @@ def angle_bracket(x: int, q: Rational, context: PadicContext) -> UnitProjection:
         bracket = PadicNumber(
             context, 0, num_unit * pow(den_unit, -1, p**M), M
         )
-    return UnitProjection(bracket / teichmuller(x, context))
+    projection = bracket / teichmuller(x, context)
+    # [x : q] ≡ x and omega(x) ≡ x (mod p), so a failure here is a library bug
+    if projection.valuation != 0 or projection.unit % p != 1:
+        raise InternalError("<x : q> is not ≡ 1 (mod p)")
+    return projection
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +322,7 @@ def l_riemann(
         cv = chi_values[x % chi.modulus]
         if x % p == 0 or cv.is_zero:
             return zero
-        return padic_pow(angle_bracket(a1 * x, q, context).value, neg_s) * cv
+        return padic_pow(angle_bracket(a1 * x, q, context), neg_s) * cv
 
     total = riemann_integral(integrand, u, D, N, budget, lift=lift)
     if total.is_zero:

@@ -176,7 +176,7 @@ FLAGS = {
     "n": dict(type=int, help="degree / order"),
     "k": dict(type=int, help="moment / twist index"),
     "w": dict(type=int, help="shift argument w"),
-    "r": dict(type=int, help="rank (defaults to len(a))"),
+    "r": dict(type=int, help="rank; must equal the number of --a entries"),
     "x": dict(type=int, help="cell base point / power-series shift"),
     "f": dict(type=int, default=1, help="tame modulus factor"),
     "d": dict(type=int, default=1, help="arithmetic-progression step"),

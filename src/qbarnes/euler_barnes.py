@@ -62,10 +62,6 @@ class Poly:
             c.pop()
         self.coeffs = tuple(c)
 
-    @classmethod
-    def const(cls, value: Rational) -> "Poly":
-        return cls([value])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -268,7 +264,7 @@ class RationalFunctionQ:
             raise ZeroDivisionError("zero denominator")
         if not num:
             self.numerator = Poly(())
-            self.denominator = Poly.const(1)
+            self.denominator = Poly([1])
             return
         # shared monomial factor q^k, common after clearing negative powers
         k = 0

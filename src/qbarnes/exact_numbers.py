@@ -210,20 +210,6 @@ class PadicNumber:
             return INFINITY
         return self.valuation + self.digits
 
-    def residue_mod(self, k: int) -> int:
-        """Integer in [0, p^k) congruent to the value, valid for valuation >= 0."""
-        if k < 0:
-            raise PreconditionError("k must be >= 0", parameter="k")
-        if self.is_zero or self.valuation >= k:
-            return 0
-        if self.valuation < 0:
-            raise PreconditionError("negative valuation has no residue mod p^k")
-        if self.abs_precision < k:
-            raise PrecisionExhaustedError(
-                f"only {self.abs_precision} digits known, {k} requested"
-            )
-        return self.unit * self.context.p**self.valuation % self.context.p**k
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":

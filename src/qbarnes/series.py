@@ -54,12 +54,6 @@ class TruncatedSeries:
     def _common_order(self, other: "TruncatedSeries") -> int:
         return min(self.order, other.order)
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        k = self._common_order(other)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(k + 1)], k
-        )
-
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         k = self._common_order(other)
         return TruncatedSeries(

@@ -3,8 +3,10 @@
 Each suite runs a pinned, seeded parameter grid and reports per-check
 residuals (exact rationals, expected 0) or p-adic error valuations
 (expected to grow with the level). Nothing here is approximate: residuals
-come from exact arithmetic, and every valuation reported is exact, never a
-bound (riemann-limit's and prop5's come from `riemann_error_valuations`).
+come from exact arithmetic. Every valuation reported is exact
+(riemann-limit's and prop5's come from `riemann_error_valuations`) except
+the `agreement_valuation` of interpolation and unit-power, which reads the
+joint precision, a lower bound, when every tracked digit agrees.
 
 A suite is a generator of checks over a seeded `ParameterSampler`; `_suite`
 turns it into the callable that builds the whole report. Suite names double
@@ -513,7 +515,7 @@ def _unit_power(sampler: ParameterSampler, budget: int) -> Checks:
             for a1 in (1, p + 2):
                 for n in range(1, 6):
                     powers = (
-                        padic_pow(angle_bracket(a1 * x, q, ctx).value, p**n)
+                        padic_pow(angle_bracket(a1 * x, q, ctx), p**n)
                         for x in range(1, p * p)
                         if x % p
                     )

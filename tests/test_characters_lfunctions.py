@@ -14,7 +14,6 @@ from qbarnes import (
     PadicNumber,
     PreconditionError,
     QBase,
-    UnitProjection,
     agreement_valuation,
     angle_bracket,
     h_chi,
@@ -23,6 +22,7 @@ from qbarnes import (
     l_at_negative,
     l_riemann,
     padic_pow,
+    qbracket,
     qbracket_z,
     teichmuller,
     to_padic,
@@ -48,21 +48,8 @@ def test_builtin_characters():
     q4 = DirichletCharacter.quadratic(4)
     assert [q4(x) for x in range(4)] == [0, 1, 0, -1]
     q3 = DirichletCharacter.quadratic(3)
-    assert q3 == DirichletCharacter.from_generator(3, 2, F(-1))
+    assert q3 == DirichletCharacter(3, [0, 1, -1])
     assert q3(5) == q3(2)
-
-
-def test_from_generator():
-    # the image order may properly divide the generator order: -1 on a
-    # generator of (Z/5)* is the Legendre character
-    leg5 = DirichletCharacter.from_generator(5, 2, F(-1))
-    assert [leg5(x) for x in range(5)] == [0, 1, -1, -1, 1]
-    with pytest.raises(PreconditionError):
-        DirichletCharacter.from_generator(8, 3, F(-1))  # 3 does not generate
-    ctx = PadicContext(5, 3)
-    with pytest.raises(PreconditionError):
-        # residue 2 is not a (p-1)-th root of unity mod 125
-        DirichletCharacter.from_generator(5, 2, 2, ctx)
 
 
 def test_teichmuller_character():
@@ -87,8 +74,8 @@ def test_twist_zero_pattern():
 def test_angle_bracket_unit_projection():
     ctx = PadicContext(5, 6)
     ab = angle_bracket(7, F(6), ctx)
-    assert isinstance(ab, UnitProjection)
-    assert ab.value.residue_mod(1) == 1
+    assert type(ab) is PadicNumber
+    assert ab.valuation == 0 and ab.unit % 5 == 1
     with pytest.raises(PreconditionError):
         angle_bracket(10, F(6), ctx)  # not a unit
     with pytest.raises(PreconditionError):
@@ -98,16 +85,26 @@ def test_angle_bracket_unit_projection():
 def test_angle_bracket_q_one_classical_projection():
     ctx = PadicContext(5, 6)
     ab = angle_bracket(7, F(1), ctx)
-    assert ab.value == to_padic(7, ctx) / teichmuller(7, ctx)
+    assert ab == to_padic(7, ctx) / teichmuller(7, ctx)
 
 
-def test_unit_projection_validation():
-    ctx = PadicContext(5, 4)
-    with pytest.raises(PreconditionError):
-        UnitProjection(to_padic(2, ctx))
-    with pytest.raises(PreconditionError):
-        UnitProjection(to_padic(5, ctx))
-    UnitProjection(to_padic(6, ctx))
+def test_angle_bracket_matches_exact_bracket():
+    # 400 seeded draws: the lifting-the-exponent route mod p^(M+e) against
+    # the exact rational [x : q] embedded mod p^M, over mixed-sign units x
+    rng = random.Random(19)
+    for _ in range(400):
+        p = rng.choice((3, 5, 7))
+        ctx = PadicContext(p, rng.choice((1, 4, 8, 12)))
+        q = rng.choice((F(1 + p), F(1 - 2 * p), F(1 + p * p), F(1 + p, 1 + 3 * p),
+                        F(1 + 2 * p**3), F(1)))
+        x = rng.choice([x for x in range(-3 * p * p, 3 * p * p) if x % p])
+        got = angle_bracket(x, q, ctx)
+        want = to_padic(qbracket(x, q), ctx) / teichmuller(x, ctx)
+        args = (p, ctx.precision, q, x)
+        assert (got.valuation, got.unit, got.digits) == (
+            want.valuation, want.unit, want.digits
+        ), args
+        assert got.unit % p == 1, args
 
 
 def test_h_chi_trivial_reduces_to_closed_form():
@@ -253,7 +250,7 @@ def _l_riemann_reference(s, chi, u, q, a1, context, N, budget=DEFAULT_BUDGET):
         if cv.is_zero:
             continue
         ab = angle_bracket(a1 * x, q, context)
-        acc = acc + padic_pow(ab.value, neg_s) * cv * upow
+        acc = acc + padic_pow(ab, neg_s) * cv * upow
     assert not acc.is_zero
     return acc / to_padic(qbracket_z(m, u.u), context)
 
@@ -279,8 +276,8 @@ def test_l_riemann_matches_the_loop_it_replaced():
         DirichletCharacter.trivial(1),
         DirichletCharacter.quadratic(3),
         DirichletCharacter.quadratic(4),
-        DirichletCharacter.from_generator(5, 2, F(-1)),
-        DirichletCharacter.from_generator(9, 2, F(-1)),
+        DirichletCharacter(5, [0, 1, -1, -1, 1]),
+        DirichletCharacter(9, [0, 1, -1, 0, 1, -1, 0, 1, -1]),
     ]
     seen = set()
     for _ in range(240):

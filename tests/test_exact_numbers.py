@@ -173,13 +173,6 @@ def test_division_and_pow():
     assert x**-2 == to_padic(1, ctx) / (x * x)
 
 
-def test_residue_mod():
-    ctx = PadicContext(3, 4)
-    x = to_padic(22, ctx)
-    assert x.residue_mod(1) == 22 % 3
-    assert x.residue_mod(3) == 22 % 27
-
-
 def _agreement_reference(a, b):
     """agreement_valuation as a residue formula of its own: both operands
     mod p^(m - vmin) with m the joint precision and vmin <= 0 their least
@@ -291,7 +284,7 @@ def test_teichmuller():
     for x in range(1, 7):
         w = teichmuller(x, ctx8)
         assert w**6 == to_padic(1, ctx8)
-        assert w.residue_mod(1) == x
+        assert w.valuation == 0 and w.unit % 7 == x
     with pytest.raises(PreconditionError):
         teichmuller(10, PadicContext(5, 3))
     # 9 is not prime, so the lift breaks its invariants: an InternalError,

@@ -166,7 +166,7 @@ def _characters():
         ctx = PadicContext(p, M)
         chars += [DirichletCharacter(1, [1], ctx), DirichletCharacter(2, [0, 1], ctx)]
         # the order-2 character mod 3, with -1 as a (p-1)-st root of unity
-        chars.append(DirichletCharacter.from_generator(3, 2, p**M - 1, ctx))
+        chars.append(DirichletCharacter(3, [0, 1, p**M - 1], ctx))
     chars.append(DirichletCharacter.teichmuller_character(PadicContext(3, 6)))
     return chars
 

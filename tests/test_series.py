@@ -17,7 +17,6 @@ from qbarnes import (
 def test_series_arithmetic():
     s = TruncatedSeries([F(1), F(2), F(3)], 3)
     t = TruncatedSeries([F(0), F(1)], 3)
-    assert (s + t).coeffs[1] == 3
     assert (s * t).coeffs == [F(0), F(1), F(2), F(3)]
     assert s.coefficient(2) == 3
     with pytest.raises(PreconditionError):
