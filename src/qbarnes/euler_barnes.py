@@ -22,8 +22,9 @@ d q^|m| - c for m < 0, whose q^|m| moves to the numerator. The common
 denominator is the union of the per-term factor counts, times the power of q
 that makes every numerator piece an integer polynomial. One modular gcd
 (`_int_gcd`: images mod large primes, combined by the Chinese remainder
-theorem and certified by exact division) reduces the result; a single image
-of degree 0 settles the common, coprime case.
+theorem and certified by exact division) reduces the result; at the first
+prime, the common, coprime case is certified one denominator factor at a
+time, in linear passes over the numerator (`_coprime_mod`).
 
 The order-f refinement is the distribution relation H_n(w, u, q | a) =
 (1-u)^r [f:q]^n / (1-u^f)^r sum_{i in {0..f-1}^r} u^|i| H_n((w + a.i)/f,
@@ -39,6 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ExponentAlignmentError, InternalError, PoleError, PreconditionError
@@ -98,10 +100,18 @@ class Poly:
         return hash(self.coeffs)
 
     def __call__(self, q: Rational) -> Rational:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
+        """The value at q = s/t, by Horner over Z on the coefficients A_i / D:
+        sum A_i s^i t^(deg-i) / (D t^deg), one `Fraction` at the end."""
+        if self.is_zero:
+            return Fraction(0)
+        q = Fraction(q)
+        s, t = q.numerator, q.denominator
+        coeffs, den = _over_common_denominator(self.coeffs)
+        acc, t_pow = coeffs[-1], 1
+        for c in reversed(coeffs[:-1]):
+            t_pow *= t
+            acc = acc * s + c * t_pow
+        return Fraction(acc, den * t_pow)
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -160,6 +170,10 @@ def _int_quotient(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
     return None if any(rem) else quo
 
 
+# (c, d, ms): a denominator's binomial factors, with u = c/d (`_coprime_mod`)
+Factors = tuple[int, int, Iterable[int]]
+
+
 def _gcd_mod(f: list[int], g: list[int], P: int) -> list[int]:
     """Monic gcd of f and g in GF(P)[q] by Euclid; P divides neither top."""
     a = [c % P for c in f]
@@ -192,24 +206,56 @@ def _primitive(f: list[int]) -> list[int]:
     return [x // c for x in f]
 
 
-def _int_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+def _coprime_mod(f: list[int], g: list[int], factors: Factors, P: int) -> bool:
+    """Whether f and g are coprime in GF(P)[q], for g a constant times q^k0
+    times powers of F_m = d - c q^m (m > 0) and d q^|m| - c (m < 0) over the
+    distinct m of `factors` = (c, d, ms); P divides neither c, d nor a top.
+
+    Mod P, F_m is a unit times q^|m| - rho, rho = d/c for m > 0 and c/d for
+    m < 0: f is folded mod it in one pass, and the gcd of the remainder with
+    it has degree below |m|. k0 > 0 needs f(0) != 0 mod P.
+    """
+    c, d, ms = factors
+    fp = [x % P for x in f]
+    if not g[0] and not fp[0]:
+        return False
+    rho_pos, rho_neg = d * pow(c, -1, P) % P, c * pow(d, -1, P) % P
+    for m in ms:
+        M, rho = abs(m), rho_pos if m > 0 else rho_neg
+        # f mod (q^M - rho): coefficient j is the sum of f[j + kM] rho^k
+        rho_pows = [pow(rho, k, P) for k in range(len(fp) // M + 1)]
+        rem = [sum(map(mul, fp[j::M], rho_pows)) % P for j in range(M)]
+        if len(_gcd_mod([-rho, *[0] * (M - 1), 1], _stripped(rem), P)) > 1:
+            return False
+    return True
+
+
+def _int_gcd(
+    f: list[int], g: list[int], factors: Factors | None = None
+) -> tuple[list[int], list[int], list[int]]:
     """(h, f / h, g / h) for h the primitive gcd of two nonzero primitive
     integer polynomials, by Brown's modular algorithm.
 
     For each prime P, going down from 2^61 - 1, that divides neither top,
     the monic gcd mod P has degree >= deg h. Degree 0 certifies coprimality
-    at once, the common case, with one Euclid mod P. Otherwise each image,
-    scaled by gcd(lc f, lc g) so that it is the image of a fixed integer
-    multiple of h, joins a CRT accumulator; a lower degree shows that every
-    earlier prime was unlucky and restarts it, a higher one is skipped. The
-    primitive part of the symmetric lift is h once it divides f and g
-    exactly: a primitive common divisor of degree >= deg h is +-h. The two
-    quotients of that certificate are returned with it.
+    at once, the common case, with one Euclid mod P. Given g's `factors`,
+    the first such prime, if it divides neither c nor d, reaches that
+    verdict in linear passes by `_coprime_mod` instead; any other verdict
+    goes on with the Euclid, so the result is the same. Otherwise each
+    image, scaled by gcd(lc f, lc g) so that it is the image of a fixed
+    integer multiple of h, joins a CRT accumulator; a lower degree shows
+    that every earlier prime was unlucky and restarts it, a higher one is
+    skipped. The primitive part of the symmetric lift is h once it divides
+    f and g exactly: a primitive common divisor of degree >= deg h is +-h.
+    The two quotients of that certificate are returned with it.
     """
     lead = gcd(f[-1], g[-1])
     P, modulus, image = 2**61 - 1, 1, []
     while True:
         if f[-1] % P and g[-1] % P:
+            if factors and factors[0] % P and factors[1] % P and _coprime_mod(f, g, factors, P):
+                return [1], f, g
+            factors = None
             h = _gcd_mod(f, g, P)
             if len(h) == 1:
                 return [1], f, g
@@ -251,13 +297,17 @@ class RationalFunctionQ:
 
     Built from integer coefficient lists, low degree first, and reduced over
     Z: the shared power of q and the contents come off, then `_int_gcd`
-    returns the two cofactors of the primitive gcd. `Fraction`s appear only
-    in the monic `Poly` numerator and denominator that hold the result.
+    returns the two cofactors of the primitive gcd, sped up by the
+    denominator's binomial `factors` where known (`_coprime_mod`).
+    `Fraction`s appear only in the monic `Poly` numerator and denominator
+    that hold the result.
     """
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator: Sequence[int], denominator: Sequence[int]):
+    def __init__(
+        self, numerator: Sequence[int], denominator: Sequence[int], factors: Factors | None = None
+    ):
         num = _stripped(numerator)
         den = _stripped(denominator)
         if not den:
@@ -274,7 +324,7 @@ class RationalFunctionQ:
         cn, cd = _int_content(num), _int_content(den)
         num = [x // cn for x in num]
         den = [x // cd for x in den]
-        _, num, den = _int_gcd(num, den)
+        _, num, den = _int_gcd(num, den, factors)
         lead = cd * den[-1]
         self.numerator = Poly([Fraction(cn * x, lead) for x in num])
         self.denominator = Poly([Fraction(cd * x, lead) for x in den])
@@ -507,7 +557,8 @@ def h_rational_in_q(
     numerator piece is an integer polynomial. The factor (1-q)^n of the
     prefactor divides the sum exactly (the q -> 1 limit exists), so a
     remainder raises `InternalError`. `RationalFunctionQ` then reduces the two
-    integer lists over Z; `Poly` only holds its monic result.
+    integer lists over Z, given the distinct m; `Poly` only holds its monic
+    result.
     """
     a = _integer_a(a, r)
     u = _barnes_u(u)
@@ -555,7 +606,7 @@ def h_rational_in_q(
     quotient = _int_quotient(numerator, one_minus_q_n)
     if quotient is None:
         raise InternalError("expected exact polynomial division, got a remainder")
-    rf = RationalFunctionQ(quotient, denominator)
+    rf = RationalFunctionQ(quotient, denominator, (c, d, common))
     amax = max(abs(x) for x in a)
     bound = n * max(abs(w), 1) + r * amax * n * (n + 1) // 2 + n
     if rf.numerator.degree > bound or rf.denominator.degree > bound:

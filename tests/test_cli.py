@@ -95,6 +95,12 @@ COMPUTE_SHA256 = {
         "8149a54b28443b3fccc30880ccdc4050f75ad21c8dbdc615042a764f7c6e278c",
     ("compute", "classical", "--n", "40", "--w", "3", "--a", "2,-3", "--u=-5/4"):
         "19fe97e30abdb9b82c430a03d92f500df07feadc06bff8422beb5d4588853ca2",
+    # the large hbarnes-poly shapes, whose reduction is certified coprime
+    # one binomial factor at a time
+    ("compute", "hbarnes-poly", "--n", "10", "--w", "2", "--a", "1,2", "--u", "5/2"):
+        "5448c36f1863cc1d168de13414fd2aefc9c0d419fcf07d3cfe801fd81b42b64e",
+    ("compute", "hbarnes-poly", "--n", "9", "--w", "0", "--a=-1,-2", "--u=-2/5"):
+        "8570a9b1db9625334f7eadc564410720011662005c9edab6e13a9fd99c06420f",
 }
 
 
@@ -102,6 +108,21 @@ def test_compute_output_is_pinned(capsys):
     for argv, digest in COMPUTE_SHA256.items():
         code, out = run_cli(capsys, *argv)
         assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, argv
+
+
+def test_negative_non_integer_values_need_the_equals_form(capsys):
+    # argparse takes "-2/5" and "-1,-2" for flags, but "--u=-2/5" and
+    # "--a=-1,-2" for values (a plain negative integer, "--u -2", is fine)
+    poly = ("compute", "hbarnes-poly", "--n", "2", "--w", "0")
+    code, out = run_cli(capsys, *poly, "--a=-1,-2", "--u=-2/5")
+    assert code == 0
+    assert (json.loads(out)["a"], json.loads(out)["u"]) == ([-1, -2], "-2/5")
+    for flag, argv in (("--a", ("--a", "-1,-2", "--u=-2/5")), ("--u", ("--a=-1,-2", "--u", "-2/5"))):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*poly, *argv])
+        captured = capsys.readouterr()
+        assert (exit_info.value.code, captured.out) == (2, "")
+        assert f"argument {flag}: expected one argument" in captured.err
 
 
 def test_hchi_partial_sum_cancelling_keeps_precision(capsys):

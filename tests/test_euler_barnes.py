@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import comb, gcd
 
@@ -26,7 +27,16 @@ from qbarnes import (
 )
 from qbarnes import euler_barnes
 from qbarnes.errors import InternalError
-from qbarnes.euler_barnes import _int_gcd, _int_mul, _int_quotient, poly_gcd
+from qbarnes.euler_barnes import (
+    _coprime_mod,
+    _gcd_mod,
+    _int_gcd,
+    _int_mul,
+    _int_quotient,
+    poly_gcd,
+)
+from qbarnes.exact_numbers import is_prime
+from qbarnes.verify import run_suite
 
 
 def _params(a, u, q):
@@ -274,7 +284,8 @@ def test_distribution_rejects_degenerate_refined_base():
     assert distribution_check(1, 0, 3, _params((1,), F(3), F(-1))) == 0
 
 
-def test_rational_in_q_evaluates_to_closed_form(monkeypatch):
+def _closed_form_cases():
+    """(n, w, a, u) of route 4's comparison with route 1."""
     # u = c/d with d > 1 exercises the cancelled powers of d; negative w and
     # negative a_j exercise the cleared factors q and q^m - u
     cases = [
@@ -305,18 +316,21 @@ def test_rational_in_q_evaluates_to_closed_form(monkeypatch):
         u = F(-1) if rng.random() < 0.2 else F(c, d)
         # n capped lower at larger r keeps the degrees, and the test, small
         cases.append((rng.randint(0, (7, 6, 4)[len(a) - 1]), rng.randint(-3, 3), a, u))
+    return cases
 
+
+def test_rational_in_q_evaluates_to_closed_form(monkeypatch):
     gcd_degrees = []
     int_gcd = euler_barnes._int_gcd
 
-    def recording_gcd(f, g):
-        result = int_gcd(f, g)
+    def recording_gcd(f, g, factors=None):
+        result = int_gcd(f, g, factors)
         gcd_degrees.append(len(result[0]) - 1)
         return result
 
     monkeypatch.setattr(euler_barnes, "_int_gcd", recording_gcd)
     seen = set()
-    for n, w, a, u in cases:
+    for n, w, a, u in _closed_form_cases():
         ratfn = h_rational_in_q(n, w, len(a), a, u)
         assert ratfn.denominator.leading == 1, (n, w, a, u)
         assert poly_gcd(ratfn.numerator, ratfn.denominator).degree == 0, (n, w, a, u)
@@ -367,31 +381,155 @@ def _prs_gcd_reference(f, g):
     return a
 
 
-def test_int_gcd_matches_prs_reference(monkeypatch):
-    # every (num, den) route 4 reduces, over u = c/d whose factors d - c q^m
-    # split over Z (u = -1, +-1/4, 4, 9, 1/8, -8) or not (u = 5/2); the
-    # nontrivial gcds all come from u = -1
-    pairs = []
-
-    def capturing_gcd(f, g):
-        pairs.append((f, g))
-        return _int_gcd(f, g)
-
-    monkeypatch.setattr(euler_barnes, "_int_gcd", capturing_gcd)
+def _split_factor_cases():
+    """(n, w, a, u) over u = c/d whose factors d - c q^m split over Z
+    (u = -1, +-1/4, 4, 9, 1/8, -8) or not (u = 5/2)."""
     rng = random.Random(10)
     us = [F(-1), F(1, 4), F(-1, 4), F(4), F(9), F(1, 8), F(-8), F(5, 2)]
+    cases = []
     for _ in range(400):
         a = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3)))
         n = rng.randint(0, (8, 5, 3)[len(a) - 1])
-        h_rational_in_q(n, rng.randint(-3, 3), len(a), a, rng.choice(us))
+        cases.append((n, rng.randint(-3, 3), a, rng.choice(us)))
+    return cases
+
+
+def test_int_gcd_matches_prs_reference(monkeypatch):
+    # every (num, den) route 4 reduces, with and without the denominator's
+    # binomial factors; the nontrivial gcds all come from u = -1
+    pairs = []
+
+    def capturing_gcd(f, g, factors=None):
+        pairs.append((f, g, factors))
+        return _int_gcd(f, g, factors)
+
+    monkeypatch.setattr(euler_barnes, "_int_gcd", capturing_gcd)
+    for n, w, a, u in _split_factor_cases():
+        h_rational_in_q(n, w, len(a), a, u)
     nontrivial = 0
-    for f, g in pairs:
-        h, f_quo, g_quo = _int_gcd(f, g)
+    for f, g, factors in pairs:
+        assert factors is not None
         want = _prs_gcd_reference(f, g)
-        assert h in (want, [-x for x in want]), (f, g)
-        assert _int_mul(h, f_quo) == f and _int_mul(h, g_quo) == g
+        for h, f_quo, g_quo in (_int_gcd(f, g), _int_gcd(f, g, factors)):
+            assert h in (want, [-x for x in want]), (f, g)
+            assert _int_mul(h, f_quo) == f and _int_mul(h, g_quo) == g
         nontrivial += len(h) > 1
     assert nontrivial >= 20
+
+
+def _first_prime(f, g):
+    """The first prime `_int_gcd` works at: below 2^61, dividing neither top."""
+    P = 2**61 - 1
+    while not (f[-1] % P and g[-1] % P and is_prime(P)):
+        P -= 2
+    return P
+
+
+def _captured_reductions(monkeypatch, run):
+    """The (f, g, factors) of every `_int_gcd` call that run() makes."""
+    calls = []
+    int_gcd = euler_barnes._int_gcd
+
+    def capturing_gcd(f, g, factors=None):
+        calls.append((f, g, factors))
+        return int_gcd(f, g, factors)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(euler_barnes, "_int_gcd", capturing_gcd)
+        run()
+    return calls
+
+
+def test_factorwise_certificate_matches_whole_pair_gcd(monkeypatch):
+    # every reduction route 4 makes on the seeded grids above and on the
+    # qlimit suite at seeds 0-7 (10 draws, n = 0..10 each): the verdict
+    # factor by factor is the whole-pair verdict, and the factors change
+    # nothing that _int_gcd returns
+    def grids():
+        for n, w, a, u in _closed_form_cases() + _split_factor_cases():
+            h_rational_in_q(n, w, len(a), a, u)
+
+    reductions = _captured_reductions(monkeypatch, grids)
+    qlimit = _captured_reductions(monkeypatch, lambda: [run_suite("qlimit", seed=s) for s in range(8)])
+    assert len(qlimit) == 880
+    verdicts = Counter()
+    for f, g, factors in reductions + qlimit:
+        P = _first_prime(f, g)
+        coprime = len(_gcd_mod(f, g, P)) == 1
+        assert _coprime_mod(f, g, factors, P) == coprime, (f, g, factors)
+        # without factors, an image of degree 0 at P returns ([1], f, g)
+        assert _int_gcd(f, g, factors) == (([1], f, g) if coprime else _int_gcd(f, g))
+        verdicts[coprime] += 1
+    assert verdicts[True] > 1000 and verdicts[False] >= 20
+
+
+def test_whole_pair_gcd_runs_only_past_a_nontrivial_first_image(monkeypatch):
+    # the coprime case never reaches the whole-pair Euclid: a fast path
+    # switched off would still give every right answer, but not this count
+    reductions = []
+    int_gcd, gcd_mod = euler_barnes._int_gcd, euler_barnes._gcd_mod
+
+    def tracking_gcd(f, g, factors=None):
+        reductions.append((f, g, [0]))
+        return int_gcd(f, g, factors)
+
+    def counting_gcd_mod(a, b, P):
+        f, g, whole = reductions[-1]
+        whole[0] += a is f and b is g
+        return gcd_mod(a, b, P)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(euler_barnes, "_int_gcd", tracking_gcd)
+        patch.setattr(euler_barnes, "_gcd_mod", counting_gcd_mod)
+        run_suite("qlimit", seed=0)
+    assert len(reductions) == 110
+    for f, g, (whole,) in reductions:
+        assert (whole > 0) == (len(_gcd_mod(f, g, _first_prime(f, g))) > 1), (f, g)
+    assert sum(whole == 0 for _, _, (whole,) in reductions) > 100
+
+
+def test_factorwise_certificate_on_constructed_pairs(monkeypatch):
+    P = 2**61 - 1
+    # u = 3/5: |c| != |d|, so the binomial of m > 0 (q^m - d/c) and that of
+    # m < 0 (q^|m| - c/d) differ
+    c, d = 3, 5
+
+    def binomial(m):
+        gap = [0] * (abs(m) - 1)
+        return [d, *gap, -c] if m > 0 else [-c, *gap, d]
+
+    G = [1, 2, 0, 7]
+    g = _int_mul(_int_mul(binomial(1), binomial(2)), binomial(-3))
+    assert _coprime_mod(G, g, (c, d, (1, 2, -3)), P)
+    assert _int_gcd(G, g, (c, d, (1, 2, -3))) == _int_gcd(G, g) == ([1], G, g)
+    for shared in (2, -3):
+        N = _int_mul(binomial(shared), G)
+        # the shared factor comes last, then first
+        others = tuple(m for m in (1, 2, -3) if m != shared)
+        for ms in ((*others, shared), (shared, *others)):
+            assert not _coprime_mod(N, g, (c, d, ms), P), (shared, ms)
+            assert len(_gcd_mod(N, g, P)) > 1
+            h, N_quo, g_quo = _int_gcd(N, g, (c, d, ms))
+            assert h in (binomial(shared), [-x for x in binomial(shared)])
+            assert (h, N_quo, g_quo) == _int_gcd(N, g)
+
+    # a power of q in the denominator: N(0) = P vanishes mod P, so P is
+    # unlucky, and the next prime shows coprimality
+    g = [0, *binomial(2)]
+    N = [P, 1, 1]
+    assert not _coprime_mod(N, g, (c, d, (2,)), P)
+    assert len(_gcd_mod(N, g, P)) > 1
+    assert _int_gcd(N, g, (c, d, (2,))) == _int_gcd(N, g) == ([1], N, g)
+    assert _coprime_mod([P + 1, 1, 1], g, (c, d, (2,)), P)
+
+    # P divides d (u = 1/P, m = 2) or c (u = P/2, m = -1): the factor-wise
+    # check is skipped, and the whole-pair gcd decides
+    def no_factorwise_check(*args):
+        raise AssertionError("the factor-wise check ran where P divides c or d")
+
+    monkeypatch.setattr(euler_barnes, "_coprime_mod", no_factorwise_check)
+    for g, factors in (([P, 0, -1], (1, P, (2,))), ([-P, 2], (P, 2, (-1,)))):
+        assert _int_gcd(G, g, factors) == _int_gcd(G, g) == ([1], G, g)
 
 
 def test_int_gcd_survives_unlucky_primes():
@@ -489,6 +627,30 @@ def test_limit_q_to_1_matches_classical():
     classical = classical_gf_coefficients(w, 1 / u, a, 6)
     for n in range(7):
         assert limit_q_to_1(n, w, 2, a, u) == classical[n]
+
+
+def _poly_value_reference(poly, q):
+    """`Poly.__call__` as the Fraction Horner it replaced."""
+    acc = F(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * q + c
+    return acc
+
+
+def test_poly_value_matches_fraction_horner():
+    rng = random.Random(12)
+
+    def fraction():
+        return F(rng.randint(-30, 30), rng.randint(1, 20))
+
+    polys = [Poly(()), Poly([F(-7, 3)]), Poly([0, 0, 1])]
+    polys += [Poly([fraction() for _ in range(rng.randint(1, 15))]) for _ in range(200)]
+    for poly in polys:
+        for q in (0, F(0), F(1), F(-1), 2, -3, fraction(), fraction(), fraction()):
+            got = poly(q)
+            assert type(got) is F and got == _poly_value_reference(poly, q), (poly, q)
+    assert Poly(())(F(-5, 3)) == 0
+    assert Poly([F(1, 2), F(-3, 4)])(F(-2, 3)) == F(1)
 
 
 def test_poly_gcd_basic():
