@@ -361,8 +361,8 @@ def main(argv=None) -> int:
             _emit(payload, args.format)
             return 0
         report = run_suite(args.suite, seed=args.seed, budget=args.budget)
-        _emit(report.to_dict(), args.format)
-        return 0 if report.passed else 1
+        _emit(report, args.format)
+        return 0 if report["pass"] else 1
     except QBarnesError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if exc.parameter is not None:

@@ -73,23 +73,11 @@ class Poly:
         """Degree, with the usual convention deg 0 = -1."""
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> Rational:
-        if self.is_zero:
-            raise PreconditionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __mul__(self, other: "Poly") -> "Poly":
         f, df = _over_common_denominator(self.coeffs)
         g, dg = _over_common_denominator(other.coeffs)
         den = df * dg
         return Poly([Fraction(x, den) for x in _int_mul(f, g)])
-
-    def scale(self, c: Rational) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly(())
-        return Poly([c * x for x in self.coeffs])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -112,11 +100,6 @@ class Poly:
             t_pow *= t
             acc = acc * s + c * t_pow
         return Fraction(acc, den * t_pow)
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -276,13 +259,15 @@ def _int_gcd(
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Q of two `Poly`s, by `_int_gcd` on their primitive parts."""
-    if f.is_zero:
-        return g.monic()
-    if g.is_zero:
-        return f.monic()
-    fz, gz = (_primitive(_over_common_denominator(h.coeffs)[0]) for h in (f, g))
-    return Poly(_int_gcd(fz, gz)[0]).monic()
+    """Monic gcd over Q of two `Poly`s, by `_int_gcd` on their primitive
+    parts; the gcd with zero is the other one made monic, and zero's own is
+    zero."""
+    if f.is_zero or g.is_zero:
+        h = _over_common_denominator((g if f.is_zero else f).coeffs)[0]
+    else:
+        fz, gz = (_primitive(_over_common_denominator(p.coeffs)[0]) for p in (f, g))
+        h = _int_gcd(fz, gz)[0]
+    return Poly([Fraction(x, h[-1]) for x in h])
 
 
 def _stripped(f: Sequence[int]) -> list[int]:

@@ -9,8 +9,11 @@ the `agreement_valuation` of interpolation and unit-power, which reads the
 joint precision, a lower bound, when every tracked digit agrees.
 
 A suite is a generator of checks over a seeded `ParameterSampler`; `_suite`
-turns it into the callable that builds the whole report. Suite names double
-as the CLI `verify` vocabulary.
+turns it into the callable that builds the whole report. A report is the
+plain dict that `qbarnes verify` prints as JSON: the suite's name, one
+record per check (its name, params, residual or error valuation, and pass)
+and whether every check passed. Suite names double as the CLI `verify`
+vocabulary.
 
 The suites share no state, so `all` runs them in forked worker processes,
 one per usable CPU. The longest suite starts first, and the reports are
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Iterator
@@ -70,41 +72,6 @@ from .padic_integration import (
 )
 from .qnum import QBase, qbracket
 from .series import classical_gf_coefficients, q_gf_coefficients
-
-
-@dataclass
-class CheckResult:
-    name: str
-    params: dict
-    passed: bool
-    residual: str | None = None
-    error_valuation: object | None = None
-
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "params": self.params}
-        if self.residual is not None:
-            out["residual"] = self.residual
-        if self.error_valuation is not None:
-            out["error_valuation"] = self.error_valuation
-        out["pass"] = self.passed
-        return out
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "checks": [c.to_dict() for c in self.checks],
-            "pass": self.passed,
-        }
 
 
 def _weakly_increasing(vals) -> bool:
@@ -530,21 +497,24 @@ def _unit_power(sampler: ParameterSampler, budget: int) -> Checks:
                     }, worst >= n, worst
 
 
+def _report(suite: str, checks: list[dict]) -> dict:
+    """A suite report, the dict `qbarnes verify` prints."""
+    return {"suite": suite, "checks": checks, "pass": all(c["pass"] for c in checks)}
+
+
 def _suite(name: str, checks: Callable[[ParameterSampler, int], Checks]):
     """The suite `name`: builds its whole report from the check generator."""
 
-    def run(seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
-        report = SuiteReport(name)
+    def run(seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
+        records = []
         for check, params, passed, value in checks(ParameterSampler(seed), budget):
-            exact = isinstance(value, Fraction)
-            report.checks.append(CheckResult(
-                f"{name}/{check}",
-                params,
-                passed,
-                residual=format_rational(value) if exact else None,
-                error_valuation=None if exact else format_valuation(value),
-            ))
-        return report
+            key, text = (
+                ("residual", format_rational(value))
+                if isinstance(value, Fraction)
+                else ("error_valuation", format_valuation(value))
+            )
+            records.append({"name": f"{name}/{check}", "params": params, key: text, "pass": passed})
+        return _report(name, records)
 
     run.__doc__ = checks.__doc__
     return run
@@ -552,7 +522,7 @@ def _suite(name: str, checks: Callable[[ParameterSampler, int], Checks]):
 
 # Every suite keeps the (seed, budget) signature, even those that draw no
 # samples or sum no points, so that _suite_report calls them all alike.
-SUITES: dict[str, Callable[..., SuiteReport]] = {
+SUITES: dict[str, Callable[..., dict]] = {
     name: _suite(name, checks)
     for name, checks in (
         ("theorem1-gf", _theorem1_gf),
@@ -580,7 +550,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _suite_report(name: str, seed: int, budget: int) -> SuiteReport:
+def _suite_report(name: str, seed: int, budget: int) -> dict:
     """The report of SUITES[name]. Worker processes are handed this function
     and a suite's name, which pickle by name; an entry of SUITES need not."""
     return SUITES[name](seed=seed, budget=budget)
@@ -606,7 +576,7 @@ _LONGEST_FIRST = (
 )
 
 
-def _suite_reports(seed: int, budget: int) -> list[SuiteReport]:
+def _suite_reports(seed: int, budget: int) -> list[dict]:
     """Every suite's report, in table order, from a pool of forked processes,
     one per usable CPU. The pool starts the longest suite first, in the
     order of _LONGEST_FIRST; the reports, and an error, are taken in table
@@ -626,7 +596,7 @@ def _suite_reports(seed: int, budget: int) -> list[SuiteReport]:
         return [futures[name].result() for name in SUITES]
 
 
-def run_suite(name: str, seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteReport:
+def run_suite(name: str, seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
     """The report of suite `name`, or of every suite for "all".
 
     "all" runs the suites in forked worker processes, one per usable CPU
@@ -637,10 +607,7 @@ def run_suite(name: str, seed: int = 0, budget: int = DEFAULT_BUDGET) -> SuiteRe
     one at a time to profile them.
     """
     if name == "all":
-        combined = SuiteReport("all")
-        for rep in _suite_reports(seed, budget):
-            combined.checks.extend(rep.checks)
-        return combined
+        return _report("all", [c for rep in _suite_reports(seed, budget) for c in rep["checks"]])
     if name not in SUITES:
         raise PreconditionError(
             f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}",

@@ -13,7 +13,7 @@ from qbarnes.verify import run_suite
 SEED = 0
 
 # sha256 of each suite's seed-0 report as `qbarnes verify` prints it
-# (json.dumps(report.to_dict(), indent=2, sort_keys=True)). A change that
+# (json.dumps(report, indent=2, sort_keys=True)). A change that
 # alters any byte of a report fails here, so refactors prove "same output".
 REPORT_SHA256 = {
     "theorem1-gf": "024a1f53e82be41923c5b2d1bf4025be9bb42eb103e4fa48ca082ecd8989ec54",
@@ -59,24 +59,39 @@ LEVEL_SUM_SEED1_SHA256 = {
 }
 
 
-def _digest(report) -> str:
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+def _digest(report: dict) -> str:
+    text = json.dumps(report, indent=2, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _assert_report_shape(report: dict) -> None:
+    """The report schema README documents: every check has a name, params,
+    pass and exactly one of residual or error_valuation; the report passes
+    when all its checks do; and it is plain JSON, so no tuple or Fraction
+    leaks into it."""
+    for check in report["checks"]:
+        value_keys = set(check) - {"name", "params", "pass"}
+        assert {"name", "params", "pass"} <= set(check), check
+        assert value_keys in ({"residual"}, {"error_valuation"}), check
+    assert report["pass"] == all(c["pass"] for c in report["checks"])
+    assert json.loads(json.dumps(report)) == report, report["suite"]
 
 
 def _run(number, suites, description, limit_seconds):
     t0 = time.perf_counter()
     reports = [run_suite(name, seed=SEED) for name in suites]
     dt = time.perf_counter() - t0
-    ok = all(r.passed for r in reports) and dt < limit_seconds
+    ok = all(r["pass"] for r in reports) and dt < limit_seconds
     label = "+".join(suites)
-    checks = sum(len(r.checks) for r in reports)
+    checks = sum(len(r["checks"]) for r in reports)
     print(
         f"[{'PASS' if ok else 'FAIL'}] criterion {number} ({label}): "
         f"{description} ({checks} checks, {dt:.1f}s, limit {limit_seconds}s)"
     )
-    failing = [c.name for r in reports for c in r.checks if not c.passed]
+    failing = [c["name"] for r in reports for c in r["checks"] if not c["pass"]]
     assert not failing, f"failing checks: {failing[:10]}"
+    for report in reports:
+        _assert_report_shape(report)
     for name, report in zip(suites, reports):
         assert _digest(report) == REPORT_SHA256[name], f"the seed-{SEED} {name} report changed"
     assert dt < limit_seconds, f"runtime {dt:.1f}s over the {limit_seconds}s limit"

@@ -332,7 +332,7 @@ def test_rational_in_q_evaluates_to_closed_form(monkeypatch):
     seen = set()
     for n, w, a, u in _closed_form_cases():
         ratfn = h_rational_in_q(n, w, len(a), a, u)
-        assert ratfn.denominator.leading == 1, (n, w, a, u)
+        assert ratfn.denominator.coeffs[-1] == 1, (n, w, a, u)
         assert poly_gcd(ratfn.numerator, ratfn.denominator).degree == 0, (n, w, a, u)
         for q in (F(2), F(5, 3), F(-1, 2), F(7)):
             try:
@@ -557,7 +557,7 @@ def test_rational_in_q_is_reduced():
     g = poly_gcd(ratfn.numerator, ratfn.denominator)
     assert g.degree == 0
     # denominator normalized monic
-    assert ratfn.denominator.leading == 1
+    assert ratfn.denominator.coeffs[-1] == 1
     # no accidental pole at q = 1 after reduction
     assert ratfn.denominator(F(1)) != 0
 
@@ -657,8 +657,7 @@ def test_poly_gcd_basic():
     x_minus_1 = Poly((F(-1), F(1)))
     sq = x_minus_1 * x_minus_1
     other = x_minus_1 * Poly((F(2), F(1)))
-    g = poly_gcd(sq, other)
-    assert g.monic() == x_minus_1
+    assert poly_gcd(sq, other) == x_minus_1
     coprime = poly_gcd(Poly((F(1), F(1))), Poly((F(2), F(1))))
     assert coprime.degree == 0
 

@@ -74,7 +74,8 @@ def stub_suites(monkeypatch, raising: dict[str, str] | None = None) -> None:
         def run(seed, budget):
             if raising and name in raising:
                 raise errors.PreconditionError(raising[name], parameter=name)
-            return verify.SuiteReport(name, [verify.CheckResult(f"{name}/stub", {}, True, "0")])
+            check = {"name": f"{name}/stub", "params": {}, "residual": "0", "pass": True}
+            return {"suite": name, "checks": [check], "pass": True}
         return run
 
     for name in verify.SUITES:
