@@ -15,12 +15,14 @@ The closed form (route 1) sums its n+1 terms as integer fractions over a
 balanced product tree and reduces once at the end; it still calls no other
 route.
 
-The rational function (route 4) is built over Z in one loop over the terms.
-With u = c/d, each nonzero exponent m = l a_j contributes one denominator
-factor keyed by the signed integer m: d - c q^m for m > 0, and the cleared
-d q^|m| - c for m < 0, whose q^|m| moves to the numerator. The common
-denominator is the union of the per-term factor counts, times the power of q
-that makes every numerator piece an integer polynomial. One modular gcd
+The rational function (route 4) is built over Z. With u = c/d, each
+nonzero exponent m = l a_j contributes one denominator factor keyed by the
+signed integer m: d - c q^m for m > 0, and the cleared d q^|m| - c for
+m < 0, whose q^|m| moves to the numerator. The common denominator is the
+union of the per-term factor counts, times the power of q that makes every
+numerator piece an integer polynomial; the pieces are summed over a product
+tree, each merge bringing its two sides over the union of their counts,
+with route 1's level-by-level pairing loop (`_pairwise`). One modular gcd
 (`_int_gcd`: images mod large primes, combined by the Chinese remainder
 theorem and certified by exact division) reduces the result; at the first
 prime, the common, coprime case is certified one denominator factor at a
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ExponentAlignmentError, InternalError, PoleError, PreconditionError
 from .exact_numbers import Rational, is_prime
@@ -59,7 +61,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Rational]):
-        c = [Fraction(x) for x in coeffs]
+        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
@@ -195,8 +197,9 @@ def _coprime_mod(f: list[int], g: list[int], factors: Factors, P: int) -> bool:
     distinct m of `factors` = (c, d, ms); P divides neither c, d nor a top.
 
     Mod P, F_m is a unit times q^|m| - rho, rho = d/c for m > 0 and c/d for
-    m < 0: f is folded mod it in one pass, and the gcd of the remainder with
-    it has degree below |m|. k0 > 0 needs f(0) != 0 mod P.
+    m < 0: f is folded mod it in one pass, against the powers of rho built
+    as running products mod P, and the gcd of the remainder with it has
+    degree below |m|. k0 > 0 needs f(0) != 0 mod P.
     """
     c, d, ms = factors
     fp = [x % P for x in f]
@@ -206,7 +209,9 @@ def _coprime_mod(f: list[int], g: list[int], factors: Factors, P: int) -> bool:
     for m in ms:
         M, rho = abs(m), rho_pos if m > 0 else rho_neg
         # f mod (q^M - rho): coefficient j is the sum of f[j + kM] rho^k
-        rho_pows = [pow(rho, k, P) for k in range(len(fp) // M + 1)]
+        rho_pows = [1]
+        for _ in range(len(fp) // M):
+            rho_pows.append(rho_pows[-1] * rho % P)
         rem = [sum(map(mul, fp[j::M], rho_pows)) % P for j in range(M)]
         if len(_gcd_mod([-rho, *[0] * (M - 1), 1], _stripped(rem), P)) > 1:
             return False
@@ -441,8 +446,8 @@ def h_closed(n: int, w: FractionalArg | int, params: BarnesParams) -> Rational:
     # term 0 has A = B = 0, so both minima are <= 0
     a_min = min(A for _, A, _, _ in terms)
     b_min = min(B for _, _, B, _ in terms)
-    num, den = _sum_fractions(
-        [(C * s ** (A - a_min) * t ** (B - b_min), D) for C, A, B, D in terms]
+    num, den = _pairwise(
+        [(C * s ** (A - a_min) * t ** (B - b_min), D) for C, A, B, D in terms], _add_fractions
     )
     # (1-u)^r d^r = (d-c)^r and 1/(1-q)^n = t^(en) / (t^e - s^e)^n
     shift = e * n + b_min
@@ -451,21 +456,32 @@ def h_closed(n: int, w: FractionalArg | int, params: BarnesParams) -> Rational:
     return Fraction(num, den)
 
 
-def _sum_fractions(terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """Sum of the fractions N/D in `terms` as one unreduced (N, D).
+T = TypeVar("T")
 
-    Adjacent pairs are added level by level (binary splitting), so the big
-    products are balanced and the cost follows fast multiplication rather
-    than growing quadratically with the size of the result.
+
+def _pairwise(items: list[T], merge: Callable[[T, T], T]) -> T:
+    """`items` combined by `merge` over a balanced binary tree (binary
+    splitting): adjacent pairs are merged level by level, an odd last item
+    rises unchanged, and the root is returned; `items` is nonempty.
+
+    Both exact sums over Z use it, each with its own merge: route 1 adds
+    its term fractions (`_add_fractions`), and route 4 adds its numerator
+    pieces over the union of their denominator factors (`h_rational_in_q`).
+    Balanced operands keep the big products few, so the cost follows the
+    size of the result rather than growing quadratically with the count.
     """
-    while len(terms) > 1:
-        paired = [
-            (a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])
-        ]
-        if len(terms) % 2:
-            paired.append(terms[-1])
-        terms = paired
-    return terms[0]
+    while len(items) > 1:
+        paired = list(map(merge, items[::2], items[1::2]))
+        if len(items) % 2:
+            paired.append(items[-1])
+        items = paired
+    return items[0]
+
+
+def _add_fractions(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """N1/D1 + N2/D2 as the unreduced (N1 D2 + N2 D1, D1 D2)."""
+    (a, b), (c, d) = x, y
+    return a * d + c * b, b * d
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +554,19 @@ def h_rational_in_q(
     exponents m = l a_j that are nonzero: F_m = d - c q^m for m > 0, and
     F_m = d q^|m| - c for m < 0, whose cleared q^|m| joins E = l w +
     sum_{m<0} |m|. The common denominator takes each F_m, keyed by the signed
-    m, at its largest multiplicity in any term, times q^(-min E); so every
-    numerator piece is an integer polynomial. The factor (1-q)^n of the
-    prefactor divides the sum exactly (the q -> 1 limit exists), so a
-    remainder raises `InternalError`. `RationalFunctionQ` then reduces the two
-    integer lists over Z, given the distinct m; `Poly` only holds its monic
-    result.
+    m, at its largest multiplicity in any term, times q^(-min E).
+
+    The numerator is summed over a product tree (`_pairwise`; von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 10). A leaf is the integer
+    polynomial q^(E - min E) C(n,l)(-1)^l (d-c)^k with its factor counts;
+    a merge takes the union of its two sides' counts, multiplies each side
+    by the powers F_m^j it lacks of that union, and adds them. So the root's
+    counts are the common denominator's, and the root's polynomial is the
+    numerator over it, without multiplying every term by every missing
+    power in turn. The factor (1-q)^n of the prefactor divides it exactly
+    (the q -> 1 limit exists), so a remainder raises `InternalError`.
+    `RationalFunctionQ` then reduces the two integer lists over Z, given the
+    distinct m; `Poly` only holds its monic result.
     """
     a = _integer_a(a, r)
     u = _barnes_u(u)
@@ -555,9 +578,6 @@ def h_rational_in_q(
     for l in range(n + 1):
         ms = Counter(l * aj for aj in a if l * aj)
         terms.append((ms, l * w - sum(m for m in ms.elements() if m < 0)))
-    common: Counter[int] = Counter()
-    for ms, _ in terms:
-        common |= ms
     # term 0 has E = 0, so e_min <= 0
     e_min = min(e for _, e in terms)
 
@@ -571,17 +591,24 @@ def h_rational_in_q(
             pows.append(_int_mul(pows[-1], factor))
         return pows[k]
 
-    numerator: list[int] = []
-    for l, (ms, e) in enumerate(terms):
-        piece = [0] * (e - e_min) + [(-1) ** l * comb(n, l) * (d - c) ** ms.total()]
-        for m, mult in common.items():
-            missing = mult - ms.get(m, 0)
-            if missing:
-                piece = _int_mul(piece, fpow(m, missing))
-        if len(numerator) < len(piece):
-            numerator.extend([0] * (len(piece) - len(numerator)))
-        for i, x in enumerate(piece):
-            numerator[i] += x
+    def merge(
+        left: tuple[list[int], Counter[int]], right: tuple[list[int], Counter[int]]
+    ) -> tuple[list[int], Counter[int]]:
+        # each side takes the factor powers it lacks of the two sides' union
+        (f, cf), (g, cg) = left, right
+        both = cf | cg
+        for m, k in both.items():
+            if k > cf[m]:
+                f = _int_mul(f, fpow(m, k - cf[m]))
+            if k > cg[m]:
+                g = _int_mul(g, fpow(m, k - cg[m]))
+        return [x + y for x, y in itertools.zip_longest(f, g, fillvalue=0)], both
+
+    leaves = [
+        ([0] * (e - e_min) + [(-1) ** l * comb(n, l) * (d - c) ** ms.total()], ms)
+        for l, (ms, e) in enumerate(terms)
+    ]
+    numerator, common = _pairwise(leaves, merge)
 
     denominator = [0] * -e_min + [1]
     for m, mult in common.items():

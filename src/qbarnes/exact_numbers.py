@@ -95,8 +95,8 @@ def valuation(x: Rational | int, p: int) -> int | float:
 
 
 def format_rational(x: Rational | int) -> str:
-    """Wire form: "num/den", or bare "num" when the denominator is 1."""
-    x = Fraction(x)
+    """Wire form: "num/den", or bare "num" when the denominator is 1; x is
+    a reduced `Fraction` or an int, both of which carry the two parts."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

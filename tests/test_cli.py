@@ -101,6 +101,10 @@ COMPUTE_SHA256 = {
         "5448c36f1863cc1d168de13414fd2aefc9c0d419fcf07d3cfe801fd81b42b64e",
     ("compute", "hbarnes-poly", "--n", "9", "--w", "0", "--a=-1,-2", "--u=-2/5"):
         "8570a9b1db9625334f7eadc564410720011662005c9edab6e13a9fd99c06420f",
+    # mixed-sign a: factors with m > 0 and m < 0 meet in one merge of the
+    # numerator's product tree
+    ("compute", "hbarnes-poly", "--n", "8", "--w", "1", "--a=1,-2", "--u=-5/2"):
+        "e735d16f3e0cd20130f789f0a4e9546cce0c1226675f30e34270ce68019f02ea",
 }
 
 

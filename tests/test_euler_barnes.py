@@ -552,6 +552,70 @@ def test_int_gcd_survives_unlucky_primes():
     assert (h, f_quo, g_quo) == ([1, P], [2, 1], [3, 1])
 
 
+def _route4_lists_reference(n, w, a, u):
+    """The (numerator / (1-q)^n, denominator) lists route 4 hands to
+    `RationalFunctionQ`, by the per-term loop the product tree replaced:
+    each piece multiplied by every factor power it lacks, in turn."""
+    c, d = u.numerator, u.denominator
+    terms = []
+    for l in range(n + 1):
+        ms = Counter(l * aj for aj in a if l * aj)
+        terms.append((ms, l * w - sum(m for m in ms.elements() if m < 0)))
+    common = Counter()
+    for ms, _ in terms:
+        common |= ms
+    e_min = min(e for _, e in terms)
+
+    def fpow(m, k):
+        factor = [d, *[0] * (abs(m) - 1), -c] if m > 0 else [-c, *[0] * (abs(m) - 1), d]
+        out = [1]
+        for _ in range(k):
+            out = _int_mul(out, factor)
+        return out
+
+    numerator = []
+    for l, (ms, e) in enumerate(terms):
+        piece = [0] * (e - e_min) + [(-1) ** l * comb(n, l) * (d - c) ** ms.total()]
+        for m, mult in common.items():
+            if mult > ms[m]:
+                piece = _int_mul(piece, fpow(m, mult - ms[m]))
+        numerator += [0] * (len(piece) - len(numerator))
+        for i, x in enumerate(piece):
+            numerator[i] += x
+    denominator = [0] * -e_min + [1]
+    for m, mult in common.items():
+        denominator = _int_mul(denominator, fpow(m, mult))
+    one_minus_q_n = [comb(n, k) * (-1) ** k for k in range(n + 1)]
+    return _int_quotient(numerator, one_minus_q_n), denominator, common
+
+
+def test_numerator_tree_matches_per_term_loop(monkeypatch):
+    # the unreduced lists, before any reduction can hide a wrong numerator;
+    # repeated a_j make merges where a side lacks a factor power above 1, and
+    # mixed signs put factors m > 0 and m < 0 in one merge
+    captured = []
+    rational_function = euler_barnes.RationalFunctionQ
+
+    def capturing_rational_function(numerator, denominator, factors=None):
+        captured.append((numerator, denominator, factors[2]))
+        return rational_function(numerator, denominator, factors)
+
+    monkeypatch.setattr(euler_barnes, "RationalFunctionQ", capturing_rational_function)
+    repeated = [
+        (n, w, a, u)
+        for n in (2, 5, 7)
+        for w in (-2, 1)
+        for a in ((1, 1, -2), (2, 2), (-1, -1), (3, -1, 3))
+        for u in (F(5, 2), F(-1), F(-3, 4))
+    ]
+    cases = _closed_form_cases() + _split_factor_cases() + repeated
+    for n, w, a, u in cases:
+        h_rational_in_q(n, w, len(a), a, u)
+    assert len(captured) == len(cases)
+    for case, lists in zip(cases, captured):
+        assert lists == _route4_lists_reference(*case), case
+
+
 def test_rational_in_q_is_reduced():
     ratfn = h_rational_in_q(3, 1, 2, (1, 2), F(3))
     g = poly_gcd(ratfn.numerator, ratfn.denominator)
@@ -651,6 +715,13 @@ def test_poly_value_matches_fraction_horner():
             assert type(got) is F and got == _poly_value_reference(poly, q), (poly, q)
     assert Poly(())(F(-5, 3)) == 0
     assert Poly([F(1, 2), F(-3, 4)])(F(-2, 3)) == F(1)
+
+
+def test_poly_keeps_fractions_and_strips_trailing_zeros():
+    poly = Poly([1, F(1, 2), 0])
+    assert poly.coeffs == (1, F(1, 2))
+    assert all(type(c) is F for c in poly.coeffs)
+    assert Poly([0, F(0)]).is_zero
 
 
 def test_poly_gcd_basic():

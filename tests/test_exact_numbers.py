@@ -67,8 +67,12 @@ def test_valuation_of_large_powers():
 
 
 def test_rational_wire_format():
+    # a Fraction or an int, read through .numerator and .denominator
     assert format_rational(F(-3, 5)) == "-3/5"
     assert format_rational(F(4)) == "4"
+    assert format_rational(F(6, 3)) == "2"
+    assert format_rational(0) == "0"
+    assert format_rational(-7) == "-7"
     assert parse_rational("-3/5") == F(-3, 5)
     assert parse_rational("7") == F(7)
     with pytest.raises(PreconditionError):
