@@ -195,31 +195,31 @@ def h_chi(
     `refinement` of H_k(0, u, q | a) (see `euler_barnes`) over i in the
     support of chi, weighted by chi(i_1)..chi(i_r). For d = 1 this is H_k.
 
-    The sum runs in the character's scalars: exact rationals in rational
-    mode, a PadicNumber in teichmuller mode, with each term embedded once by
-    `chi.lift` and the prefactor last. p-adic terms are added in one pass
+    The sum runs in the character's scalars. In rational mode the weights
+    are rationals, and the refinement takes all the terms in one batch, an
+    exact rational. In teichmuller mode each term is computed alone and
+    embedded once by `chi.lift`, and the terms are added in one pass
     (`padic_sum`), so partial sums that cancel exactly lose no precision.
+    The prefactor comes last.
 
     A u^d = 1 or q^d = 1 fault wins over k < 0, which wins over an r or a_j one.
     """
     support = [i for i in range(chi.modulus) if chi(i) != 0]
-    indices = itertools.product(support, repeat=r)
-    prefactor, terms = refinement(k, 0, a, u, q, chi.modulus, indices)
+    prefactor, refined = refinement(k, 0, a, u, q, chi.modulus)
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
     _integer_a(a, r)
     one = chi.lift(Fraction(1))
-    weighted = []
-    for iv, term in zip(itertools.product(support, repeat=r), terms):
+    weights = []
+    for iv in itertools.product(support, repeat=r):
         cv = one
         for ij in iv:
             cv = cv * chi.value(ij)
-        weighted.append(cv * chi.lift(term))
+        weights.append((cv, iv))
     if chi.context is None:
-        total = sum(weighted, Fraction(0))
-    else:
-        total = padic_sum(weighted, chi.context)
-    return chi.lift(prefactor) * total
+        return prefactor * refined(weights)
+    terms = [cv * chi.lift(refined([(1, iv)])) for cv, iv in weights]
+    return chi.lift(prefactor) * padic_sum(terms, chi.context)
 
 
 # ---------------------------------------------------------------------------

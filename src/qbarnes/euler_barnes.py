@@ -13,7 +13,10 @@ them rather than trusting any single one.
 
 The closed form (route 1) sums its n+1 terms as integer fractions over a
 balanced product tree and reduces once at the end; it still calls no other
-route.
+route. Its one loop (`_closed_form`) also takes a weighted batch sum_i c_i
+H_n(w_i): term l's denominator D_l depends on l, a, u and q but not on w,
+so each D_l is built once, the arguments change only the numerators, and
+the batch costs one tree and one reduction, not one per argument.
 
 The rational function (route 4) is built over Z. With u = c/d, each
 nonzero exponent m = l a_j contributes one denominator factor keyed by the
@@ -33,7 +36,11 @@ The order-f refinement is the distribution relation H_n(w, u, q | a) =
 u^f, q^f | a). `distribution_check` tests it, the moment measure of a cell
 of modulus f is its term i = (x,) over 1-u, and H_{k,chi} weights its terms
 by chi(i_1)..chi(i_r). `refinement` alone builds the refined base, and
-rejects u^f = 1 and q^f = 1, for all three.
+rejects u^f = 1 and q^f = 1, for all three. It hands each caller's batch of
+indices to route 1 as one weighted sum: the f^r terms of
+`distribution_check` and the d^r of a rational-mode H_{k,chi} are reduced
+once, while a teichmuller-mode H_{k,chi} takes its terms one at a time, to
+embed each one in Z_p.
 """
 from __future__ import annotations
 
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ExponentAlignmentError, InternalError, PoleError, PreconditionError
 from .exact_numbers import Rational, is_prime
@@ -107,7 +114,7 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
-def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+def _over_common_denominator(coeffs: Sequence[Rational]) -> tuple[list[int], int]:
     """Integers A_n and D > 0 with coeffs[n] = A_n / D, D the lcm of the
     denominators (1 for no coefficients)."""
     den = lcm(*(c.denominator for c in coeffs))
@@ -393,40 +400,68 @@ class BarnesParams:
 
 
 def h_closed(n: int, w: FractionalArg | int, params: BarnesParams) -> Rational:
-    """H_n^(r)(w, u, q | a) from the (n+1)-term closed form.
+    """H_n^(r)(w, u, q | a) from the (n+1)-term closed form, summed over Z
+    as `_closed_form` describes: its one-term case, which skips the batch
+    pass. Fractional w = m/f needs f to divide the base exponent of q; an
+    int w is w/1 (an int has a numerator and a denominator too)."""
+    return _closed_form(n, [(w.numerator, w.denominator)], None, 1, params)
 
-    Fractional w = m/f needs f to divide the base exponent of q, so q^(lw)
-    is an integer power of the root. The sum runs over Z: with root = s/t
-    and u = c/d, each factor 1/(1 - root^M u) is t^M d / (t^M d - s^M c)
-    (s and t swapped for M < 0), so term l is C(n,l)(-1)^l d^r s^A_l t^B_l
-    over an integer D_l. Shifting every A_l and B_l by their minimum leaves
-    integer numerators, a product tree adds the n+1 fractions, and one
-    `Fraction` reduces the result.
+
+def _root_exponent(n: int, m: int, f: int, e: int, s: int, a: tuple[int, ...]) -> int:
+    """k with q^(lw) = root^(lk), for w = m/f, q = root^e and s the
+    numerator of the root: k = m e / f, an integer only when f divides e."""
+    if e % f != 0:
+        raise ExponentAlignmentError(
+            f"w = {m}/{f} needs its denominator to divide the base exponent {e}",
+            parameter="w",
+        )
+    # q = 0 has no poles, and l = 1 is the first term with a nonzero power
+    if s == 0 and n > 0 and (m < 0 or min(a) < 0):
+        raise PreconditionError("0 cannot be raised to a negative power", parameter="q")
+    return m * (e // f)
+
+
+def _closed_form(
+    n: int,
+    args: Sequence[tuple[int, int]],
+    weights: Sequence[int] | None,
+    scale: int,
+    params: BarnesParams,
+) -> Fraction:
+    """sum_i g_i H_n(m_i / f_i) / scale over the arguments (m_i, f_i), for
+    integer weights g_i; weights None is one argument with weight 1, which
+    skips the batch pass. Route 1's one loop: `h_closed` is its one-term
+    case, and the order-f `refinement` hands it each batch.
+
+    The sum runs over Z. With q = root^e, root = s/t and u = c/d, each
+    factor 1/(1 - root^M u) is t^M d / (t^M d - s^M c) (s and t swapped for
+    M < 0), and q^(lw) = root^(lk) (`_root_exponent`). So term l of H_n(w)
+    is C(n,l)(-1)^l d^r s^(P_l + lk) t^(Q_l - lk) over an integer D_l, where
+    only the power of the root depends on w. Each D_l is built once: term l
+    of the batch takes C(n,l)(-1)^l s^(P_l + l k_lo) t^(Q_l - l k_hi) times
+    the integer sum_k g_k s^(l(k - k_lo)) t^(l(k_hi - k)), the weights of
+    equal k added, for k_lo and k_hi the least and largest k; a batch with
+    one k is that k's terms times the summed weight. Shifting every
+    exponent by its minimum leaves integer numerators, a product tree adds
+    the n+1 fractions, and one `Fraction` reduces the result.
+
+    A fault is that of the per-argument sum: the first argument's, then a
+    pole, which no argument changes, then the other arguments' in order.
     """
     if n < 0:
         raise PreconditionError("n must be >= 0", parameter="n")
-    w = FractionalArg.coerce(w)
     q = params.q
     if q.value == 1:
         raise PreconditionError("q = 1; use limit_q_to_1", parameter="q")
-    if q.exponent % w.denominator != 0:
-        raise ExponentAlignmentError(
-            f"w = {w.numerator}/{w.denominator} needs its denominator to "
-            f"divide the base exponent {q.exponent}",
-            parameter="w",
-        )
     e = q.exponent
-    step = e // w.denominator
     s, t = q.root.numerator, q.root.denominator
     c, d = params.u.numerator, params.u.denominator
-    # q = 0 has no poles, and l = 1 is the first term with a nonzero power
-    if s == 0 and n > 0 and (w.numerator < 0 or min(params.a) < 0):
-        raise PreconditionError("0 cannot be raised to a negative power", parameter="q")
+    k = _root_exponent(n, *args[0], e, s, params.a)
 
-    # term l = (-1)^l C(n,l) s^A t^B / D, the common d^r left out
+    # term l = (-1)^l C(n,l) s^A t^B / D for args[0], the common d^r left out
     terms: list[tuple[int, int, int, int]] = []
     for l in range(n + 1):
-        W = l * w.numerator * step
+        W = l * k
         A, B, D = W, -W, 1
         for j, aj in enumerate(params.a):
             M = l * aj * e
@@ -443,6 +478,27 @@ def h_closed(n: int, w: FractionalArg | int, params: BarnesParams) -> Rational:
             D *= factor
         C = comb(n, l)
         terms.append((-C if l % 2 else C, A, B, D))
+    weight = 1
+    if weights is not None:
+        ks = [k, *(_root_exponent(n, m, f, e, s, params.a) for m, f in args[1:])]
+        by_k: dict[int, int] = {}
+        for kk, g in zip(ks, weights):
+            by_k[kk] = by_k.get(kk, 0) + g
+        if len(by_k) == 1:
+            # every argument has args[0]'s k: one term scaled by its weight
+            weight = by_k[k]
+        else:
+            lo, hi = min(by_k), max(by_k)
+            spread = [(kk - lo, hi - kk, g) for kk, g in by_k.items()]
+            terms = [
+                (
+                    C * sum(g * s ** (l * i) * t ** (l * j) for i, j, g in spread),
+                    A + l * (lo - k),
+                    B - l * (hi - k),
+                    D,
+                )
+                for l, (C, A, B, D) in enumerate(terms)
+            ]
     # term 0 has A = B = 0, so both minima are <= 0
     a_min = min(A for _, A, _, _ in terms)
     b_min = min(B for _, _, B, _ in terms)
@@ -451,8 +507,8 @@ def h_closed(n: int, w: FractionalArg | int, params: BarnesParams) -> Rational:
     )
     # (1-u)^r d^r = (d-c)^r and 1/(1-q)^n = t^(en) / (t^e - s^e)^n
     shift = e * n + b_min
-    num *= (d - c) ** params.r * t ** max(shift, 0)
-    den *= (t**e - s**e) ** n * s**-a_min * t ** max(-shift, 0)
+    num *= weight * (d - c) ** params.r * t ** max(shift, 0)
+    den *= (t**e - s**e) ** n * s**-a_min * t ** max(-shift, 0) * scale
     return Fraction(num, den)
 
 
@@ -638,13 +694,21 @@ def limit_q_to_1(n: int, w: int, r: int, a: Sequence[int], u: Rational) -> Ratio
 
 
 def refinement(
-    n: int, w: int, a: tuple[int, ...], u: Rational, q: Rational, f: int, indices: Iterable
-) -> tuple[Rational, Iterator[Rational]]:
-    """(prefactor, terms) of the order-f refinement of H_n(w, u, q | a):
-    (1-u)^r [f:q]^n / (1-u^f)^r, and u^|i| H_n((w + a.i)/f, u^f, q^f | a)
-    for each i in `indices`. u^f = 1 and q^f = 1 raise here; the refined
-    `BarnesParams` and the terms are built as the terms are consumed, after
-    the caller's own checks.
+    n: int, w: int, a: tuple[int, ...], u: Rational, q: Rational, f: int
+) -> tuple[Rational, Callable[[Iterable[tuple[Rational, Sequence[int]]]], Rational]]:
+    """(prefactor, refined) of the order-f refinement of H_n(w, u, q | a):
+    the prefactor (1-u)^r [f:q]^n / (1-u^f)^r, and the function `refined`
+    that takes a nonempty batch of pairs (c, i), i in {0..f-1}^r, to
+    sum c u^|i| H_n((w + a.i)/f, u^f, q^f | a).
+
+    The terms differ only in their argument, so `refined` hands the batch
+    to route 1's `_closed_form` as integer weights and arguments, and it is
+    summed in one pass: one denominator per index l, one product tree and
+    one reduction for the whole batch, not one per i. It equals the sum of
+    the c u^|i| h_closed(...) term by term, and raises what the first
+    failing term would. u^f = 1 and q^f = 1 raise here; the refined
+    `BarnesParams` is built when `refined` is called, after the caller's
+    own checks.
     """
     u, q = Fraction(u), Fraction(q)
     uf = u**f
@@ -655,23 +719,31 @@ def refinement(
     r = len(a)
     prefactor = ((1 - u) / (1 - uf)) ** r * qbracket(f, q) ** n
 
-    def terms() -> Iterator[Rational]:
+    def refined(weighted: Iterable[tuple[Rational, Sequence[int]]]) -> Rational:
         fine = BarnesParams(a, uf, QBase(q, f))
-        for iv in indices:
-            warg = FractionalArg(w + sum(aj * ij for aj, ij in zip(fine.a, iv)), f)
-            yield u ** sum(iv) * h_closed(n, warg, fine)
+        pairs = list(weighted)
+        # with u = c/d and cv = g/L over the lcm L of the denominators,
+        # cv u^|i| = g c^|i| d^(top - |i|) / (L d^top), top the largest |i|
+        cvs, L = _over_common_denominator([cv for cv, _ in pairs])
+        sizes = [sum(iv) for _, iv in pairs]
+        top = max(sizes)
+        c, d = u.numerator, u.denominator
+        weights = [g * c**z * d ** (top - z) for g, z in zip(cvs, sizes)]
+        args = [(w + sum(map(mul, fine.a, iv)), f) for _, iv in pairs]
+        return _closed_form(n, args, weights, L * d**top, fine)
 
-    return prefactor, terms()
+    return prefactor, refined
 
 
 def distribution_check(n: int, w: int, f: int, params: BarnesParams) -> Rational:
     """LHS - RHS of the order-f distribution relation, 0 when it holds: H_n(w)
-    less its `refinement` summed over i in {0..f-1}^r, over (u-1)^r."""
+    less its `refinement` over i in {0..f-1}^r, all f^r terms in one batch,
+    over (u-1)^r."""
     if f < 1:
         raise PreconditionError("f must be >= 1", parameter="f")
     if params.q.exponent != 1:
         raise PreconditionError("distribution check needs a base with exponent 1", parameter="q")
-    indices = itertools.product(range(f), repeat=params.r)
-    prefactor, terms = refinement(n, w, params.a, params.u, params.q.root, f, indices)
+    prefactor, refined = refinement(n, w, params.a, params.u, params.q.root, f)
     lhs = h_closed(n, w, params)
-    return (lhs - prefactor * sum(terms, Fraction(0))) / (params.u - 1) ** params.r
+    rhs = prefactor * refined((1, iv) for iv in itertools.product(range(f), repeat=params.r))
+    return (lhs - rhs) / (params.u - 1) ** params.r

@@ -368,8 +368,8 @@ def measure_E_value(
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
     cell.check(u.p)
-    prefactor, terms = refinement(k, 0, (a1,), u.u, q, cell.modulus(u.p), [(cell.x,)])
-    return prefactor * next(terms) / (1 - u.u)
+    prefactor, refined = refinement(k, 0, (a1,), u.u, q, cell.modulus(u.p))
+    return prefactor * refined([(1, (cell.x,))]) / (1 - u.u)
 
 
 def measure_additivity_check(

@@ -556,21 +556,26 @@ def _suite_report(name: str, seed: int, budget: int) -> dict:
     return SUITES[name](seed=seed, budget=budget)
 
 
-# SUITES' names by measured cost, the longest first (seed 0, in process):
-# `all` submits them in this order, so the pool starts the suite that sets
-# its critical path at once (Graham's LPT rule), and joins them in table order.
+# SUITES' names by measured cost, the longest first: `all` submits them in
+# this order, so the pool starts the suite that sets its critical path at
+# once (Graham's LPT rule), and joins them in table order. Seconds per suite
+# at seed 0, in process, the median of 7 runs averaged over two sets on a
+# 2-vCPU VM (Python 3.11): riemann-limit 1.06, measure-additivity 0.23,
+# addition 0.21, interpolation 0.17, eq8-bridge 0.16, qlimit 0.16,
+# distribution 0.15, theorem1-gf 0.10, kummer 0.07, measure-bound 0.03,
+# unit-power 0.03, prop5 0.01, carlitz-bridge 0.01.
 _LONGEST_FIRST = (
     "riemann-limit",
+    "measure-additivity",
+    "addition",
+    "interpolation",
+    "eq8-bridge",
     "qlimit",
     "distribution",
-    "addition",
-    "measure-additivity",
-    "interpolation",
     "theorem1-gf",
-    "eq8-bridge",
     "kummer",
-    "unit-power",
     "measure-bound",
+    "unit-power",
     "prop5",
     "carlitz-bridge",
 )

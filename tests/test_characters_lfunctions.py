@@ -115,6 +115,20 @@ def test_h_chi_trivial_reduces_to_closed_form():
         assert h_chi(k, 2, (1, 2), u, q, triv) == h_closed(k, 0, params)
 
 
+def test_h_chi_negative_r_is_an_r_fault():
+    # once a bare ValueError from building the index set before checking r
+    with pytest.raises(PreconditionError) as err:
+        h_chi(1, -1, (1,), F(3), F(4), DirichletCharacter.trivial(1))
+    assert err.value.parameter == "r"
+    # a q^d fault and k < 0 still come first
+    with pytest.raises(PreconditionError) as err:
+        h_chi(-1, -1, (1,), F(3), F(4), DirichletCharacter.trivial(1))
+    assert err.value.parameter == "k"
+    with pytest.raises(PreconditionError) as err:
+        h_chi(-1, -1, (1,), F(3), F(-1), DirichletCharacter.trivial(2))
+    assert err.value.parameter == "q"
+
+
 def test_h_chi_quadratic_frozen_value():
     # pinned against the level-sum limit of chi(x) [x:q]^2 dmu_u
     q4 = DirichletCharacter.quadratic(4)

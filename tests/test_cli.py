@@ -105,6 +105,10 @@ COMPUTE_SHA256 = {
     # numerator's product tree
     ("compute", "hbarnes-poly", "--n", "8", "--w", "1", "--a=1,-2", "--u=-5/2"):
         "e735d16f3e0cd20130f789f0a4e9546cce0c1226675f30e34270ce68019f02ea",
+    # rational-mode twist with r = 2: four weighted terms in one route-1
+    # batch, taken from the per-term sum it replaced
+    ("compute", "hchi", "--k", "6", "--a=1,-2", "--u", "5/2", "--q=-3/2", "--char", "quadratic:4"):
+        "8ca00e3c1129006fd545875d5ee3eebb567a12547d00b1b0dd12bafb14ab9755",
 }
 
 

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +150,73 @@ def test_h_closed_matches_fraction_loop():
     assert {"PoleError", "ExponentAlignmentError", "q=0 0 cannot be raised to a negative power"} <= seen
     assert {("w<0", 2, 2), ("w<0", 3, 3), ("mixed a", True), ("mixed a", False)} <= seen
     assert {("root<0", True), ("root<0", False), ("root>=0", True)} <= seen
+
+
+def _per_term_sum(n, terms, params):
+    """sum_i c_i H_n(w_i), one h_closed per term."""
+    return sum((c * h_closed(n, w, params) for c, w in terms), F(0))
+
+
+def _batch(n, terms, params):
+    """sum_i c_i H_n(w_i) in one batch of route 1's kernel, the c_i brought
+    over their lcm as integer weights."""
+    scale = lcm(*(F(c).denominator for c, _ in terms))
+    weights = [int(c * scale) for c, _ in terms]
+    args = [(w.numerator, w.denominator) for _, w in terms]
+    return euler_barnes._closed_form(n, args, weights, scale, params)
+
+
+def test_route1_batch_matches_per_term_sum():
+    # one batch of (c_i, w_i) against the sum of the c_i h_closed(n, w_i):
+    # equal values, and the same first fault, which may be a pole at (l, j),
+    # 0 to a negative power, or a misaligned w
+    roots = [F(0), F(-1), F(2), F(-2), F(3, 2), F(-2, 3), F(1, 3), F(-5, 4)]
+    us = [F(-3), F(2), F(5, 2), F(-2, 5), F(3, 7)]
+    coeffs = [F(0), F(1), F(-1), F(3), F(-2, 3), F(5, 4), F(-7, 6)]
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(1500):
+        root, e = rng.choice(roots), rng.randint(1, 4)
+        a = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3)))
+        u = root ** rng.randint(-4, 4) if root and rng.random() < 0.3 else rng.choice(us)
+        if u in (0, 1):
+            continue
+        params = BarnesParams(a, u, QBase(root, e))
+        # a few distinct arguments, aligned with e, drawn again for the terms
+        # so that arguments repeat; an int w is w/1
+        dens = [f for f in range(1, e + 1) if e % f == 0]
+        args = [FractionalArg(rng.randint(-4, 4), rng.choice(dens)) for _ in range(rng.randint(1, 3))]
+        args.append(rng.randint(-3, 3))
+        terms = [(rng.choice(coeffs), rng.choice(args)) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.1:
+            terms.insert(rng.randrange(len(terms) + 1), (F(1), FractionalArg(1, e + 1)))
+        n = rng.randint(0, 7)
+        want = _outcome(_per_term_sum, n, terms, params)
+        assert _outcome(_batch, n, terms, params) == want, (n, terms, params)
+        ws = [w for _, w in terms]
+        if isinstance(want, tuple):
+            seen.add(want[0] if root else "q=0 " + want[1])
+            if want[0] == "PoleError" and any(e % w.denominator for w in ws):
+                seen.add("pole before a later misaligned w")
+            continue
+        seen.add(("fractional w", e) if any(w.denominator > 1 for w in ws) else e)
+        seen.add(("mixed a" if min(a) < 0 < max(a) else "one-sign a", len(a)))
+        cs = [c for c, _ in terms]
+        if len(set(ws)) < len(ws):
+            seen.add("repeated w")
+        # one power of the root for the whole batch, or several
+        powers = {w.numerator * e // w.denominator for w in ws}
+        seen.add(("one power", len(ws) > 1) if len(powers) == 1 else "several powers")
+        if 0 in cs:
+            seen.add("zero c")
+        if min(cs) < 0:
+            seen.add("negative c")
+    assert {"PoleError", "ExponentAlignmentError", "q=0 0 cannot be raised to a negative power"} <= seen
+    assert "pole before a later misaligned w" in seen
+    assert {("fractional w", e) for e in (2, 3, 4)} | {1} <= seen
+    assert {(s, r) for s in ("mixed a", "one-sign a") for r in (2, 3)} <= seen
+    assert {"repeated w", "zero c", "negative c", "several powers"} <= seen
+    assert {("one power", True), ("one power", False)} <= seen
 
 
 def test_non_integral_a_j_is_rejected_not_rounded():

@@ -183,18 +183,23 @@ def test_h_chi_matches_reference():
     for _ in range(700):
         chi = rng.choice(chars)
         a = rng.choice(A_ROWS)
-        r = len(a) + (rng.random() < 0.05)
+        # r off by one in about one draw in twenty, negative in another
+        r = rng.choice([len(a)] * 18 + [len(a) + 1, -len(a)])
         k = rng.choice((-1, 0, 1, 2, 3))
         u, q = rng.choice(U_VALUES), rng.choice(Q_VALUES)
         want = _compare(_h_chi_reference_mapped, h_chi, chi.modulus, k, r, a, u, q, chi)
         seen |= {want[:3], want[3]} if want[0] == "error" else {(want[0], chi.modulus, len(a))}
         if k < 0 and _outcome(_h_chi_reference, 0, r, a, u, q, chi)[0] == "error":
             seen.add(("k < 0 with another fault", want[2]))
+        if r < 0:
+            seen.add(("r < 0", want[2]))
     assert {"u^d = 1", DEGENERATE, ("error", "PoleError", "u")} <= seen  # poles of h_closed too
     assert {("value", d, r) for d in (1, 2, 3) for r in (1, 2)} <= seen
     assert {("padic", d, r) for d in (1, 2, 3) for r in (1, 2)} <= seen
     # k < 0 loses to a u^d or q^d fault, and wins over a zero a_j or u = 0
     assert {("k < 0 with another fault", p) for p in ("u", "q", "k")} <= seen
+    # a negative r is an r fault, after the u^d, q^d and k ones
+    assert {("r < 0", p) for p in ("u", "q", "k", "r")} <= seen
     # the mapped case: u^2 - u^3 - u^3 = 0 at u = 1/2, then u^4 makes the
     # total nonzero, which is 1/49 as with the rational quadratic character
     args = (0, 2, (2, 2), F(1, 2), F(2), DirichletCharacter.teichmuller_character(PadicContext(3, 8)))
