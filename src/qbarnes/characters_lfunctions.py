@@ -19,6 +19,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import gcd
+from typing import Callable
 
 from .errors import InternalError, PreconditionError
 from .exact_numbers import (
@@ -34,7 +35,6 @@ from .exact_numbers import (
 )
 from .euler_barnes import _integer_a, refinement
 from .padic_integration import DEFAULT_BUDGET, AdmissibleU, riemann_integral
-from .qnum import qbracket
 
 _RATIONAL_VALUES = (Fraction(-1), Fraction(0), Fraction(1))
 
@@ -195,17 +195,14 @@ def h_chi(
     `refinement` of H_k(0, u, q | a) (see `euler_barnes`) over i in the
     support of chi, weighted by chi(i_1)..chi(i_r). For d = 1 this is H_k.
 
-    The sum runs in the character's scalars. In rational mode the weights
-    are rationals, and the refinement takes all the terms in one batch, an
-    exact rational. In teichmuller mode each term is computed alone and
-    embedded once by `chi.lift`, and the terms are added in one pass
-    (`padic_sum`), so partial sums that cancel exactly lose no precision.
-    The prefactor comes last.
+    The sum runs in the character's scalars (`_twisted_sum`), each term
+    normalized by the refinement itself, so a teichmuller-mode sum that
+    cancels every tracked digit reports the modulus of H_{k,chi}.
 
     A u^d = 1 or q^d = 1 fault wins over k < 0, which wins over an r or a_j one.
     """
     support = [i for i in range(chi.modulus) if chi(i) != 0]
-    prefactor, refined = refinement(k, 0, a, u, q, chi.modulus)
+    refined = refinement(k, 0, a, u, q, chi.modulus)
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
     _integer_a(a, r)
@@ -216,10 +213,22 @@ def h_chi(
         for ij in iv:
             cv = cv * chi.value(ij)
         weights.append((cv, iv))
+    return _twisted_sum(chi, refined, weights)
+
+
+def _twisted_sum(
+    chi: DirichletCharacter, refined: Callable, weights: list
+) -> Rational | PadicNumber:
+    """sum cv refined([(1, i)]) over the pairs (cv, i) in `weights`, in chi's
+    scalars. In rational mode the weights are rationals, and the refinement
+    takes all the terms in one batch, an exact rational. In teichmuller mode
+    each term is computed alone and embedded once by `chi.lift`, and the
+    terms are added in one pass (`padic_sum`), so partial sums that cancel
+    exactly lose no precision."""
     if chi.context is None:
-        return prefactor * refined(weights)
+        return refined(weights)
     terms = [cv * chi.lift(refined([(1, iv)])) for cv, iv in weights]
-    return chi.lift(prefactor) * padic_sum(terms, chi.context)
+    return padic_sum(terms, chi.context)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +343,20 @@ def _l_negative_exact(
     k: int, chi: DirichletCharacter, u: Rational, q: Rational, a1: int, p: int
 ) -> Rational | PadicNumber:
     """L(-k) in the character's scalars: an exact rational for a rational-mode
-    character, a PadicNumber at its context for a teichmuller-mode one."""
+    character, a PadicNumber at its context for a teichmuller-mode one.
+
+    The Euler term chi(p) [p:q]^k (1-u)/(1-u^p) H_{k,chi}(u^p, q^p | a1),
+    with d the modulus, is the order-pd `refinement` of H_k(0, u, q | a1) at
+    the indices p i, weighted chi(p) chi(i): [p:q] [d:q^p] = [pd:q], so the
+    two prefactors combine into the order-pd one, which the refinement
+    applies itself. It is summed like H_{k,chi} (`_twisted_sum`), after it.
+    """
     main = h_chi(k, 1, (a1,), u, q, chi)
     if chi(p) == 0:
         return main
-    scale = chi.lift(qbracket(p, q) ** k * (1 - u) / (1 - u**p))
-    return main - chi.value(p) * scale * h_chi(k, 1, (a1,), u**p, q**p, chi)
+    d, cp = chi.modulus, chi.value(p)
+    weights = [(cp * chi.value(i), (p * i,)) for i in range(d) if chi(i) != 0]
+    return main - _twisted_sum(chi, refinement(k, 0, (a1,), u, q, p * d), weights)
 
 
 def l_at_negative(

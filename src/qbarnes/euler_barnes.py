@@ -34,13 +34,17 @@ time, in linear passes over the numerator (`_coprime_mod`).
 The order-f refinement is the distribution relation H_n(w, u, q | a) =
 (1-u)^r [f:q]^n / (1-u^f)^r sum_{i in {0..f-1}^r} u^|i| H_n((w + a.i)/f,
 u^f, q^f | a). `distribution_check` tests it, the moment measure of a cell
-of modulus f is its term i = (x,) over 1-u, and H_{k,chi} weights its terms
-by chi(i_1)..chi(i_r). `refinement` alone builds the refined base, and
-rejects u^f = 1 and q^f = 1, for all three. It hands each caller's batch of
-indices to route 1 as one weighted sum: the f^r terms of
-`distribution_check` and the d^r of a rational-mode H_{k,chi} are reduced
-once, while a teichmuller-mode H_{k,chi} takes its terms one at a time, to
-embed each one in Z_p.
+of modulus f is its term i = (x,) over 1-u, H_{k,chi} weights its terms by
+chi(i_1)..chi(i_r), and the Euler factor of L(-k) is the order-pd
+refinement at the indices p i. `refinement` alone builds the refined base,
+and rejects u^f = 1 and q^f = 1, for all of them. It hands each caller's
+batch of indices to route 1 as one weighted sum, and route 1 normalizes it
+in its final integer step: the refined closed form's own (1-u^f)^r /
+(1-q^f)^n times the prefactor is (1-u)^r / (1-q)^n, so no caller builds
+or multiplies a prefactor. The f^r terms of `distribution_check`, the d^r
+of a rational-mode H_{k,chi} and the p fine cells of a measure additivity
+check are reduced once, while a teichmuller-mode H_{k,chi} takes its terms
+one at a time, to embed each one in Z_p.
 """
 from __future__ import annotations
 
@@ -404,7 +408,7 @@ def h_closed(n: int, w: FractionalArg | int, params: BarnesParams) -> Rational:
     as `_closed_form` describes: its one-term case, which skips the batch
     pass. Fractional w = m/f needs f to divide the base exponent of q; an
     int w is w/1 (an int has a numerator and a denominator too)."""
-    return _closed_form(n, [(w.numerator, w.denominator)], None, 1, params)
+    return _closed_form(n, [(w.numerator, w.denominator)], None, 1, params, None)
 
 
 def _root_exponent(n: int, m: int, f: int, e: int, s: int, a: tuple[int, ...]) -> int:
@@ -427,11 +431,18 @@ def _closed_form(
     weights: Sequence[int] | None,
     scale: int,
     params: BarnesParams,
+    coarse_u: Fraction | None,
 ) -> Fraction:
     """sum_i g_i H_n(m_i / f_i) / scale over the arguments (m_i, f_i), for
     integer weights g_i; weights None is one argument with weight 1, which
     skips the batch pass. Route 1's one loop: `h_closed` is its one-term
     case, and the order-f `refinement` hands it each batch.
+
+    `coarse_u` picks the normalization: None (`h_closed`) gives H_n itself,
+    the sum times (1-u)^r / (1-q)^n. `refinement` passes its params as the
+    refined base, u^f and q^f = root^f, and its own u as `coarse_u`; the
+    sum is then times (1-u)^r / (1-root)^n, its prefactor times the
+    refined closed form's own normalization.
 
     The sum runs over Z. With q = root^e, root = s/t and u = c/d, each
     factor 1/(1 - root^M u) is t^M d / (t^M d - s^M c) (s and t swapped for
@@ -505,9 +516,16 @@ def _closed_form(
     num, den = _pairwise(
         [(C * s ** (A - a_min) * t ** (B - b_min), D) for C, A, B, D in terms], _add_fractions
     )
-    # (1-u)^r d^r = (d-c)^r and 1/(1-q)^n = t^(en) / (t^e - s^e)^n
+    # (1-u)^r d^r = (d-c)^r and 1/(1-q)^n = t^(en) / (t^e - s^e)^n; for
+    # a refinement, u = u0^f with u0 = c0/d0, so (1-u0)^r d^r is
+    # (d0^(f-1) (d0-c0))^r, and q0 = root is e = 1
+    if coarse_u is None:
+        norm = d - c
+    else:
+        d0 = coarse_u.denominator
+        norm, e = d // d0 * (d0 - coarse_u.numerator), 1
     shift = e * n + b_min
-    num *= weight * (d - c) ** params.r * t ** max(shift, 0)
+    num *= weight * norm ** params.r * t ** max(shift, 0)
     den *= (t**e - s**e) ** n * s**-a_min * t ** max(-shift, 0) * scale
     return Fraction(num, den)
 
@@ -695,20 +713,23 @@ def limit_q_to_1(n: int, w: int, r: int, a: Sequence[int], u: Rational) -> Ratio
 
 def refinement(
     n: int, w: int, a: tuple[int, ...], u: Rational, q: Rational, f: int
-) -> tuple[Rational, Callable[[Iterable[tuple[Rational, Sequence[int]]]], Rational]]:
-    """(prefactor, refined) of the order-f refinement of H_n(w, u, q | a):
-    the prefactor (1-u)^r [f:q]^n / (1-u^f)^r, and the function `refined`
+) -> Callable[[Iterable[tuple[Rational, Sequence[int]]]], Rational]:
+    """The order-f refinement of H_n(w, u, q | a), as the function `refined`
     that takes a nonempty batch of pairs (c, i), i in {0..f-1}^r, to
-    sum c u^|i| H_n((w + a.i)/f, u^f, q^f | a).
+
+        (1-u)^r [f:q]^n / (1-u^f)^r  sum c u^|i| H_n((w + a.i)/f, u^f, q^f | a),
+
+    which is H_n(w, u, q | a) when the batch is every i with c = 1.
 
     The terms differ only in their argument, so `refined` hands the batch
     to route 1's `_closed_form` as integer weights and arguments, and it is
     summed in one pass: one denominator per index l, one product tree and
-    one reduction for the whole batch, not one per i. It equals the sum of
-    the c u^|i| h_closed(...) term by term, and raises what the first
-    failing term would. u^f = 1 and q^f = 1 raise here; the refined
-    `BarnesParams` is built when `refined` is called, after the caller's
-    own checks.
+    one reduction for the whole batch, not one per i. The prefactor is not
+    formed: `_closed_form` normalizes by (1-u)^r / (1-q)^n, the prefactor
+    times the refined closed form's own (1-u^f)^r / (1-q^f)^n. It equals
+    the sum of the terms one by one, and raises what the first failing term
+    would. u^f = 1 and q^f = 1 raise here; the refined `BarnesParams` is
+    built when `refined` is called, after the caller's own checks.
     """
     u, q = Fraction(u), Fraction(q)
     uf = u**f
@@ -716,8 +737,6 @@ def refinement(
         raise PoleError(f"u^{f} = 1 makes the refined prefactor singular", parameter="u")
     if q**f == 1:
         raise PreconditionError(f"q^{f} = 1 makes the refined base degenerate", parameter="q")
-    r = len(a)
-    prefactor = ((1 - u) / (1 - uf)) ** r * qbracket(f, q) ** n
 
     def refined(weighted: Iterable[tuple[Rational, Sequence[int]]]) -> Rational:
         fine = BarnesParams(a, uf, QBase(q, f))
@@ -730,9 +749,9 @@ def refinement(
         c, d = u.numerator, u.denominator
         weights = [g * c**z * d ** (top - z) for g, z in zip(cvs, sizes)]
         args = [(w + sum(map(mul, fine.a, iv)), f) for _, iv in pairs]
-        return _closed_form(n, args, weights, L * d**top, fine)
+        return _closed_form(n, args, weights, L * d**top, fine, u)
 
-    return prefactor, refined
+    return refined
 
 
 def distribution_check(n: int, w: int, f: int, params: BarnesParams) -> Rational:
@@ -743,7 +762,7 @@ def distribution_check(n: int, w: int, f: int, params: BarnesParams) -> Rational
         raise PreconditionError("f must be >= 1", parameter="f")
     if params.q.exponent != 1:
         raise PreconditionError("distribution check needs a base with exponent 1", parameter="q")
-    prefactor, refined = refinement(n, w, params.a, params.u, params.q.root, f)
+    refined = refinement(n, w, params.a, params.u, params.q.root, f)
     lhs = h_closed(n, w, params)
-    rhs = prefactor * refined((1, iv) for iv in itertools.product(range(f), repeat=params.r))
+    rhs = refined((1, iv) for iv in itertools.product(range(f), repeat=params.r))
     return (lhs - rhs) / (params.u - 1) ** params.r

@@ -351,6 +351,17 @@ def _axis_powers(q: int, aj: int, p: int, v: int, points: int, digits: int) -> t
     return tuple(powers)
 
 
+def _moment_sum(
+    xs: Sequence[int], m: int, k: int, u: AdmissibleU, q: Rational, a1: int
+) -> Rational:
+    """sum over x in xs of E_k(x + m Z_p): one batch of the order-m
+    `refinement` of H_k(0, u, q | a1), the terms i = (x,) with the
+    coefficient 1/(1-u) each."""
+    refined = refinement(k, 0, (a1,), u.u, q, m)
+    weight = 1 / (1 - u.u)
+    return refined([(weight, (x,)) for x in xs])
+
+
 def measure_E_value(
     cell: MeasureCell,
     k: int,
@@ -368,8 +379,7 @@ def measure_E_value(
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
     cell.check(u.p)
-    prefactor, refined = refinement(k, 0, (a1,), u.u, q, cell.modulus(u.p))
-    return prefactor * refined([(1, (cell.x,))]) / (1 - u.u)
+    return _moment_sum((cell.x,), cell.modulus(u.p), k, u, q, a1)
 
 
 def measure_additivity_check(
@@ -381,12 +391,15 @@ def measure_additivity_check(
     q: Rational,
     a1: int = 1,
 ) -> Rational:
-    """sum_{i < p} E_k(x + i f p^N + f p^(N+1) Z_p) - E_k(x + f p^N Z_p)."""
+    """sum_{i < p} E_k(x + i f p^N + f p^(N+1) Z_p) - E_k(x + f p^N Z_p).
+
+    The coarse cell is checked and valued first (`measure_E_value`); the p
+    fine cells, which then lie in range, are one batch of the order
+    f p^(N+1) refinement.
+    """
     coarse = measure_E_value(MeasureCell(x, f, N), k, u, q, a1)
-    fine = Fraction(0)
     step = f * u.p**N
-    for i in range(u.p):
-        fine += measure_E_value(MeasureCell(x + i * step, f, N + 1), k, u, q, a1)
+    fine = _moment_sum([x + i * step for i in range(u.p)], step * u.p, k, u, q, a1)
     return fine - coarse
 
 

@@ -560,22 +560,22 @@ def _suite_report(name: str, seed: int, budget: int) -> dict:
 # this order, so the pool starts the suite that sets its critical path at
 # once (Graham's LPT rule), and joins them in table order. Seconds per suite
 # at seed 0, in process, the median of 7 runs averaged over two sets on a
-# 2-vCPU VM (Python 3.11): riemann-limit 1.06, measure-additivity 0.23,
-# addition 0.21, interpolation 0.17, eq8-bridge 0.16, qlimit 0.16,
-# distribution 0.15, theorem1-gf 0.10, kummer 0.07, measure-bound 0.03,
-# unit-power 0.03, prop5 0.01, carlitz-bridge 0.01.
+# 2-vCPU VM (Python 3.11): riemann-limit 1.38, addition 0.26, interpolation
+# 0.25, qlimit 0.21, eq8-bridge 0.20, distribution 0.15, theorem1-gf 0.14,
+# kummer 0.08, measure-additivity 0.06, unit-power 0.04, measure-bound 0.03,
+# prop5 0.01, carlitz-bridge 0.01.
 _LONGEST_FIRST = (
     "riemann-limit",
-    "measure-additivity",
     "addition",
     "interpolation",
-    "eq8-bridge",
     "qlimit",
+    "eq8-bridge",
     "distribution",
     "theorem1-gf",
     "kummer",
-    "measure-bound",
+    "measure-additivity",
     "unit-power",
+    "measure-bound",
     "prop5",
     "carlitz-bridge",
 )

@@ -109,6 +109,11 @@ COMPUTE_SHA256 = {
     # batch, taken from the per-term sum it replaced
     ("compute", "hchi", "--k", "6", "--a=1,-2", "--u", "5/2", "--q=-3/2", "--char", "quadratic:4"):
         "8ca00e3c1129006fd545875d5ee3eebb567a12547d00b1b0dd12bafb14ab9755",
+    # chi(5) = -1: L(-3) takes its Euler term, the order-15 refinement at
+    # the indices 5 i, with a sign; taken before that term was one batch
+    ("compute", "lvalue", "--k", "3", "--a", "1", "--u", "5", "--q", "6", "--char", "quadratic:3",
+     "--p", "5"):
+        "f4f2ff9c7be5681790564a332fc7baece7bd4b5040af3bd9c49ceb64d37c256d",
 }
 
 
@@ -142,6 +147,19 @@ def test_hchi_partial_sum_cancelling_keeps_precision(capsys):
     assert json.loads(out)["value"] == to_padic(Fraction(1, 49), PadicContext(3, 8)).to_json_dict()
     code, out = run_cli(capsys, *argv, "quadratic:3")
     assert (code, json.loads(out)["value"]) == (0, "1/49")
+
+
+def test_hchi_total_cancellation_reports_the_modulus_of_h_chi(capsys):
+    # every tracked digit of the teichmuller-mode sum cancels; the modulus
+    # is that of H_{k,chi} itself, whose terms carry the refinement's
+    # prefactor ((1-u)/(1-u^3))^2 [3:q]^5 of valuation -2 (it read p^2
+    # while the prefactor was lifted and multiplied in after the sum)
+    argv = ("compute", "hchi", "--k", "5", "--a=-1,-1", "--u=-1/2", "--q", "3/4", "--char")
+    code, out = run_cli(capsys, *argv, "teichmuller", "--p", "3", "--precision", "2")
+    assert (code, json.loads(out)) == (5, {
+        "error": "PrecisionExhaustedError",
+        "message": "precision exhausted: result is indistinguishable from zero modulo p^0",
+    })
 
 
 HBARNES = ("compute", "hbarnes", "--n", "1", "--w", "0")

@@ -163,7 +163,7 @@ def _batch(n, terms, params):
     scale = lcm(*(F(c).denominator for c, _ in terms))
     weights = [int(c * scale) for c, _ in terms]
     args = [(w.numerator, w.denominator) for _, w in terms]
-    return euler_barnes._closed_form(n, args, weights, scale, params)
+    return euler_barnes._closed_form(n, args, weights, scale, params, None)
 
 
 def test_route1_batch_matches_per_term_sum():

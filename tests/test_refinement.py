@@ -1,14 +1,28 @@
-"""`refinement` against the three sums it replaced.
+"""`refinement` against the sums it replaced.
 
 `_h_chi_reference`, `_distribution_reference` and `_measure_reference` are
 the bodies of `h_chi`, `distribution_check` and `measure_E_value` as they
 were when each built its own refined base. Values must agree exactly
 (p-adic ones digit for digit), and errors by type, parameter and message.
-Two differences are allowed: the u^f = 1 message, which now names the
-power, and an h_chi whose running p-adic sum cancels exactly, which now
-returns the total (`_h_chi_reference_mapped`). One change is made to
-`_h_chi_reference` itself: it checks r after k, where h_chi now checks r
-with the a_j, not first.
+Three differences are allowed:
+- the u^f = 1 message, which now names the power;
+- an h_chi whose running p-adic sum cancels exactly, which now returns the
+  total (`_h_chi_reference_mapped`);
+- a teichmuller-mode h_chi whose total cancels every tracked digit. The
+  refinement now normalizes each term, so the message gives the modulus of
+  H_{k,chi} itself: the reference's, which multiplied the lifted prefactor
+  in after the sum, shifted by the prefactor's valuation
+  (`_cancellation_shifted`).
+One change is made to `_h_chi_reference` itself: it checks r after k, where
+h_chi now checks r with the a_j, not first.
+
+Two more references are the sums that the refinement's batches replaced
+later. `_l_negative_reference` is L(-k) by the old formula, H_{k,chi}(u, q)
+less chi(p) [p:q]^k (1-u)/(1-u^p) H_{k,chi}(u^p, q^p), with
+`_h_chi_reference` for both H-values; its errors are compared by type and
+parameter, since its messages are those of the old sums.
+`_additivity_reference` is the cell additivity as p + 1 separate
+`measure_E_value` calls.
 """
 import itertools
 import random
@@ -29,10 +43,14 @@ from qbarnes import (
     distribution_check,
     h_chi,
     h_closed,
+    measure_additivity_check,
     measure_E_value,
     padic_sum,
     to_padic,
+    twist_teichmuller,
+    valuation,
 )
+from qbarnes.characters_lfunctions import _l_negative_exact
 from qbarnes.qnum import FractionalArg, qbracket
 
 
@@ -143,15 +161,18 @@ def _outcome(fn, *args):
     return ("value", type(value).__name__, value)
 
 
+def _pole_renamed(want, f):
+    """`want` with an old u^f = 1 message replaced by the one that names f."""
+    if want[0] == "error" and want[3] in _OLD_POLE_MESSAGES:
+        return want[:3] + (f"u^{f} = 1 makes the refined prefactor singular",)
+    return want
+
+
 def _compare(reference, function, f, *args):
     """Asserts one input gives the same outcome both ways; returns the
     reference outcome."""
     want = _outcome(reference, *args)
-    if want[0] == "error" and want[3] in _OLD_POLE_MESSAGES:
-        expected = want[:3] + (f"u^{f} = 1 makes the refined prefactor singular",)
-    else:
-        expected = want
-    assert _outcome(function, *args) == expected, args
+    assert _outcome(function, *args) == _pole_renamed(want, f), args
     return want
 
 
@@ -247,3 +268,139 @@ def test_measure_E_value_matches_reference():
     assert {("value", big, neg) for big in (0, 1) for neg in (0, 1)} <= seen
     # d and k come before the cell's range and the refined base
     assert {("k < 0 with another fault", p) for p in ("d", "k")} <= seen
+
+
+def _cancellation_shifted(want, k, r, a, u, q, chi):
+    """`want` with a cancellation's modulus p^m moved to p^(m + v), v the
+    valuation of the prefactor ((1-u)/(1-u^d))^r [d:q]^k that the reference
+    multiplied in after its sum."""
+    if want[:2] != ("error", "PrecisionExhaustedError"):
+        return want
+    u, q, d = F(u), F(q), chi.modulus
+    v = valuation(((1 - u) / (1 - u**d)) ** r * qbracket(d, q) ** k, chi.context.p)
+    head, modulus = want[3].rsplit("p^", 1)
+    return want[:3] + (f"{head}p^{int(modulus) + v}",)
+
+
+def _teichmuller_characters():
+    """Teichmuller-mode characters with p | d (omega and its twists) and
+    with p not dividing d, where chi(p) != 0: the trivial and quadratic
+    characters mod 3 and 4, lifted at p = 3, 5 and 7. The twist of the
+    quadratic character mod 4 is taken at p = 3 alone (modulus 12), since
+    its d^2 terms at p = 7 cost more than all the other draws together."""
+    chars = []
+    for p in (3, 5, 7):
+        for M in (1, 2, 4):
+            ctx = PadicContext(p, M)
+            rational = [DirichletCharacter.trivial(4), DirichletCharacter.quadratic(4)]
+            if p != 3:
+                rational += [DirichletCharacter.trivial(3), DirichletCharacter.quadratic(3)]
+            chars += [
+                DirichletCharacter(c.modulus, [int(v) for v in c.values], ctx) for c in rational
+            ]
+            chars.append(DirichletCharacter.teichmuller_character(ctx))
+            if p == 3:
+                chars.append(twist_teichmuller(DirichletCharacter.quadratic(4), 1, ctx))
+    return chars
+
+
+def test_h_chi_teichmuller_cancellation_reports_the_shifted_modulus():
+    # low precision makes totals that cancel every tracked digit common
+    rng = random.Random(14)
+    chars = _teichmuller_characters()
+    small = [F(x, y) for x in range(-6, 7) for y in (1, 2, 4) if x % y or y == 1]
+    seen = set()
+    for _ in range(1000):
+        chi = rng.choice(chars)
+        a = rng.choice(A_ROWS[:7])
+        k, u, q = rng.randint(0, 6), rng.choice(small), rng.choice(small)
+        args = (k, len(a), a, u, q, chi)
+        want = _outcome(_h_chi_reference_mapped, *args)
+        expected = _pole_renamed(_cancellation_shifted(want, *args), chi.modulus)
+        assert _outcome(h_chi, *args) == expected, args
+        seen.add(want[:2] if want[0] == "error" else ("padic", chi(chi.context.p) != 0))
+        if want[:2] == ("error", "PrecisionExhaustedError"):
+            seen.add(("shifted", _cancellation_shifted(want, *args) != want))
+    assert {("padic", False), ("padic", True), ("shifted", True), ("shifted", False)} <= seen
+    assert {("error", "PoleError"), ("error", "PreconditionError")} <= seen
+
+
+def _l_negative_reference(k, chi, u, q, a1, p):
+    u, q = F(u), F(q)
+    main = _h_chi_reference_mapped(k, 1, (a1,), u, q, chi)
+    if chi(p) == 0:
+        return main
+    scale = chi.lift(qbracket(p, q) ** k * (1 - u) / (1 - u**p))
+    return main - chi.value(p) * scale * _h_chi_reference_mapped(k, 1, (a1,), u**p, q**p, chi)
+
+
+def _exact_outcome(fn, *args):
+    """The value, p-adic digits included, or the error's type and parameter."""
+    try:
+        value = fn(*args)
+    except (QBarnesError, ArithmeticError) as exc:
+        return ("error", type(exc).__name__, getattr(exc, "parameter", None))
+    if isinstance(value, PadicNumber):
+        return ("padic", value.valuation, value.unit, value.digits)
+    return ("value", type(value).__name__, value)
+
+
+def test_l_negative_exact_matches_the_old_euler_factor():
+    rng = random.Random(15)
+    rational = [
+        DirichletCharacter.trivial(1),
+        DirichletCharacter.trivial(4),
+        DirichletCharacter.quadratic(3),
+        DirichletCharacter.quadratic(4),
+    ]
+    teichmuller = _teichmuller_characters()
+    seen = set()
+    for _ in range(600):
+        if rng.random() < 0.5:
+            chi, p = rng.choice(rational), rng.choice((3, 5, 7))
+        else:
+            chi = rng.choice(teichmuller)
+            p = chi.context.p
+        k, a1 = rng.choice((-1, 0, 1, 2, 3, 4)), rng.choice((1, 1, 2, -1, 0))
+        u = rng.choice([F(p), F(1, p), F(-p), F(2 * p), F(2, p * p), F(1, 2), F(-1), F(1), F(0)])
+        q = rng.choice([F(1 + p), F(1 + 2 * p), F(4), F(1, 2), F(-1), F(1), F(0), F(7, 3)])
+        args = (k, chi, u, q, a1, p)
+        want = _exact_outcome(_l_negative_reference, *args)
+        assert _exact_outcome(_l_negative_exact, *args) == want, args
+        mode = "rational" if chi.context is None else "teichmuller"
+        seen.add(want if want[0] == "error" else (want[0], mode, chi(p) != 0))
+    # both modes with and without the Euler term, which chi(p) = 0 drops
+    modes = (("value", "rational"), ("padic", "teichmuller"))
+    assert {(kind, mode, euler) for kind, mode in modes for euler in (False, True)} <= seen
+    errors = {("PreconditionError", flag) for flag in ("q", "k", "a")}
+    errors |= {("PoleError", "u"), ("PrecisionExhaustedError", None)}
+    assert {("error", *error) for error in errors} <= seen
+
+
+def _additivity_reference(x, f, N, k, u, q, a1=1):
+    coarse = measure_E_value(MeasureCell(x, f, N), k, u, q, a1)
+    step = f * u.p**N
+    fine = F(0)
+    for i in range(u.p):
+        fine += measure_E_value(MeasureCell(x + i * step, f, N + 1), k, u, q, a1)
+    return fine - coarse
+
+
+def test_measure_additivity_check_matches_per_cell_sum():
+    rng = random.Random(16)
+    us = {3: [F(3), F(1, 3), F(-3), F(6), F(2, 9)], 5: [F(5), F(-1, 5), F(10)]}
+    seen = set()
+    for _ in range(300):
+        p = rng.choice((3, 5))
+        u = AdmissibleU(rng.choice(us[p]), p)
+        f, N = rng.choice((0, 1, 2, 3)), rng.choice((-1, 0, 0, 1))
+        x = rng.randint(-1, max(f, 1) * p ** max(N, 0))
+        k, a1 = rng.choice((-1, 0, 1, 2, 3)), rng.choice((1, -1, 2, 0, 3))
+        q = rng.choice([F(4), F(-1), F(1), F(0), F(1, 2), F(-2), F(7, 3)])
+        args = (x, f, N, k, u, q, a1)
+        want = _outcome(_additivity_reference, *args)
+        assert _outcome(measure_additivity_check, *args) == want, args
+        seen.add(want[:3] if want[0] == "error" else ("value", want[2] == 0))
+    assert ("value", True) in seen
+    flags = ("f", "level-N", "x", "k", "a", "q")
+    assert {("error", "PreconditionError", flag) for flag in flags} <= seen
