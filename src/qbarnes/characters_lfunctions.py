@@ -1,11 +1,13 @@
 """Dirichlet characters, twisted H-numbers, and the p-adic L-function.
 
-A character's values live in its own scalars, fixed by its context. With
-no context they are the rationals {-1, 0, 1} (order <= 2), and every
-computation stays exact; with a PadicContext they are unit residues mod p^M
-whose (p-1)-st power is 1, which is what the omega-twists used in
-interpolation need. `lift` embeds a rational in those scalars. Twisting chi
-by omega^k bumps the modulus to lcm(d, p).
+A character's values are ints; `lift` picks the scalars. With no context
+(rational mode) the values are -1, 0 and 1 (order <= 2) and `lift` is the
+identity, so every computation stays exact; with a PadicContext
+(teichmuller mode) they are residues mod p^M whose (p-1)-st power is 1,
+which is what the omega-twists used in interpolation need, and `lift` embeds
+an exact rational as a PadicNumber at that context. Weights are exact
+products of table values, lifted once with the term they weight. Twisting
+chi by omega^k bumps the modulus to lcm(d, p).
 
 The two L-value routes are deliberately independent: `l_riemann` sums the
 defining integral over the p-adic units at level N, with the one Riemann
@@ -18,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Callable
 
 from .errors import InternalError, PreconditionError
@@ -36,16 +38,15 @@ from .exact_numbers import (
 from .euler_barnes import _integer_a, refinement
 from .padic_integration import DEFAULT_BUDGET, AdmissibleU, riemann_integral
 
-_RATIONAL_VALUES = (Fraction(-1), Fraction(0), Fraction(1))
-
 
 class DirichletCharacter:
     """A character mod d, stored as its full value table.
 
-    values[x] is chi(x) for 0 <= x < d; zero exactly off the units. Without
-    a context (rational mode) the value set is {-1, 0, 1}, so the order
-    divides 2; with one (teichmuller mode) the values are integer residues
-    mod p^M that are (p-1)-st roots of unity.
+    values[x] is chi(x) for 0 <= x < d, an int; zero exactly off the units,
+    chi(1) = 1 and multiplicative. Without a context (rational mode) the
+    value set is {-1, 0, 1}, so the order divides 2; with one (teichmuller
+    mode) the values are residues mod p^M that are (p-1)-st roots of unity,
+    and multiplicative mod p^M. Values are ints; `lift` picks the scalars.
     """
 
     __slots__ = ("modulus", "values", "context")
@@ -60,39 +61,44 @@ class DirichletCharacter:
             )
         self.modulus = modulus
         self.context = context
+        values = tuple(Fraction(v) for v in values)
         if context is None:
-            values = tuple(Fraction(v) for v in values)
-            if any(v not in _RATIONAL_VALUES for v in values):
+            if any(v not in (-1, 0, 1) for v in values):
                 raise PreconditionError(
                     "rational-mode values must lie in {-1, 0, 1}", parameter="values"
                 )
-        else:
+        elif any(v.denominator != 1 for v in values):
+            raise PreconditionError(
+                "teichmuller-mode values must be integers", parameter="values"
+            )
+        self.values = tuple(int(v) for v in values)
+        if context is not None:
             mod = context.modulus
-            values = tuple(int(v) % mod for v in values)
-            if any(v != 0 and pow(v, context.p - 1, mod) != 1 for v in values):
+            self.values = tuple(v % mod for v in self.values)
+            if any(v != 0 and pow(v, context.p - 1, mod) != 1 for v in self.values):
                 raise PreconditionError(
                     "teichmuller-mode values must be (p-1)-st roots of unity",
                     parameter="values",
                 )
-        self.values = values
         self._validate()
 
     def _validate(self) -> None:
-        d = self.modulus
+        d, chi = self.modulus, self.values
         for x in range(d):
             on_units = gcd(x, d) == 1
-            if on_units == (self.values[x] == 0):
+            if on_units == (chi[x] == 0):
                 raise PreconditionError(
                     f"chi({x}) must be {'nonzero' if on_units else 'zero'}",
                     parameter="values",
                 )
-        chi = [self.value(x) for x in range(d)]
-        if chi[1 % d] != self.lift(Fraction(1)):
+        if chi[1 % d] != 1:
             raise PreconditionError("chi(1) must be 1", parameter="values")
+        mod = None if self.context is None else self.context.modulus
         units = [x for x in range(d) if gcd(x, d) == 1]
         for a in units:
             for b in units:
-                if chi[a * b % d] != chi[a] * chi[b]:
+                product = chi[a] * chi[b]
+                if chi[a * b % d] != (product % mod if mod else product):
                     raise PreconditionError(
                         "character table is not multiplicative", parameter="values"
                     )
@@ -101,18 +107,15 @@ class DirichletCharacter:
 
     @classmethod
     def trivial(cls, modulus: int) -> "DirichletCharacter":
-        return cls(
-            modulus,
-            [Fraction(1) if gcd(x, modulus) == 1 else Fraction(0) for x in range(modulus)],
-        )
+        return cls(modulus, [1 if gcd(x, modulus) == 1 else 0 for x in range(modulus)])
 
     @classmethod
     def quadratic(cls, modulus: int) -> "DirichletCharacter":
         """The quadratic character mod 3 or mod 4."""
         if modulus == 3:
-            return cls(3, [Fraction(0), Fraction(1), Fraction(-1)])
+            return cls(3, [0, 1, -1])
         if modulus == 4:
-            return cls(4, [Fraction(0), Fraction(1), Fraction(0), Fraction(-1)])
+            return cls(4, [0, 1, 0, -1])
         raise PreconditionError(
             "built-in quadratic characters exist for d in {3, 4}", parameter="d"
         )
@@ -124,20 +127,17 @@ class DirichletCharacter:
 
     # -- evaluation -----------------------------------------------------------
 
-    def __call__(self, x: int):
-        """Table lookup at x mod d; zero off the units."""
+    def __call__(self, x: int) -> int:
+        """Table lookup at x mod d, an int; zero off the units."""
         return self.values[x % self.modulus]
 
-    def lift(self, x: Rational) -> Rational | PadicNumber:
-        """x in the character's own scalars: the rational itself in rational
-        mode, its PadicNumber image at the character's context otherwise."""
+    def lift(self, x: Rational | int) -> Rational | int | PadicNumber:
+        """x in the character's own scalars: x itself in rational mode, its
+        PadicNumber image at the character's context otherwise. The one
+        place the two modes differ: chi(x) is an int in both."""
         if self.context is None:
             return x
         return to_padic(x, self.context)
-
-    def value(self, x: int) -> Rational | PadicNumber:
-        """chi(x) in the character's own scalars (see `lift`)."""
-        return self.lift(self(x))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirichletCharacter):
@@ -163,19 +163,16 @@ def _check_char_context(chi: DirichletCharacter, context: PadicContext) -> None:
 def twist_teichmuller(
     chi: DirichletCharacter, k: int, context: PadicContext
 ) -> DirichletCharacter:
-    """chi * omega^k as a teichmuller-mode character mod lcm(d, p)."""
-    p, M = context.p, context.precision
-    mod = p**M
+    """chi * omega^k as a teichmuller-mode character mod lcm(d, p): the
+    product of the two int tables, mod p^M."""
+    p, mod = context.p, context.modulus
     _check_char_context(chi, context)
-    d = chi.modulus
-    L = d * p // gcd(d, p)
-    vals = []
-    for x in range(L):
-        if gcd(x, L) != 1:
-            vals.append(0)
-            continue
-        w = pow(teichmuller(x, context).unit, k % (p - 1), mod)
-        vals.append(int(chi(x)) * w % mod)
+    L = chi.modulus * p // gcd(chi.modulus, p)
+    e = k % (p - 1)
+    vals = [
+        chi(x) * pow(teichmuller(x, context).unit, e, mod) % mod if gcd(x, L) == 1 else 0
+        for x in range(L)
+    ]
     return DirichletCharacter(L, vals, context)
 
 
@@ -195,7 +192,8 @@ def h_chi(
     `refinement` of H_k(0, u, q | a) (see `euler_barnes`) over i in the
     support of chi, weighted by chi(i_1)..chi(i_r). For d = 1 this is H_k.
 
-    The sum runs in the character's scalars (`_twisted_sum`), each term
+    The weights are int products of table values; the sum runs in the
+    character's scalars, which `lift` picks (`_twisted_sum`), each term
     normalized by the refinement itself, so a teichmuller-mode sum that
     cancels every tracked digit reports the modulus of H_{k,chi}.
 
@@ -206,13 +204,9 @@ def h_chi(
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")
     _integer_a(a, r)
-    one = chi.lift(Fraction(1))
-    weights = []
-    for iv in itertools.product(support, repeat=r):
-        cv = one
-        for ij in iv:
-            cv = cv * chi.value(ij)
-        weights.append((cv, iv))
+    weights = [
+        (prod(map(chi, iv)), iv) for iv in itertools.product(support, repeat=r)
+    ]
     return _twisted_sum(chi, refined, weights)
 
 
@@ -220,14 +214,16 @@ def _twisted_sum(
     chi: DirichletCharacter, refined: Callable, weights: list
 ) -> Rational | PadicNumber:
     """sum cv refined([(1, i)]) over the pairs (cv, i) in `weights`, in chi's
-    scalars. In rational mode the weights are rationals, and the refinement
-    takes all the terms in one batch, an exact rational. In teichmuller mode
-    each term is computed alone and embedded once by `chi.lift`, and the
-    terms are added in one pass (`padic_sum`), so partial sums that cancel
-    exactly lose no precision."""
+    scalars. The weights cv are ints, products of table values; `lift`
+    picks the scalars. In rational mode the refinement takes all the terms
+    in one batch, an exact rational. In teichmuller mode each exact term
+    cv refined([(1, i)]) is computed alone and lifted once (cv is a unit,
+    so this is the PadicNumber product of the two lifts), and the terms
+    are added in one pass (`padic_sum`): partial sums that cancel exactly
+    lose no precision, and the sum is known to its least term's."""
     if chi.context is None:
         return refined(weights)
-    terms = [cv * chi.lift(refined([(1, iv)])) for cv, iv in weights]
+    terms = [chi.lift(cv * refined([(1, iv)])) for cv, iv in weights]
     return padic_sum(terms, chi.context)
 
 
@@ -240,35 +236,33 @@ def angle_bracket(x: int, q: Rational, context: PadicContext) -> PadicNumber:
 
     [x : q] is computed exactly mod p^M by working mod p^(M+e) with
     e = nu_p(q - 1): lifting-the-exponent gives nu_p(1 - q^x) = e for unit
-    x, so one division by p^e costs exactly the headroom e. The result is a
-    principal unit (≡ 1 mod p), the base `padic_pow` needs.
+    x, so one division by p^e costs exactly the headroom e. The unit
+    [x : q] omega(x)^-1 mod p^M is an int, with omega(x) read from
+    `teichmuller`, and the one PadicNumber is built from it: a principal
+    unit (≡ 1 mod p), the base `padic_pow` needs.
     """
     p, M = context.p, context.precision
     if gcd(x, p) != 1:
         raise PreconditionError("x must be a p-adic unit", parameter="x")
     q = Fraction(q)
     if q == 1:
-        bracket = to_padic(x, context)
+        num, den = x, 1
     else:
         e = int(valuation(q - 1, p))
         if e < 1:
             raise PreconditionError("q ≡ 1 (mod p) required", parameter="q")
         big = p ** (M + e)
         qU = q.numerator * pow(q.denominator, -1, big) % big
-        num = (1 - pow(qU, x, big)) % big
-        den = (1 - qU) % big
-        num_unit = num // p**e
-        den_unit = den // p**e
-        if num_unit % p == 0 or den_unit % p == 0:
+        num = (1 - pow(qU, x, big)) % big // p**e
+        den = (1 - qU) % big // p**e
+        if num % p == 0 or den % p == 0:
             raise InternalError("lifting-the-exponent valuation bookkeeping broke")
-        bracket = PadicNumber(
-            context, 0, num_unit * pow(den_unit, -1, p**M), M
-        )
-    projection = bracket / teichmuller(x, context)
+    mod = p**M
+    unit = num * pow(den * teichmuller(x, context).unit, -1, mod) % mod
     # [x : q] ≡ x and omega(x) ≡ x (mod p), so a failure here is a library bug
-    if projection.valuation != 0 or projection.unit % p != 1:
+    if unit % p != 1:
         raise InternalError("<x : q> is not ≡ 1 (mod p)")
-    return projection
+    return PadicNumber(context, 0, unit, M)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +348,8 @@ def _l_negative_exact(
     main = h_chi(k, 1, (a1,), u, q, chi)
     if chi(p) == 0:
         return main
-    d, cp = chi.modulus, chi.value(p)
-    weights = [(cp * chi.value(i), (p * i,)) for i in range(d) if chi(i) != 0]
+    d, cp = chi.modulus, chi(p)
+    weights = [(cp * chi(i), (p * i,)) for i in range(d) if chi(i) != 0]
     return main - _twisted_sum(chi, refinement(k, 0, (a1,), u, q, p * d), weights)
 
 

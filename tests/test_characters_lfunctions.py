@@ -42,6 +42,40 @@ def test_character_validation():
         DirichletCharacter(5, [F(0), F(1), F(2), F(3), F(4)])  # not multiplicative
 
 
+def test_teichmuller_mode_tables_are_validated_on_ints():
+    # int(5/2) = 2 would make this table omega mod 5
+    ctx = PadicContext(5, 1)
+    with pytest.raises(PreconditionError) as info:
+        DirichletCharacter(5, [0, 1, F(5, 2), 3, 4], ctx)
+    assert info.value.parameter == "values"
+    assert DirichletCharacter(5, [0, 1, F(4, 2), 3, 4], ctx) == DirichletCharacter(
+        5, [0, 1, 2, 3, 4], ctx
+    )
+    # 4th roots of unity mod 25 with chi(2) chi(3) = 49 ≡ -1, not chi(1)
+    with pytest.raises(PreconditionError, match="not multiplicative"):
+        DirichletCharacter(5, [0, 1, 7, 7, 24], PadicContext(5, 2))
+
+
+def test_character_tables_are_ints_and_lift_is_the_one_switch(monkeypatch):
+    # twisting, <x : q> and a teichmuller-mode sum multiply, divide and
+    # compare no PadicNumber: each is built once, from an exact int or rational
+    def refuse(*args):
+        raise AssertionError("PadicNumber arithmetic on a character path")
+
+    for method in ("__mul__", "__truediv__", "__eq__"):
+        monkeypatch.setattr(PadicNumber, method, refuse)
+    ctx = PadicContext(5, 8)
+    tw = twist_teichmuller(DirichletCharacter.quadratic(4), 1, ctx)
+    assert all(type(v) is int for v in tw.values) and not hasattr(tw, "value")
+    assert tw.lift(tw(3)).unit == tw(3)
+    assert angle_bracket(7, F(6), PadicContext(5, 6)).unit % 5 == 1
+    omega = DirichletCharacter.teichmuller_character(PadicContext(5, 6))
+    value = h_chi(2, 1, (1,), F(5), F(6), omega)
+    assert isinstance(value, PadicNumber)
+    q3 = DirichletCharacter.quadratic(3)
+    assert q3.values == (0, 1, -1) and q3.lift(q3(2)) == -1
+
+
 def test_builtin_characters():
     triv = DirichletCharacter.trivial(1)
     assert triv(0) == 1 and triv(17) == 1
@@ -56,9 +90,9 @@ def test_teichmuller_character():
     ctx = PadicContext(5, 4)
     omega = DirichletCharacter.teichmuller_character(ctx)
     assert omega.modulus == 5
-    w2 = omega.value(2)
+    w2 = omega.lift(omega(2))
     assert w2 == teichmuller(2, ctx)
-    assert omega.value(5).is_zero
+    assert omega.lift(omega(5)).is_zero
 
 
 def test_twist_zero_pattern():
@@ -67,7 +101,7 @@ def test_twist_zero_pattern():
     tw = twist_teichmuller(q4, 1, ctx)
     assert tw.modulus == 20
     for x in range(20):
-        vanishes = tw.value(x).is_zero
+        vanishes = tw.lift(tw(x)).is_zero
         assert vanishes == (x % 2 == 0 or x % 5 == 0)
 
 

@@ -114,6 +114,16 @@ COMPUTE_SHA256 = {
     ("compute", "lvalue", "--k", "3", "--a", "1", "--u", "5", "--q", "6", "--char", "quadratic:3",
      "--p", "5"):
         "f4f2ff9c7be5681790564a332fc7baece7bd4b5040af3bd9c49ceb64d37c256d",
+    # a teichmuller-mode character twisted by omega^2, its level sum run
+    # through angle_bracket; taken before character tables became ints
+    ("compute", "lvalue", "--k", "2", "--a", "1", "--u", "5", "--q", "6", "--char", "teichmuller",
+     "--p", "5", "--level-N", "2"):
+        "55d6609c35ade03cdd49fb1fac683ca9e046b2349c52500f232fc482f51be5b6",
+    # a JSON character of rational strings, stored as an int table; taken
+    # before that change too
+    ("compute", "hchi", "--k", "3", "--a", "1,2", "--u", "5/2", "--q", "3", "--char",
+     '{"modulus": 5, "values": ["0", "1", "-1", "-1", "1"]}'):
+        "03067446f76f66672cb75252003c7726c909dc85568cc042dbe77e1b28f99971",
 }
 
 

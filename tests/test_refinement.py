@@ -79,7 +79,7 @@ def _h_chi_reference(k, r, a, u, q, chi, one_pass=False):
         for iv in itertools.product(support, repeat=r):
             cv = one
             for ij in iv:
-                cv = cv * chi.value(ij)
+                cv = cv * chi.lift(chi(ij))
             warg = FractionalArg(sum(aj * ij for aj, ij in zip(a, iv)), d)
             yield cv * chi.lift(u ** sum(iv) * h_closed(k, warg, params))
 
@@ -331,7 +331,7 @@ def _l_negative_reference(k, chi, u, q, a1, p):
     if chi(p) == 0:
         return main
     scale = chi.lift(qbracket(p, q) ** k * (1 - u) / (1 - u**p))
-    return main - chi.value(p) * scale * _h_chi_reference_mapped(k, 1, (a1,), u**p, q**p, chi)
+    return main - chi.lift(chi(p)) * scale * _h_chi_reference_mapped(k, 1, (a1,), u**p, q**p, chi)
 
 
 def _exact_outcome(fn, *args):

@@ -2,17 +2,25 @@
 the code a suite witnesses, never into the suite itself, must make its
 report read "pass": false. Every case runs at seed 0.
 
-Faults so far, all in the batches that route 1 sums for the order-f
+Faults so far, first in the batches that route 1 sums for the order-f
 refinement (`euler_barnes.refinement`):
 - `distribution`: `distribution_check`'s batch loses its last index i;
 - `eq8-bridge`: one chi weight of rational-mode `h_chi`'s batch flips sign;
-- `measure-additivity`: the batch of fine cells loses its last cell.
+- `measure-additivity`: the batch of fine cells loses its last cell;
+then in the functions the suites call:
+- `interpolation` and `unit-power`: `angle_bracket` returns [x : q],
+  without the division by omega(x);
+- `addition`: `h_addition` takes C(n, k-1) for C(n, k).
 """
 import json
 import sys
+import types
+from math import comb
 
-from qbarnes import characters_lfunctions, euler_barnes, padic_integration
+from qbarnes import characters_lfunctions, euler_barnes, padic_integration, verify
+from qbarnes.characters_lfunctions import angle_bracket
 from qbarnes.cli import main
+from qbarnes.exact_numbers import teichmuller
 from qbarnes.verify import run_suite
 
 
@@ -89,4 +97,36 @@ def test_measure_additivity_fails_without_the_last_fine_cell(monkeypatch):
     assert not report["pass"]
     # the coarse cell is one pair, so only the fine batch lost a cell; its
     # E_k is nonzero in every check
+    assert all(not check["pass"] for check in report["checks"])
+
+
+def test_interpolation_and_unit_power_fail_without_the_omega_division(monkeypatch):
+    # <x : q> returned as [x : q] = <x : q> omega(x)
+    def bracket(x, q, context):
+        return angle_bracket(x, q, context) * teichmuller(x, context)
+
+    for suite in ("interpolation", "unit-power"):
+        assert run_suite(suite)["pass"]
+    monkeypatch.setattr(characters_lfunctions, "angle_bracket", bracket)
+    monkeypatch.setattr(verify, "angle_bracket", bracket)
+    interpolation = run_suite("interpolation")
+    assert not interpolation["pass"]
+    # [x : q] is not a 1-unit, so no power of it tends to 1
+    unit_power = run_suite("unit-power")
+    assert all(not check["pass"] for check in unit_power["checks"])
+
+
+def test_addition_fails_with_a_shifted_binomial(monkeypatch):
+    # h_addition's own C(n, k) read as C(n, k-1); the h_closed it calls
+    # keeps the right binomials
+    def shifted(n, k):
+        return comb(n, k - 1) if k else 0
+
+    faulty = types.FunctionType(
+        euler_barnes.h_addition.__code__, {**vars(euler_barnes), "comb": shifted}
+    )
+    assert run_suite("addition")["pass"]
+    monkeypatch.setattr(euler_barnes, "h_addition", faulty)
+    monkeypatch.setattr(verify, "h_addition", faulty)
+    report = run_suite("addition")
     assert all(not check["pass"] for check in report["checks"])
