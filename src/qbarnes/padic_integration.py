@@ -17,21 +17,20 @@ shortcut, `riemann_error_valuations`, finds nu_p(level sum - target) for
 several moments n at once from the sums modulo p^K, with K a few dozen
 digits above the error valuation the u-adic tail makes expected (X. Caruso,
 *Computations with p-adic numbers*, arXiv:1701.06794, on fixed-precision
-p-adic sums). One pass over the points takes each point's q-bracket
-numerator once and its n-th powers by running products, and keeps each
-n's sum as a Horner sum in u on the fly. A nonzero residue fixes that n's
+p-adic sums). It expands each q-bracket power binomially, so the r-fold
+sum splits into one-axis sums of geometric terms, each added term by term
+by Horner and shared by every n. A nonzero residue fixes that n's
 valuation exactly; a zero residue sends that n alone to the exact sum, so
 no valuation is ever capped at K.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Any, Callable, Sequence
 
-from .errors import BudgetError, PoleError, PreconditionError
+from .errors import BudgetError, InternalError, PoleError, PreconditionError
 from .exact_numbers import Rational, check_odd_prime, valuation
 from .euler_barnes import BarnesParams, h_closed, refinement
 from .qnum import QBase, qbracket, qbracket_z
@@ -217,9 +216,9 @@ def riemann_error_valuations(
 
     When u is an integer with v = nu_p(u) >= 1 and q an integer ≡ 1
     (mod p), the level sums of every n >= 1 with a p-integral target are
-    taken mod p^K with K = v p^N + N + GUARD_DIGITS, together in one pass
-    over the points: their error starts at the u^(p^N) tail, so its
-    valuation is about v p^N. A nonzero residue is that n's valuation; a
+    taken mod p^K with K = v p^N + N + GUARD_DIGITS, together from one set
+    of axis sums: their error starts at the u^(p^N) tail, so its valuation
+    is about v p^N. A nonzero residue is that n's valuation; a
     zero residue, like every other input, sends that n alone to the exact
     sum (1 at n = 0). Every input, and the budget, is checked before any
     work; `ns` and `targets` must have the same length.
@@ -272,83 +271,54 @@ def _level_residues(
     b(x) = (q^x - 1)/p^e is p-integral. The level sum is
     c^-n T_n / [p^N : u]^r with T_n = sum_xs b(w + a.xs)^n u^|xs|, and
     dividing by the unit c^-n / [p^N : u]^r leaves
-    T_n - target c^n [p^N : u]^r. A term carries
-    u^|xs| = p^(v |xs|) (u / p^v)^|xs|, so b is needed only mod
-    p^(K - v |xs|), and terms with v |xs| >= K vanish.
+    T_n - target c^n [p^N : u]^r.
 
-    One pass serves every n: b is taken once per point, and its powers by
-    running products. Each T_n is a Horner sum in u, kept on the fly: the
-    points are walked by size s = |xs| from the largest down, and before
-    each size every running T_n is multiplied by u.
+    Expanding b^n binomially splits the sum over the axes:
+    p^(e n) T_n = sum_j C(n, j) (-1)^(n-j) q^(w j) prod_i S(a_i j), where the
+    axis sum S(k) = sum_(x < p^N) (q^k u)^x is added term by term mod
+    p^(K + e max ns); every n and axis shares it, and S(0) = [p^N : u]. The
+    division by p^(e n) is exact: a remainder raises `InternalError`.
     """
-    e = valuation(q - 1, p)
-    pe = p**e
-    mod = p**K
-    s_max = min(len(a) * (points - 1), (K - 1) // v)
-    tables = [_axis_powers(q, aj, p, v, points, K + e) for aj in a]
-    of_size: list[list[tuple[int, ...]]] = [[] for _ in range(s_max + 1)]
-    for xs in itertools.product(range(points), repeat=len(a)):
-        s = sum(xs)
-        if s <= s_max:
-            of_size[s].append(xs)
-    exponents = sorted(set(ns))
-    steps = [n - m for m, n in zip([0, *exponents], exponents)]
-    totals = [0] * len(exponents)
-    qw = pow(q, w, p ** (K + e))
-    # m = p^(K + e - v s), the digits a term of size s needs
-    m, pv = p ** (K + e - v * s_max), p**v
-    for s in range(s_max, -1, -1):
-        totals = [total * u for total in totals]
-        for xs in of_size[s]:
-            power = qw
-            for table, x in zip(tables, xs):
-                power = power * table[x] % m
-            b, bn = (power - 1) // pe, 1
-            for i, step in enumerate(steps):
-                # b^n left unreduced: one reduction mod p^K at the end costs
-                # less than one per term
-                bn *= b**step
-                totals[i] += bn
-        m *= pv
-    norm = (1 - pow(u, points, mod)) * pow(1 - u, -1, mod) % mod
-    c = (q - 1) // pe
-    scale = pow(norm, len(a), mod)
-    sums = dict(zip(exponents, totals))
-    return [
-        (sums[n] - t.numerator * pow(t.denominator, -1, mod) * pow(c, n, mod) * scale) % mod
-        for n, t in zip(ns, targets)
-    ]
+    e, top = valuation(q - 1, p), max(ns)
+    mod, wide = p**K, p ** (K + e * top)
+    exponents = {aj * j for aj in a for j in range(top + 1)}
+    sums = {k: _axis_sum(k, q, u, points, wide) for k in exponents}
+    # products[j] = q^(w j) prod_i S(a_i j)
+    products, qw = [], pow(q, w, wide)
+    for j in range(top + 1):
+        product = pow(qw, j, wide)
+        for aj in a:
+            product = product * sums[aj * j] % wide
+        products.append(product)
+    c = (q - 1) // p**e
+    scale = pow(sums[0], len(a), mod)
+    residues = []
+    for n, t in zip(ns, targets):
+        shifted = sum(comb(n, j) * (-1) ** (n - j) * products[j] for j in range(n + 1))
+        total, remainder = divmod(shifted % wide, p ** (e * n))
+        if remainder:
+            raise InternalError(f"the level sum of n = {n} is not divisible by p^(e n)")
+        target = t.numerator * pow(t.denominator, -1, mod) * pow(c, n, mod) * scale
+        residues.append((total - target) % mod)
+    return residues
 
 
-@functools.lru_cache(maxsize=8)
-def _axis_powers(q: int, aj: int, p: int, v: int, points: int, digits: int) -> tuple[int, ...]:
-    """q^(aj x) mod p^(digits - v x) for x < p^N; the w checks of one
-    level share these. Each step multiplies by the small integer q^|aj|:
-    upwards in x for aj > 0, downwards from q^(aj (p^N - 1)) for aj < 0."""
-    pv = p**v
-    moduli = [p**digits]
-    for _ in range(points - 1):
-        moduli.append(moduli[-1] // pv)
-    step = q ** abs(aj)
-    if aj > 0:
-        powers = [1]
-        for m in moduli[1:]:
-            powers.append(powers[-1] * step % m)
-        return tuple(powers)
-    # going down in x, the moduli grow: `power` keeps every digit. It is
-    # reduced to the largest modulus of a block of 32 entries once, so each
-    # entry drops at most 32 v digits; dropping all v x of them per entry
-    # costs time quadratic in p^N.
-    power = pow(q, aj * (points - 1), moduli[0])
-    powers = [0] * points
-    for top in range(points - 1, -1, -32):
-        low = max(top - 31, 0)
-        block = power % moduli[low]
-        for x in range(top, low - 1, -1):
-            powers[x] = block % moduli[x]
-            block = block * step % moduli[low]
-        power = power * step ** (top - low + 1) % moduli[0]
-    return tuple(powers)
+def _axis_sum(k: int, q: int, u: int, points: int, mod: int) -> int:
+    """S(k) = sum_(x < points) (q^k u)^x mod `mod`, term by term by Horner:
+    one small-integer multiply per step. For k < 0 it is summed reversed in
+    the integer z = q^-k, as sum_x u^x z^(points - 1 - x) with a running u^x,
+    and multiplied once by z^-(points - 1)."""
+    z, total = q ** abs(k), 0
+    if k >= 0:
+        zu = z * u
+        for _ in range(points):
+            total = (total * zu + 1) % mod
+        return total
+    upow = 1
+    for _ in range(points):
+        total = (total * z + upow) % mod
+        upow = upow * u % mod
+    return total * pow(z, 1 - points, mod) % mod
 
 
 def _moment_sum(

@@ -291,7 +291,7 @@ def _riemann_limit(sampler: ParameterSampler, budget: int) -> Checks:
             a = tuple(sampler.nonzero_int(-2, 2) for _ in range(r))
             params = BarnesParams(a, uu.u, QBase(q))
             ns = range(4)
-            # each (w, level) takes every n in one pass; the checks keep the
+            # each (w, level) takes every n in one call; the checks keep the
             # (n, w) order, and every draw above comes before any sum
             by_w = {}
             for w in (0, 1):
@@ -559,15 +559,15 @@ def _suite_report(name: str, seed: int, budget: int) -> dict:
 # SUITES' names by measured cost, the longest first: `all` submits them in
 # this order, so the pool starts the suite that sets its critical path at
 # once (Graham's LPT rule), and joins them in table order. Seconds per suite
-# at seed 0, in process, the median of 7 runs averaged over two sets on a
-# 2-vCPU VM (Python 3.11): riemann-limit 1.38, addition 0.26, interpolation
-# 0.25, qlimit 0.21, eq8-bridge 0.20, distribution 0.15, theorem1-gf 0.14,
-# kummer 0.08, measure-additivity 0.06, unit-power 0.04, measure-bound 0.03,
-# prop5 0.01, carlitz-bridge 0.01.
+# at seed 0, in process, the median of 7 runs averaged over four sets on a
+# 2-vCPU VM (Python 3.11): addition 0.30, interpolation 0.24, riemann-limit
+# 0.24, qlimit 0.23, eq8-bridge 0.21, distribution 0.17, theorem1-gf 0.15,
+# kummer 0.09, measure-additivity 0.06, unit-power 0.04, measure-bound 0.03,
+# carlitz-bridge 0.01, prop5 0.01.
 _LONGEST_FIRST = (
-    "riemann-limit",
     "addition",
     "interpolation",
+    "riemann-limit",
     "qlimit",
     "eq8-bridge",
     "distribution",
@@ -576,8 +576,8 @@ _LONGEST_FIRST = (
     "measure-additivity",
     "unit-power",
     "measure-bound",
-    "prop5",
     "carlitz-bridge",
+    "prop5",
 )
 
 

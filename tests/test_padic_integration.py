@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from qbarnes import (
     AdmissibleU,
     BarnesParams,
     BudgetError,
+    InternalError,
     MeasureCell,
     PadicContext,
     PadicNumber,
@@ -293,27 +295,71 @@ def test_riemann_error_valuations_send_only_a_zero_residue_to_the_exact_sum(monk
         assert fallbacks == [(n, w) for w in (0, 1) for _ in (1, 2) for n in ns if n in (0, 2)]
 
 
-def test_axis_powers_are_the_powers_of_q_mod_each_entrys_modulus():
-    # 81 and 125 points: for aj < 0, blocks of 32 entries and a short last one
-    for p, v, N, q in ((3, 1, 4, 7), (3, 2, 4, 4), (5, 2, 3, 11)):
+def _level_residues_per_point(ns, w, a, q, u, p, v, points, K, targets):
+    """`_level_residues` from its definition: T_n = sum_xs b(w + a.xs)^n
+    u^|xs| mod p^K point by point, less target c^n [p^N : u]^r."""
+    e = valuation(q - 1, p)
+    mod, pe = p**K, p**e
+    sums = [0] * len(ns)
+    for xs in itertools.product(range(points), repeat=len(a)):
+        y = w + sum(aj * x for aj, x in zip(a, xs))
+        b = (pow(q, y, mod * pe) - 1) // pe
+        weight = pow(u, sum(xs), mod)
+        for i, n in enumerate(ns):
+            sums[i] += pow(b, n, mod) * weight
+    norm = sum(pow(u, x, mod) for x in range(points))
+    c = (q - 1) // pe
+    return [
+        (total - t.numerator * pow(t.denominator, -1, mod) * c**n * norm ** len(a)) % mod
+        for total, n, t in zip(sums, ns, targets)
+    ]
+
+
+def test_level_residues_match_the_sum_point_by_point():
+    # r = 3 at N = 3, w < 0, |a_j| = 3, e = 2 (q = 1 + p^2), negative q and
+    # u, n up to 5, and ns unsorted with a repeat; then seeded draws
+    cases = [
+        (3, 1, 3, (3, -1, 2), -2, 10, -1, (5, 2, 5, 1)),
+        (3, 2, 2, (-3, -2, 1), -4, -8, 2, (4, 1, 3)),
+        (5, 1, 2, (-3, 3), 3, -4, -2, (1, 5, 2, 2)),
+        (7, 2, 2, (2,), -1, 50, 3, (3, 1)),
+    ]
+    rng = random.Random(26)
+    while len(cases) < 40:
+        p, r = rng.choice((3, 5, 7)), rng.randint(1, 3)
+        N = rng.randint(0, 3 if r == 1 else 2 if p == 3 else 1)
+        a = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r))
+        q = rng.choice((1 + p, 1 - p, 1 + p * p, 1 - p * p))
+        c = rng.choice([x for x in (-2, -1, 1, 2, 3) if x % p])
+        ns = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
+        cases.append((p, rng.randint(1, 3), N, a, rng.randint(-4, 4), q, c, ns))
+    for p, v, N, a, w, q, c, ns in cases:
         points = p**N
-        digits = v * points + N + 3
-        for aj in (-2, -1, 1, 2):
-            assert pi._axis_powers(q, aj, p, v, points, digits) == tuple(
-                pow(q, aj * x, p ** (digits - v * x)) for x in range(points)
-            ), (p, v, N, q, aj)
+        K = v * points + N + pi.GUARD_DIGITS
+        denominators = [d for d in (1, 2, 4, 7, 11) if d % p]
+        targets = [F(rng.randint(-99, 99), rng.choice(denominators)) for _ in ns]
+        args = (list(ns), w, a, q, p**v * c, p, v, points, K, targets)
+        assert pi._level_residues(*args) == _level_residues_per_point(*args), (p, v, N, a, w, q, c)
+
+
+def test_level_residues_raise_on_an_inexact_division(monkeypatch):
+    # C(n, 1) one too large adds q^w prod_i S(a_i), a p-adic unit, to
+    # p^(e n) T_n: the remainder is an error, never floored away
+    monkeypatch.setattr(pi, "comb", lambda n, j: math.comb(n, j) + (j == 1))
+    with pytest.raises(InternalError):
+        pi._level_residues([2], 1, (1, -2), 10, 3, 3, 1, 9, 9 + 2 + 3, [F(1)])
 
 
 def test_riemann_error_valuations_keep_no_term_of_the_level_sum():
-    # the Horner sums in u are kept on the fly: no list of the 2,401 terms
-    # b^n (nor of their moduli) lives through the pass. Binning the terms by
-    # size per n, and summing the bins after the pass, peaks near 6 MB here;
-    # the pass itself near 0.4 MB.
+    # each axis sum is a Horner sum kept on the fly: no list of the 2,401
+    # terms, nor of the powers u^x or q^x, lives through it. A table of the
+    # 2,401 powers u^x mod p^K alone peaks near 2.7 MB here; the whole call
+    # near 0.05 MB.
     uu = AdmissibleU(F(7) ** 2 * 3, 7)
     params = BarnesParams((1,), uu.u, QBase(F(15)))
     ns, N = range(4), 4
     targets = [h_closed(n, 1, params) for n in ns]
-    expected = riemann_error_valuations(ns, 1, params, uu, N, targets)  # warms _axis_powers
+    expected = riemann_error_valuations(ns, 1, params, uu, N, targets)
     tracemalloc.start()
     try:
         assert riemann_error_valuations(ns, 1, params, uu, N, targets) == expected

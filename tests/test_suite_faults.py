@@ -10,11 +10,14 @@ refinement (`euler_barnes.refinement`):
 then in the functions the suites call:
 - `interpolation` and `unit-power`: `angle_bracket` returns [x : q],
   without the division by omega(x);
-- `addition`: `h_addition` takes C(n, k-1) for C(n, k).
+- `addition`: `h_addition` takes C(n, k-1) for C(n, k);
+- `riemann-limit` and `prop5`: `_level_residues` sums the last axis with
+  its a_r read as -a_r.
 """
 import json
 import sys
 import types
+from fractions import Fraction
 from math import comb
 
 from qbarnes import characters_lfunctions, euler_barnes, padic_integration, verify
@@ -130,3 +133,28 @@ def test_addition_fails_with_a_shifted_binomial(monkeypatch):
     monkeypatch.setattr(verify, "h_addition", faulty)
     report = run_suite("addition")
     assert all(not check["pass"] for check in report["checks"])
+
+
+def test_riemann_limit_and_prop5_fail_with_the_last_axis_summed_backwards(monkeypatch):
+    # the level residues with a[-1] read as -a[-1]: every term still carries
+    # its power of p, so the division by p^(e n) stays exact
+    residues = padic_integration._level_residues
+
+    def backwards(ns, w, a, *args):
+        return residues(ns, w, (*a[:-1], -a[-1]), *args)
+
+    for suite in ("riemann-limit", "prop5"):
+        assert run_suite(suite)["pass"]
+    monkeypatch.setattr(padic_integration, "_level_residues", backwards)
+    riemann_limit = run_suite("riemann-limit")
+    assert not riemann_limit["pass"]
+    # n = 0 and the nu_p(u) < 0 draw never sum mod p^K, so they still pass;
+    # every n = 1 check that does sum fails
+    for check in riemann_limit["checks"]:
+        params = check["params"]
+        if params["n"] == 0 or Fraction(params["u"]).numerator % params["p"]:
+            assert check["pass"], check["name"]
+        elif params["n"] == 1:
+            assert not check["pass"], check["name"]
+    prop5 = run_suite("prop5")
+    assert all(check["pass"] == (check["params"]["k"] == 0) for check in prop5["checks"])
