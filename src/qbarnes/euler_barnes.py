@@ -12,11 +12,16 @@ limit. Keeping the routes separate is the point: identity suites compare
 them rather than trusting any single one.
 
 The closed form (route 1) sums its n+1 terms as integer fractions over a
-balanced product tree and reduces once at the end; it still calls no other
-route. Its one loop (`_closed_form`) also takes a weighted batch sum_i c_i
-H_n(w_i): term l's denominator D_l depends on l, a, u and q but not on w,
-so each D_l is built once, the arguments change only the numerators, and
-the batch costs one tree and one reduction, not one per argument.
+balanced product tree; it still calls no other route. Small merges add
+without reducing; once a merge's denominators pass a size constant, it
+reduces as it adds (Knuth's gcd split), so the root of a large sum comes
+out reduced rather than paying one gcd of the whole unreduced pair. The
+root is then multiplied by the normalization with the cross-reduction of
+`Fraction._mul`, and `exact_numbers.coprime_fraction` stores the coprime
+result without a further gcd. Its one loop (`_closed_form`) also takes a
+weighted batch sum_i c_i H_n(w_i): term l's denominator D_l depends on l,
+a, u and q but not on w, so each D_l is built once, the arguments change
+only the numerators, and the batch costs one tree, not one per argument.
 
 The rational function (route 4) is built over Z. With u = c/d, each
 nonzero exponent m = l a_j contributes one denominator factor keyed by the
@@ -43,7 +48,7 @@ in its final integer step: the refined closed form's own (1-u^f)^r /
 (1-q^f)^n times the prefactor is (1-u)^r / (1-q)^n, so no caller builds
 or multiplies a prefactor. The f^r terms of `distribution_check`, the d^r
 of a rational-mode H_{k,chi} and the p fine cells of a measure additivity
-check are reduced once, while a teichmuller-mode H_{k,chi} takes its terms
+check share one tree, while a teichmuller-mode H_{k,chi} takes its terms
 one at a time, to embed each one in Z_p.
 """
 from __future__ import annotations
@@ -57,7 +62,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ExponentAlignmentError, InternalError, PoleError, PreconditionError
-from .exact_numbers import Rational, is_prime
+from .exact_numbers import Rational, coprime_fraction, is_prime
 from .qnum import FractionalArg, QBase, qbracket, rational_power
 
 # ---------------------------------------------------------------------------
@@ -447,14 +452,19 @@ def _closed_form(
     The sum runs over Z. With q = root^e, root = s/t and u = c/d, each
     factor 1/(1 - root^M u) is t^M d / (t^M d - s^M c) (s and t swapped for
     M < 0), and q^(lw) = root^(lk) (`_root_exponent`). So term l of H_n(w)
-    is C(n,l)(-1)^l d^r s^(P_l + lk) t^(Q_l - lk) over an integer D_l, where
-    only the power of the root depends on w. Each D_l is built once: term l
-    of the batch takes C(n,l)(-1)^l s^(P_l + l k_lo) t^(Q_l - l k_hi) times
-    the integer sum_k g_k s^(l(k - k_lo)) t^(l(k_hi - k)), the weights of
-    equal k added, for k_lo and k_hi the least and largest k; a batch with
-    one k is that k's terms times the summed weight. Shifting every
-    exponent by its minimum leaves integer numerators, a product tree adds
-    the n+1 fractions, and one `Fraction` reduces the result.
+    is C(n,l)(-1)^l d^r s^(l alpha) t^(l beta) over an integer D_l, where
+    alpha = k + e sum_{a_j<0} |a_j| and beta = e sum_{a_j>0} a_j - k, and
+    only k depends on w. Each D_l is built once: term l of the batch takes
+    C(n,l)(-1)^l s^(l (alpha - k + k_lo)) t^(l (beta + k - k_hi)) times the
+    integer sum_k g_k s^(l(k - k_lo)) t^(l(k_hi - k)), the weights of equal
+    k added, for k_lo and k_hi the least and largest k; a batch with one k
+    is that k's terms times the summed weight. Shifting every exponent by
+    its minimum over l leaves integer numerators, and the product tree adds
+    the n+1 fractions (`_add_fractions`, which reduces the merges past
+    `_REDUCE_BITS`). A root that no merge reduced takes one gcd. The
+    normalization, reduced on its own, is cross-reduced with the root as
+    `Fraction._mul` does, which leaves a coprime pair for
+    `coprime_fraction`: the result costs no gcd of the full pair.
 
     A fault is that of the per-argument sum: the first argument's, then a
     pole, which no argument changes, then the other arguments' in order.
@@ -469,26 +479,24 @@ def _closed_form(
     c, d = params.u.numerator, params.u.denominator
     k = _root_exponent(n, *args[0], e, s, params.a)
 
-    # term l = (-1)^l C(n,l) s^A t^B / D for args[0], the common d^r left out
-    terms: list[tuple[int, int, int, int]] = []
+    # term l = (-1)^l C(n,l) s^(l alpha) t^(l beta) / D_l for args[0], the
+    # common d^r left out: the root^(lk) of q^(lw), and the root^|M| that
+    # each factor with M < 0 moves to the numerator
+    neg = sum(aj for aj in params.a if aj < 0)
+    alpha, beta = k - e * neg, e * (sum(params.a) - neg) - k
+    terms: list[tuple[int, int]] = []
     for l in range(n + 1):
-        W = l * k
-        A, B, D = W, -W, 1
+        D = 1
         for j, aj in enumerate(params.a):
             M = l * aj * e
-            if M >= 0:
-                factor = t**M * d - s**M * c
-                B += M
-            else:
-                factor = s**-M * d - t**-M * c
-                A -= M
+            factor = t**M * d - s**M * c if M >= 0 else s**-M * d - t**-M * c
             if factor == 0:
                 raise PoleError(
                     f"pole 1 - q^(l a_j) u = 0 at l={l}, j={j}", parameter="u"
                 )
             D *= factor
         C = comb(n, l)
-        terms.append((-C if l % 2 else C, A, B, D))
+        terms.append((-C if l % 2 else C, D))
     weight = 1
     if weights is not None:
         ks = [k, *(_root_exponent(n, m, f, e, s, params.a) for m, f in args[1:])]
@@ -502,20 +510,20 @@ def _closed_form(
             lo, hi = min(by_k), max(by_k)
             spread = [(kk - lo, hi - kk, g) for kk, g in by_k.items()]
             terms = [
-                (
-                    C * sum(g * s ** (l * i) * t ** (l * j) for i, j, g in spread),
-                    A + l * (lo - k),
-                    B - l * (hi - k),
-                    D,
-                )
-                for l, (C, A, B, D) in enumerate(terms)
+                (C * sum(g * s ** (l * i) * t ** (l * j) for i, j, g in spread), D)
+                for l, (C, D) in enumerate(terms)
             ]
-    # term 0 has A = B = 0, so both minima are <= 0
-    a_min = min(A for _, A, _, _ in terms)
-    b_min = min(B for _, _, B, _ in terms)
-    num, den = _pairwise(
-        [(C * s ** (A - a_min) * t ** (B - b_min), D) for C, A, B, D in terms], _add_fractions
+            alpha, beta = alpha + lo - k, beta - hi + k
+    a_min, b_min = min(0, n * alpha), min(0, n * beta)
+    num, den, reduced = _pairwise(
+        [
+            (C * s ** (l * alpha - a_min) * t ** (l * beta - b_min), D, False)
+            for l, (C, D) in enumerate(terms)
+        ],
+        _add_fractions,
     )
+    if not reduced:
+        num, den = _reduced(num, den)
     # (1-u)^r d^r = (d-c)^r and 1/(1-q)^n = t^(en) / (t^e - s^e)^n; for
     # a refinement, u = u0^f with u0 = c0/d0, so (1-u0)^r d^r is
     # (d0^(f-1) (d0-c0))^r, and q0 = root is e = 1
@@ -525,9 +533,15 @@ def _closed_form(
         d0 = coarse_u.denominator
         norm, e = d // d0 * (d0 - coarse_u.numerator), 1
     shift = e * n + b_min
-    num *= weight * norm ** params.r * t ** max(shift, 0)
-    den *= (t**e - s**e) ** n * s**-a_min * t ** max(-shift, 0) * scale
-    return Fraction(num, den)
+    out_num, out_den = _reduced(
+        weight * norm ** params.r * t ** max(shift, 0),
+        (t**e - s**e) ** n * s**-a_min * t ** max(-shift, 0) * scale,
+    )
+    # two coprime pairs multiply to a coprime pair once the gcds across are
+    # divided out, as `Fraction._mul` does
+    num, out_den = _reduced(num, out_den)
+    out_num, den = _reduced(out_num, den)
+    return coprime_fraction(num * out_num, den * out_den)
 
 
 T = TypeVar("T")
@@ -539,8 +553,9 @@ def _pairwise(items: list[T], merge: Callable[[T, T], T]) -> T:
     rises unchanged, and the root is returned; `items` is nonempty.
 
     Both exact sums over Z use it, each with its own merge: route 1 adds
-    its term fractions (`_add_fractions`), and route 4 adds its numerator
-    pieces over the union of their denominator factors (`h_rational_in_q`).
+    its term fractions (`_add_fractions`, plain while small and reducing as
+    it adds once large), and route 4 adds its numerator pieces over the
+    union of their denominator factors (`h_rational_in_q`).
     Balanced operands keep the big products few, so the cost follows the
     size of the result rather than growing quadratically with the count.
     """
@@ -552,10 +567,47 @@ def _pairwise(items: list[T], merge: Callable[[T, T], T]) -> T:
     return items[0]
 
 
-def _add_fractions(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """N1/D1 + N2/D2 as the unreduced (N1 D2 + N2 D1, D1 D2)."""
-    (a, b), (c, d) = x, y
-    return a * d + c * b, b * d
+# Route 1's tree adds plainly while the product of a merge's two
+# denominators has fewer bits than this, and reduces as it adds past it.
+# Timed in process against the plain tree (2-vCPU VM, Python 3.11, best of
+# 15 calls, interleaved): at 16,384 the h_closed rows of n = 110-400 take
+# 0.80-0.89 of the plain time, h_chi k = 120 quadratic:4 0.36 and
+# distribution_check n = 60 0.78, and the hbarnes rows of n = 70-125
+# (11-13k-bit denominators) 0.94-1.01. At 4,096 and 8,192 the batches gain
+# more, but those hbarnes rows read up to 15% and 4% slower.
+_REDUCE_BITS = 16_384
+
+
+def _add_fractions(
+    x: tuple[int, int, bool], y: tuple[int, int, bool]
+) -> tuple[int, int, bool]:
+    """N1/D1 + N2/D2 for integer fractions flagged reduced or not, and the
+    flag of the sum.
+
+    Below `_REDUCE_BITS` bits of D1 D2 the sum is the unreduced (N1 D2 + N2
+    D1, D1 D2). Past it, each operand not yet reduced is reduced by one gcd,
+    and the two add by Knuth's split (TAOCP vol. 2, 4.5.1): g = gcd(D1, D2)
+    and T = N1 (D2/g) + N2 (D1/g), whose common factor with (D1/g) D2 is
+    gcd(T, g), so the sum comes out reduced.
+    """
+    (a, b, x_reduced), (c, d, y_reduced) = x, y
+    if b.bit_length() + d.bit_length() < _REDUCE_BITS:
+        return a * d + c * b, b * d, False
+    if not x_reduced:
+        a, b = _reduced(a, b)
+    if not y_reduced:
+        c, d = _reduced(c, d)
+    g = gcd(b, d)
+    b //= g
+    total = a * (d // g) + c * b
+    g = gcd(total, g)
+    return total // g, b * (d // g), True
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num and den over their gcd, for den nonzero: 0/den comes out 0/+-1."""
+    g = gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +775,8 @@ def refinement(
 
     The terms differ only in their argument, so `refined` hands the batch
     to route 1's `_closed_form` as integer weights and arguments, and it is
-    summed in one pass: one denominator per index l, one product tree and
-    one reduction for the whole batch, not one per i. The prefactor is not
+    summed in one pass: one denominator per index l and one product tree
+    for the whole batch, not one per i. The prefactor is not
     formed: `_closed_form` normalizes by (1-u)^r / (1-q)^n, the prefactor
     times the refined closed form's own (1-u^f)^r / (1-q^f)^n. It equals
     the sum of the terms one by one, and raises what the first failing term

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 from .errors import InternalError, PreconditionError, PrecisionExhaustedError
@@ -92,6 +92,25 @@ def valuation(x: Rational | int, p: int) -> int | float:
     if isinstance(x, int):
         return _int_valuation(x, p)
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
+
+
+# Python 3.12 replaced `Fraction(n, d, _normalize=False)` by this classmethod
+_from_coprime_ints = getattr(Fraction, "_from_coprime_ints", None) or partial(
+    Fraction, _normalize=False
+)
+
+
+def coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """numerator/denominator as a `Fraction`, for coprime ints and a nonzero
+    denominator of either sign, without the gcd that `Fraction(n, d)` would
+    run again on the coprime pair.
+
+    The package's one use of a private `fractions` API: the sign is moved to
+    the numerator, and the pair is stored as it is.
+    """
+    if denominator < 0:
+        numerator, denominator = -numerator, -denominator
+    return _from_coprime_ints(numerator, denominator)
 
 
 def format_rational(x: Rational | int) -> str:

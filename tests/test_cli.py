@@ -124,6 +124,14 @@ COMPUTE_SHA256 = {
     ("compute", "hchi", "--k", "3", "--a", "1,2", "--u", "5/2", "--q", "3", "--char",
      '{"modulus": 5, "values": ["0", "1", "-1", "-1", "1"]}'):
         "03067446f76f66672cb75252003c7726c909dc85568cc042dbe77e1b28f99971",
+    # route 1 at sizes that reduce merge by merge, both taken before the tree
+    # reduced as it merged: compute-mix's largest hbarnes row (3,746 digits,
+    # a 12k-bit denominator, every merge below the size constant), and a
+    # rational-mode hchi batch whose two top merges pass it
+    ("compute", "hbarnes", "--n", "125", "--w", "2", "--a=-1", "--u", "5/2", "--q", "3/2"):
+        "e8111542baeca55f5b24521a4f888caa85039b9defb4c870e97ae2fb2ae7d1ed",
+    ("compute", "hchi", "--k", "64", "--a", "2", "--u", "5/2", "--q=-3/2", "--char", "quadratic:4"):
+        "82a31bcc68734f1a7d7267de6aa5e57083ca285c94e238675a1c5a9cbd6a5cbd",
 }
 
 

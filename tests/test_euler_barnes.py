@@ -124,8 +124,13 @@ def _outcome(fn, *args):
 
 
 def test_h_closed_matches_fraction_loop():
-    # roots: zero, negative, |root| < 1 and > 1; u: negative, non-integer,
-    # and powers of the root, which put poles at small l
+    _h_closed_draws()
+
+
+def _h_closed_draws():
+    """2000 seeded h_closed calls against the Fraction loop, faults included.
+    Roots: zero, negative, |root| < 1 and > 1; u: negative, non-integer, and
+    powers of the root, which put poles at small l."""
     roots = [F(0), F(-1), F(2), F(-2), F(3, 2), F(-2, 3), F(1, 3), F(-5, 4), F(3, 5)]
     us = [F(-3), F(2), F(5, 2), F(-2, 5), F(3, 7), F(-7, 3)]
     rng = random.Random(7)
@@ -167,9 +172,13 @@ def _batch(n, terms, params):
 
 
 def test_route1_batch_matches_per_term_sum():
-    # one batch of (c_i, w_i) against the sum of the c_i h_closed(n, w_i):
-    # equal values, and the same first fault, which may be a pole at (l, j),
-    # 0 to a negative power, or a misaligned w
+    _batch_draws()
+
+
+def _batch_draws():
+    """1500 seeded batches of (c_i, w_i) against the sum of the c_i
+    h_closed(n, w_i): equal values, and the same first fault, which may be a
+    pole at (l, j), 0 to a negative power, or a misaligned w."""
     roots = [F(0), F(-1), F(2), F(-2), F(3, 2), F(-2, 3), F(1, 3), F(-5, 4)]
     us = [F(-3), F(2), F(5, 2), F(-2, 5), F(3, 7)]
     coeffs = [F(0), F(1), F(-1), F(3), F(-2, 3), F(5, 4), F(-7, 6)]
@@ -217,6 +226,51 @@ def test_route1_batch_matches_per_term_sum():
     assert {(s, r) for s in ("mixed a", "one-sign a") for r in (2, 3)} <= seen
     assert {"repeated w", "zero c", "negative c", "several powers"} <= seen
     assert {("one power", True), ("one power", False)} <= seen
+
+
+def test_route1_reducing_at_every_merge_matches_the_same_draws(monkeypatch):
+    # with no size constant, every merge of route 1's tree reduces its
+    # operands and adds by the gcd split, down to the two-leaf merges
+    monkeypatch.setattr(euler_barnes, "_REDUCE_BITS", 0)
+    _h_closed_draws()
+    _batch_draws()
+
+
+def test_route1_large_sums_match_the_plain_tree(monkeypatch):
+    # large n, mixed-sign a, negative q and u, and batches whose weights
+    # cancel, for one k or for every k: the tree reducing at every merge and
+    # at the module's size constant against the plain tree, whose result
+    # `Fraction` reduces; the reduced pairs are stored as they are, so each
+    # value must come out with a coprime pair and a positive denominator
+    rng = random.Random(27)
+    draws = []
+    for _ in range(4):
+        r = rng.randint(1, 3)
+        a = [rng.choice((1, 2, 3)) * rng.choice((-1, 1)) for _ in range(r)]
+        a[0] = -abs(a[0]) if a[-1] > 0 else abs(a[0])
+        root = F(rng.choice((-3, -2, 2, 3)), rng.choice((1, 2, 5)))
+        # 7 divides u, so no power of the root meets 1/u: no pole
+        u = rng.choice((F(-7, 2), F(-7, 3), F(14, 5), F(-2, 7)))
+        draws.append((rng.randint(100, 200), tuple(a), u, root, [(F(1), rng.randint(-3, 3))]))
+    # weights that cancel: one k summing to 0, and two ks each summing to 0
+    draws.append((120, (-2, 3), F(-5, 2), F(-3, 2), [(F(2, 3), 1), (F(-2, 3), 1)]))
+    draws.append((100, (1, -1), F(-2, 5), F(-2, 3), [(F(1), 0), (F(-1), 0), (F(5), 2), (F(-5), 2)]))
+    # weights of several ks that leave a nonzero sum
+    draws.append((150, (-1, 2, -3), F(-7, 3), F(-5, 2), [(F(3), -2), (F(-1, 4), 1), (F(1), 3)]))
+    want = {}
+    with monkeypatch.context() as m:
+        m.setattr(euler_barnes, "_REDUCE_BITS", 1 << 40)
+        m.setattr(euler_barnes, "coprime_fraction", F)
+        for i, (n, a, u, root, terms) in enumerate(draws):
+            want[i] = _batch(n, terms, _params(a, u, root))
+    assert sum(v == 0 for v in want.values()) == 2
+    assert all(v.denominator.bit_length() > 2000 for v in want.values() if v)
+    for bits in (0, euler_barnes._REDUCE_BITS):
+        monkeypatch.setattr(euler_barnes, "_REDUCE_BITS", bits)
+        for i, (n, a, u, root, terms) in enumerate(draws):
+            got = _batch(n, terms, _params(a, u, root))
+            assert got == want[i], (bits, n, a, u, root, terms)
+            assert gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
 
 
 def test_non_integral_a_j_is_rejected_not_rounded():

@@ -1,5 +1,8 @@
 import random
+import re
 from fractions import Fraction as F
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +26,7 @@ from qbarnes import (
     to_padic,
     valuation,
 )
-from qbarnes.exact_numbers import _teichmuller_unit
+from qbarnes.exact_numbers import _teichmuller_unit, coprime_fraction
 
 
 def test_is_prime_small():
@@ -77,6 +80,30 @@ def test_rational_wire_format():
     assert parse_rational("7") == F(7)
     with pytest.raises(PreconditionError):
         parse_rational("3/5/7")
+
+
+def test_coprime_fraction_is_the_reduced_fraction():
+    """`coprime_fraction` stores a coprime pair without a gcd: through
+    `Fraction._from_coprime_ints` on Python 3.12 and later, and through
+    `Fraction(n, d, _normalize=False)` on 3.10 and 3.11, so CI's 3.10-3.14
+    matrix runs both branches. Its value, parts and hash are those of
+    `Fraction(n, d)`, for a negative denominator too, and it is the one use
+    of a private `fractions` API under src/."""
+    rng = random.Random(5)
+    pairs = [(0, 1), (0, -1), (1, -1), (-3, 5), (3, -5), (-3, -5), (2**200 + 1, -(3**150))]
+    while len(pairs) < 200:
+        n, d = rng.randint(-(10**40), 10**40), rng.randint(-(10**40), 10**40)
+        if d and gcd(n, d) == 1:
+            pairs.append((n, d))
+    for n, d in pairs:
+        x, want = coprime_fraction(n, d), F(n, d)
+        assert type(x) is F
+        assert (x.numerator, x.denominator) == (want.numerator, want.denominator), (n, d)
+        assert x == want and hash(x) == hash(want), (n, d)
+    private = re.compile(r"_from_coprime_ints|_normalize\b|\._(numerator|denominator)\b|Fraction\._\w+\(")
+    src = Path(__file__).resolve().parents[1] / "src" / "qbarnes"
+    users = {path.name for path in src.glob("*.py") if private.search(path.read_text())}
+    assert users == {"exact_numbers.py"}
 
 
 def test_context_validation():
