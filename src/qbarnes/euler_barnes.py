@@ -15,10 +15,11 @@ The closed form (route 1) sums its n+1 terms as integer fractions over a
 balanced product tree; it still calls no other route. Small merges add
 without reducing; once a merge's denominators pass a size constant, it
 reduces as it adds (Knuth's gcd split), so the root of a large sum comes
-out reduced rather than paying one gcd of the whole unreduced pair. The
+out reduced rather than paying one gcd of the whole unreduced pair. Such a
 root is then multiplied by the normalization with the cross-reduction of
 `Fraction._mul`, and `exact_numbers.coprime_fraction` stores the coprime
-result without a further gcd. Its one loop (`_closed_form`) also takes a
+result without a further gcd; a sum too small for any merge to reduce
+takes one `Fraction` of the normalized pair. Its one loop (`_closed_form`) also takes a
 weighted batch sum_i c_i H_n(w_i): term l's denominator D_l depends on l,
 a, u and q but not on w, so each D_l is built once, the arguments change
 only the numerators, and the batch costs one tree, not one per argument.
@@ -459,12 +460,15 @@ def _closed_form(
     integer sum_k g_k s^(l(k - k_lo)) t^(l(k_hi - k)), the weights of equal
     k added, for k_lo and k_hi the least and largest k; a batch with one k
     is that k's terms times the summed weight. Shifting every exponent by
-    its minimum over l leaves integer numerators, and the product tree adds
-    the n+1 fractions (`_add_fractions`, which reduces the merges past
-    `_REDUCE_BITS`). A root that no merge reduced takes one gcd. The
-    normalization, reduced on its own, is cross-reduced with the root as
-    `Fraction._mul` does, which leaves a coprime pair for
-    `coprime_fraction`: the result costs no gcd of the full pair.
+    its minimum over l leaves integer numerators, and a product tree adds
+    the n+1 fractions. While the D_l have fewer than `_REDUCE_BITS` bits
+    together, no merge can pass it: the tree is plain (`_add_plain`) and
+    one `Fraction` reduces the normalized pair. Otherwise `_add_fractions`
+    reduces the merges past `_REDUCE_BITS`, and a root that no merge
+    reduced takes one gcd. The normalization, reduced on its own, is then
+    cross-reduced with the root as `Fraction._mul` does, which leaves a
+    coprime pair for `coprime_fraction`: the result costs no gcd of the
+    full pair.
 
     A fault is that of the per-argument sum: the first argument's, then a
     pole, which no argument changes, then the other arguments' in order.
@@ -515,15 +519,10 @@ def _closed_form(
             ]
             alpha, beta = alpha + lo - k, beta - hi + k
     a_min, b_min = min(0, n * alpha), min(0, n * beta)
-    num, den, reduced = _pairwise(
-        [
-            (C * s ** (l * alpha - a_min) * t ** (l * beta - b_min), D, False)
-            for l, (C, D) in enumerate(terms)
-        ],
-        _add_fractions,
-    )
-    if not reduced:
-        num, den = _reduced(num, den)
+    fractions = [
+        (C * s ** (l * alpha - a_min) * t ** (l * beta - b_min), D)
+        for l, (C, D) in enumerate(terms)
+    ]
     # (1-u)^r d^r = (d-c)^r and 1/(1-q)^n = t^(en) / (t^e - s^e)^n; for
     # a refinement, u = u0^f with u0 = c0/d0, so (1-u0)^r d^r is
     # (d0^(f-1) (d0-c0))^r, and q0 = root is e = 1
@@ -533,10 +532,17 @@ def _closed_form(
         d0 = coarse_u.denominator
         norm, e = d // d0 * (d0 - coarse_u.numerator), 1
     shift = e * n + b_min
-    out_num, out_den = _reduced(
-        weight * norm ** params.r * t ** max(shift, 0),
-        (t**e - s**e) ** n * s**-a_min * t ** max(-shift, 0) * scale,
-    )
+    out_num = weight * norm ** params.r * t ** max(shift, 0)
+    out_den = (t**e - s**e) ** n * s**-a_min * t ** max(-shift, 0) * scale
+    if sum(D.bit_length() for _, D in terms) < _REDUCE_BITS:
+        # every merge is plain, and at this size one gcd of the whole pair
+        # costs less than the four gcds of the reducing path below
+        num, den = _pairwise(fractions, _add_plain)
+        return Fraction(num * out_num, den * out_den)
+    num, den, reduced = _pairwise([(N, D, False) for N, D in fractions], _add_fractions)
+    if not reduced:
+        num, den = _reduced(num, den)
+    out_num, out_den = _reduced(out_num, out_den)
     # two coprime pairs multiply to a coprime pair once the gcds across are
     # divided out, as `Fraction._mul` does
     num, out_den = _reduced(num, out_den)
@@ -576,6 +582,12 @@ def _pairwise(items: list[T], merge: Callable[[T, T], T]) -> T:
 # (11-13k-bit denominators) 0.94-1.01. At 4,096 and 8,192 the batches gain
 # more, but those hbarnes rows read up to 15% and 4% slower.
 _REDUCE_BITS = 16_384
+
+
+def _add_plain(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """N1/D1 + N2/D2 as the unreduced (N1 D2 + N2 D1, D1 D2)."""
+    (a, b), (c, d) = x, y
+    return a * d + c * b, b * d
 
 
 def _add_fractions(

@@ -236,6 +236,14 @@ def test_route1_reducing_at_every_merge_matches_the_same_draws(monkeypatch):
     _batch_draws()
 
 
+def test_route1_small_size_constant_mixes_plain_and_reducing_sums(monkeypatch):
+    # at 40 bits, a draw whose D_l stay under it together takes the plain
+    # tree and one Fraction, and a larger one reduces only its upper merges
+    monkeypatch.setattr(euler_barnes, "_REDUCE_BITS", 40)
+    _h_closed_draws()
+    _batch_draws()
+
+
 def test_route1_large_sums_match_the_plain_tree(monkeypatch):
     # large n, mixed-sign a, negative q and u, and batches whose weights
     # cancel, for one k or for every k: the tree reducing at every merge and
