@@ -16,9 +16,9 @@ and whether every check passed. Suite names double as the CLI `verify`
 vocabulary.
 
 The suites share no state, so `all` runs them in forked worker processes,
-one per usable CPU. The longest suite starts first, and the reports are
-joined in table order: the output is the same byte for byte as one process
-running them in turn, which is what happens where the platform has no fork.
+one per usable CPU. They start and are joined in table order, so the
+output is the same byte for byte as one process running them in turn,
+which is what happens where the platform has no fork.
 A single suite runs in the calling process; run the suites one at a time to
 profile them.
 """
@@ -556,38 +556,13 @@ def _suite_report(name: str, seed: int, budget: int) -> dict:
     return SUITES[name](seed=seed, budget=budget)
 
 
-# SUITES' names by measured cost, the longest first: `all` submits them in
-# this order, so the pool starts the suite that sets its critical path at
-# once (Graham's LPT rule), and joins them in table order. Seconds per suite
-# at seed 0, in process, the median of 7 runs averaged over four sets on a
-# 2-vCPU VM (Python 3.11): addition 0.30, interpolation 0.24, riemann-limit
-# 0.24, qlimit 0.23, eq8-bridge 0.21, distribution 0.17, theorem1-gf 0.15,
-# kummer 0.09, measure-additivity 0.06, unit-power 0.04, measure-bound 0.03,
-# carlitz-bridge 0.01, prop5 0.01.
-_LONGEST_FIRST = (
-    "addition",
-    "interpolation",
-    "riemann-limit",
-    "qlimit",
-    "eq8-bridge",
-    "distribution",
-    "theorem1-gf",
-    "kummer",
-    "measure-additivity",
-    "unit-power",
-    "measure-bound",
-    "carlitz-bridge",
-    "prop5",
-)
-
-
 def _suite_reports(seed: int, budget: int) -> list[dict]:
     """Every suite's report, in table order, from a pool of forked processes,
-    one per usable CPU. The pool starts the longest suite first, in the
-    order of _LONGEST_FIRST; the reports, and an error, are taken in table
-    order. Where the platform has no fork the suites run in this process,
-    in table order: spawn and forkserver workers re-run the caller's main
-    module, so an unguarded script that runs "all" would fail in them."""
+    one per usable CPU. The pool starts the suites in table order and the
+    reports, and an error, are taken in that order too. Where the platform
+    has no fork the suites run in this process, in the same order: spawn
+    and forkserver workers re-run the caller's main module, so an unguarded
+    script that runs "all" would fail in them."""
     # imported here: concurrent.futures costs about as much as qbarnes
     import multiprocessing
 
@@ -597,19 +572,18 @@ def _suite_reports(seed: int, budget: int) -> list[dict]:
 
     workers = min(len(SUITES), _usable_cpus())
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {name: pool.submit(_suite_report, name, seed, budget) for name in _LONGEST_FIRST}
-        return [futures[name].result() for name in SUITES]
+        return list(pool.map(_suite_report, SUITES, repeat(seed), repeat(budget)))
 
 
 def run_suite(name: str, seed: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
     """The report of suite `name`, or of every suite for "all".
 
     "all" runs the suites in forked worker processes, one per usable CPU
-    (in this process where there is no fork). The longest suite starts
-    first, but the checks are still joined in table order, so the report is
-    the same either way. When suites raise, the error is that of the first
-    of them in table order. A single suite runs in this process, so run them
-    one at a time to profile them.
+    (in this process where there is no fork). Either way the suites start
+    and are joined in table order, so the report is the same byte for byte.
+    When suites raise, the error is that of the first of them in table
+    order. A single suite runs in this process, so run them one at a time
+    to profile them.
     """
     if name == "all":
         return _report("all", [c for rep in _suite_reports(seed, budget) for c in rep["checks"]])

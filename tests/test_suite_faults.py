@@ -12,7 +12,12 @@ then in the functions the suites call:
   without the division by omega(x);
 - `addition`: `h_addition` takes C(n, k-1) for C(n, k);
 - `riemann-limit` and `prop5`: `_level_residues` sums the last axis with
-  its a_r read as -a_r.
+  its a_r read as -a_r;
+- `theorem1-gf` and `qlimit`: `TruncatedSeries.scalar_exp` drops its top
+  coefficient;
+- `carlitz-bridge`: `h_carlitz` takes C(m, i-1) for C(m, i);
+- `qlimit`: `Poly.__call__` drops the constant term of a nonconstant
+  polynomial.
 """
 import json
 import sys
@@ -23,7 +28,9 @@ from math import comb
 from qbarnes import characters_lfunctions, euler_barnes, padic_integration, verify
 from qbarnes.characters_lfunctions import angle_bracket
 from qbarnes.cli import main
+from qbarnes.euler_barnes import Poly
 from qbarnes.exact_numbers import teichmuller
+from qbarnes.series import TruncatedSeries
 from qbarnes.verify import run_suite
 
 
@@ -119,15 +126,18 @@ def test_interpolation_and_unit_power_fail_without_the_omega_division(monkeypatc
     assert all(not check["pass"] for check in unit_power["checks"])
 
 
-def test_addition_fails_with_a_shifted_binomial(monkeypatch):
-    # h_addition's own C(n, k) read as C(n, k-1); the h_closed it calls
-    # keeps the right binomials
+def _with_shifted_binomial(function):
+    """`function`, an `euler_barnes` function, with its own C(n, k) read as
+    C(n, k-1); the functions it calls keep the right binomials."""
+
     def shifted(n, k):
         return comb(n, k - 1) if k else 0
 
-    faulty = types.FunctionType(
-        euler_barnes.h_addition.__code__, {**vars(euler_barnes), "comb": shifted}
-    )
+    return types.FunctionType(function.__code__, {**vars(euler_barnes), "comb": shifted})
+
+
+def test_addition_fails_with_a_shifted_binomial(monkeypatch):
+    faulty = _with_shifted_binomial(euler_barnes.h_addition)
     assert run_suite("addition")["pass"]
     monkeypatch.setattr(euler_barnes, "h_addition", faulty)
     monkeypatch.setattr(verify, "h_addition", faulty)
@@ -158,3 +168,43 @@ def test_riemann_limit_and_prop5_fail_with_the_last_axis_summed_backwards(monkey
             assert not check["pass"], check["name"]
     prop5 = run_suite("prop5")
     assert all(check["pass"] == (check["params"]["k"] == 0) for check in prop5["checks"])
+
+
+def test_theorem1_gf_and_qlimit_fail_when_exp_drops_its_top_coefficient(monkeypatch):
+    # each suite's generating function multiplies by a truncated exp(c t),
+    # so its coefficient of t^n_max, which every check compares, is wrong
+    scalar_exp = TruncatedSeries.scalar_exp
+
+    def truncated(cls, c, order):
+        return cls([*scalar_exp(c, order).coeffs[:-1], 0], order)
+
+    for suite in ("theorem1-gf", "qlimit"):
+        assert run_suite(suite)["pass"]
+    monkeypatch.setattr(TruncatedSeries, "scalar_exp", classmethod(truncated))
+    for suite in ("theorem1-gf", "qlimit"):
+        report = run_suite(suite)
+        assert all(not check["pass"] for check in report["checks"]), suite
+
+
+def test_carlitz_bridge_fails_with_a_shifted_binomial(monkeypatch):
+    faulty = _with_shifted_binomial(euler_barnes.h_carlitz)
+    assert run_suite("carlitz-bridge")["pass"]
+    monkeypatch.setattr(euler_barnes, "h_carlitz", faulty)
+    monkeypatch.setattr(verify, "h_carlitz", faulty)
+    report = run_suite("carlitz-bridge")
+    assert all(not check["pass"] for check in report["checks"])
+
+
+def test_qlimit_fails_when_a_polynomial_drops_its_constant_term(monkeypatch):
+    # a nonconstant polynomial evaluated without its constant term; a
+    # constant keeps its one coefficient, so the reduced form's
+    # denominator does not vanish at q = 1
+    call = Poly.__call__
+
+    def without_constant(self, q):
+        return call(self, q) - (self.coeffs[0] if self.degree > 0 else 0)
+
+    assert run_suite("qlimit")["pass"]
+    monkeypatch.setattr(Poly, "__call__", without_constant)
+    report = run_suite("qlimit")
+    assert all(not check["pass"] for check in report["checks"])

@@ -1,5 +1,5 @@
-"""`verify all`: its suites run in forked worker processes, one per usable
-CPU, longest first, or in this process where the platform has no fork, and
+"""`verify all`: its suites run in table order, in forked worker processes,
+one per usable CPU, or in this process where the platform has no fork, and
 either way print the same bytes as CI pins for `qbarnes --seed 0 verify
 all`."""
 import concurrent.futures
@@ -82,27 +82,21 @@ def stub_suites(monkeypatch, raising: dict[str, str] | None = None) -> None:
         monkeypatch.setitem(verify.SUITES, name, stub(name))
 
 
-def test_the_cost_order_names_every_suite_once():
-    # a suite added to SUITES fails here until it is placed by its cost
-    assert sorted(verify._LONGEST_FIRST) == sorted(verify.SUITES)
-
-
-def test_verify_all_starts_the_longest_suite_first_and_joins_in_table_order(
-    capsys, monkeypatch
-):
+def test_verify_all_submits_the_suites_and_joins_them_in_table_order(capsys, monkeypatch):
     submitted = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, name, *args):
-            submitted.append(name)
-            return super().submit(fn, name, *args)
+        def submit(self, fn, chunk):
+            # map submits each chunk of argument tuples (name, seed, budget)
+            submitted.extend(args[0] for args in chunk)
+            return super().submit(fn, chunk)
 
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     stub_suites(monkeypatch)
     code, out = run_cli(capsys, "verify", "all")
     assert code == 0
-    assert submitted == list(verify._LONGEST_FIRST) and submitted[0] == "addition"
+    assert submitted == list(verify.SUITES)
     checks = [check["name"] for check in json.loads(out)["checks"]]
     assert checks == [f"{name}/stub" for name in verify.SUITES]
 
@@ -111,8 +105,8 @@ def test_verify_all_starts_the_longest_suite_first_and_joins_in_table_order(
 def test_verify_all_reports_the_first_failing_suite_in_table_order_not_in_start_order(
     capsys, monkeypatch, fork
 ):
-    # riemann-limit starts first and fails; theorem1-gf, first in the
-    # table, fails too, and its error is the one printed
+    # theorem1-gf, first in the table, and riemann-limit both fail;
+    # theorem1-gf's error is printed, whichever worker fails first
     built = pools_built(monkeypatch, 2)
     if not fork:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
