@@ -9,7 +9,6 @@ numbers are printed as "num/den" strings; p-adic numbers as
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -140,6 +139,8 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
+    import csv  # only CSV output needs it; deferred to keep start-up short
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if "checks" in payload:
         writer.writerow(["suite", "name", "pass", "residual", "error_valuation"])

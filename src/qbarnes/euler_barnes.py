@@ -56,14 +56,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ExponentAlignmentError, InternalError, PoleError, PreconditionError
-from .exact_numbers import Rational, coprime_fraction, is_prime
+from .exact_numbers import Frozen, Rational, coprime_fraction, is_prime
 from .qnum import FractionalArg, QBase, qbracket, rational_power
 
 # ---------------------------------------------------------------------------
@@ -381,24 +380,25 @@ def _barnes_u(u: Rational) -> Fraction:
     return u
 
 
-@dataclass(frozen=True)
-class BarnesParams:
-    """The (a_1..a_r, u, q) triple every H-route shares.
+class BarnesParams(Frozen):
+    """The (a_1..a_r, u, q) triple every H-route shares, a frozen value.
 
-    a and u are checked by `_integer_a` and `_barnes_u`. q may be any QBase,
-    including one with exponent > 1 for fractional-argument work.
+    a and u are checked, in that order, by `_integer_a` (a is stored as a
+    tuple of ints) and `_barnes_u` (u as a Fraction). q may be any QBase,
+    including one with exponent > 1 for fractional-argument work; any other
+    q is read as a rational and wrapped in a QBase.
     """
 
-    a: tuple[int, ...]
-    u: Rational
-    q: QBase
+    __slots__ = ("a", "u", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _integer_a(self.a, len(self.a)))
-        object.__setattr__(self, "u", _barnes_u(self.u))
-        if not isinstance(self.q, QBase):
-            q = self.q
-            object.__setattr__(self, "q", QBase(Fraction(q)))
+    def __init__(self, a: Sequence[Rational], u: Rational, q: QBase | Rational):
+        a = _integer_a(a, len(a))
+        u = _barnes_u(u)
+        if not isinstance(q, QBase):
+            q = QBase(Fraction(q))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "q", q)
 
     @property
     def r(self) -> int:

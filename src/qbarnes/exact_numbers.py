@@ -14,7 +14,6 @@ fake zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable
@@ -141,17 +140,70 @@ def check_odd_prime(p: int) -> None:
         raise PreconditionError(f"p = {p} is not an odd prime", parameter="p")
 
 
-@dataclass(frozen=True)
-class PadicContext:
-    """Working prime p (odd) and precision: arithmetic is modulo p^precision."""
+class Frozen:
+    """Base of the frozen value types: a subclass names its fields in
+    `__slots__` and sets each once in `__init__` with `object.__setattr__`.
 
-    p: int
-    precision: int
+    Two values are equal when they are of one class and their fields are
+    equal, and hash as the tuple of their fields. `repr` reads
+    `Name(field=value, ...)`, assigning or deleting any attribute raises
+    `AttributeError`, and `pickle` and `copy` rebuild a value by calling
+    its class with its fields, so the rebuilt value passes the checks
+    again. These are the behaviours `@dataclass(frozen=True)` gave the
+    types, without its import cost (ROADMAP, "Decisions that stand").
+    """
 
-    def __post_init__(self):
-        check_odd_prime(self.p)
-        if self.precision < 1:
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # __eq__ and __hash__ read the slots by name, as dataclasses writes
+        # them: through a generic getter they took 1.4-1.8x as long
+        own = ", ".join(f"self.{name}" for name in cls.__slots__)
+        other = ", ".join(f"other.{name}" for name in cls.__slots__)
+        namespace: dict = {}
+        exec(
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({own},) == ({other},)\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({own},))\n",
+            namespace,
+        )
+        cls.__eq__ = namespace["__eq__"]
+        cls.__hash__ = namespace["__hash__"]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        pairs = zip(self.__slots__, self._values())
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class PadicContext(Frozen):
+    """Working prime p (odd) and precision: arithmetic is modulo p^precision.
+
+    p is checked before precision."""
+
+    __slots__ = ("p", "precision")
+
+    def __init__(self, p: int, precision: int):
+        check_odd_prime(p)
+        if precision < 1:
             raise PreconditionError("precision must be >= 1", parameter="precision")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "precision", precision)
 
     @property
     def modulus(self) -> int:
@@ -164,7 +216,7 @@ def _check_same_context(
     message: str = "operands belong to different p-adic contexts",
 ) -> None:
     """Raise unless a and b are the same context; identity is tested first,
-    since the dataclass compare costs about as much as a multiplication."""
+    since comparing the two field tuples costs more than a small product."""
     if a is not b and a != b:
         raise PreconditionError(message)
 

@@ -25,13 +25,12 @@ no valuation is ever capped at K.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Any, Callable, Sequence
 
 from .errors import BudgetError, InternalError, PoleError, PreconditionError
-from .exact_numbers import Rational, check_odd_prime, valuation
+from .exact_numbers import Frozen, Rational, check_odd_prime, valuation
 from .euler_barnes import BarnesParams, h_closed, refinement
 from .qnum import QBase, qbracket, qbracket_z
 
@@ -51,49 +50,51 @@ def _check_budget(points: int, budget: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class AdmissibleU:
-    """A rational u with nu_p(u) != 0, the measure-existence condition.
+class AdmissibleU(Frozen):
+    """A rational u with nu_p(u) != 0, the measure-existence condition; a
+    frozen value, u stored as a Fraction.
 
     For rational u this is equivalent to |1 - u^f|_p >= 1 for every f >= 1;
     a p-adic unit u breaks the bound at f = p - 1 (Fermat), so construction
-    rejects it.
+    rejects it. p is checked before u.
     """
 
-    u: Rational
-    p: int
+    __slots__ = ("u", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", Fraction(self.u))
-        check_odd_prime(self.p)
-        if self.u == 0:
+    def __init__(self, u: Rational, p: int):
+        u = Fraction(u)
+        check_odd_prime(p)
+        if u == 0:
             raise PreconditionError("AdmissibleU rejects u = 0", parameter="u")
-        if valuation(self.u, self.p) == 0:
+        if valuation(u, p) == 0:
             raise PreconditionError(
-                f"AdmissibleU rejects nu_{self.p}(u) = 0: u = {self.u} is a "
-                f"{self.p}-adic unit, so 1 - u^({self.p}-1) falls below 1 in "
+                f"AdmissibleU rejects nu_{p}(u) = 0: u = {u} is a "
+                f"{p}-adic unit, so 1 - u^({p}-1) falls below 1 in "
                 "p-adic absolute value and mu_u is unbounded",
                 parameter="u",
             )
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "p", p)
 
     @property
     def valuation(self) -> int:
         return int(valuation(self.u, self.p))
 
 
-@dataclass(frozen=True)
-class MeasureCell:
-    """The coset x + (d f p^N) Z_p."""
+class MeasureCell(Frozen):
+    """The coset x + (d f p^N) Z_p, a frozen value; f, d and N are checked
+    in that order."""
 
-    x: int
-    f: int = 1
-    N: int = 0
-    d: int = 1
+    __slots__ = ("x", "f", "N", "d")
 
-    def __post_init__(self):
-        for flag, value, least in (("f", self.f, 1), ("d", self.d, 1), ("level-N", self.N, 0)):
-            if value < least:
-                raise PreconditionError("cell needs f >= 1, d >= 1, N >= 0", parameter=flag)
+    def __init__(self, x: int, f: int = 1, N: int = 0, d: int = 1):
+        if f < 1 or d < 1 or N < 0:
+            flag = "f" if f < 1 else "d" if d < 1 else "level-N"
+            raise PreconditionError("cell needs f >= 1, d >= 1, N >= 0", parameter=flag)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "d", d)
 
     def modulus(self, p: int) -> int:
         return self.d * self.f * p**self.N

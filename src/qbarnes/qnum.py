@@ -6,11 +6,10 @@ so every q-power in sight stays an integer power of the root.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExponentAlignmentError, PreconditionError
-from .exact_numbers import Rational
+from .exact_numbers import Frozen, Rational
 
 
 def rational_power(base: Rational, e: int) -> Rational:
@@ -20,27 +19,29 @@ def rational_power(base: Rational, e: int) -> Rational:
     return base**e
 
 
-@dataclass(frozen=True)
-class QBase:
-    """q presented as root^exponent.
+class QBase(Frozen):
+    """q presented as root^exponent, a frozen value; root is stored as a
+    Fraction.
 
     root = 1 is only meaningful as the classical limit and must be flagged;
     plain q -> 1 evaluation goes through the rational-function route instead.
+    The exponent is checked before the flag.
     """
 
-    root: Rational
-    exponent: int = 1
-    classical: bool = False
+    __slots__ = ("root", "exponent", "classical")
 
-    def __post_init__(self):
-        object.__setattr__(self, "root", Fraction(self.root))
-        if self.exponent < 1:
+    def __init__(self, root: Rational, exponent: int = 1, classical: bool = False):
+        root = Fraction(root)
+        if exponent < 1:
             raise PreconditionError("exponent must be >= 1", parameter="exponent")
-        if self.root == 1 and not self.classical:
+        if root == 1 and not classical:
             raise PreconditionError(
                 "root 1 needs the classical flag; use the q -> 1 limit routines",
                 parameter="q",
             )
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "classical", classical)
 
     @property
     def value(self) -> Rational:
@@ -51,16 +52,17 @@ class QBase:
         return rational_power(self.root, base_exponent)
 
 
-@dataclass(frozen=True)
-class FractionalArg:
-    """An argument w/f kept unevaluated until paired with an aligned QBase."""
+class FractionalArg(Frozen):
+    """An argument w/f kept unevaluated until paired with an aligned QBase;
+    a frozen value."""
 
-    numerator: int
-    denominator: int = 1
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if self.denominator < 1:
+    def __init__(self, numerator: int, denominator: int = 1):
+        if denominator < 1:
             raise PreconditionError("denominator must be >= 1", parameter="w")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     @classmethod
     def coerce(cls, w: "FractionalArg | int") -> "FractionalArg":

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +43,22 @@ def test_carlitz_csv(capsys):
     )
     assert code == 0
     assert "value,1" in out.splitlines()
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv():
+    # every `qbarnes` process pays for what `import qbarnes.cli` loads; csv is
+    # imported by CSV output alone, and the value types need no dataclasses
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, qbarnes.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_json_output_is_deterministic(capsys):
