@@ -9,37 +9,29 @@ and convergence to the closed forms.
 
 Every value is exact: no convergence claim depends on rounding. One routine,
 `riemann_integral`, sums a function against mu_u at a level: in exact
-rationals for the moment sums here and in the eq. (8) bridge, and in
-p-adic numbers for the L-value sums of `characters_lfunctions`, which hand
-it their embedding as `lift`. `multi_riemann_integral` is its r-fold
-iterate. Every valuation taken of a rational sum is exact. The one
-shortcut, `riemann_error_valuations`, finds nu_p(level sum - target) for
-several moments n at once from the sums modulo p^K, with K a few dozen
-digits above the error valuation the u-adic tail makes expected (X. Caruso,
-*Computations with p-adic numbers*, arXiv:1701.06794, on fixed-precision
-p-adic sums). It expands each q-bracket power binomially, so the r-fold
-sum splits into one-axis sums of geometric terms, each added term by term
-by Horner and shared by every n. A nonzero residue fixes that n's
-valuation exactly; a zero residue sends that n alone to the exact sum, so
-no valuation is ever capped at K.
+rationals for the eq. (8) bridge, and in p-adic numbers for the L-value
+sums of `characters_lfunctions`, which hand it their embedding as `lift`.
+The r-fold moment sums of [w + a.x : q]^n have one exact path,
+`_level_sums`. It expands each q-bracket power binomially, so the r-fold
+sum splits into one-axis sums of geometric terms, each an integer added
+term by term by Horner and shared by every n, and returns each n's sum as
+an unreduced pair of integers. `multi_riemann_integral` is that pair as a
+`Fraction`; `riemann_error_valuations` reads nu_p(level sum - target) off
+it for several moments n at once, with no gcd. Every valuation is exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Any, Callable, Sequence
 
-from .errors import BudgetError, InternalError, PoleError, PreconditionError
+from .errors import BudgetError, PoleError, PreconditionError
 from .exact_numbers import Frozen, Rational, check_odd_prime, valuation
 from .euler_barnes import BarnesParams, h_closed, refinement
-from .qnum import QBase, qbracket, qbracket_z
+from .qnum import QBase, qbracket_z
 
 #: Default cap on evaluation points for any single Riemann sum.
 DEFAULT_BUDGET = 250_000
-
-#: p-adic digits `riemann_error_valuations` keeps above the error valuation
-#: v p^N + N it expects; a valuation beyond them costs an exact fallback.
-GUARD_DIGITS = 40
 
 
 def _check_budget(points: int, budget: int) -> None:
@@ -182,25 +174,15 @@ def multi_riemann_integral(
     """r-fold level-N Riemann sum of [w + a.x : q]^n against mu_u per axis.
 
     Converges p-adically to H_n^(r)(w, u, q | a); params.u must be the same
-    u the integrator carries. It is the r-fold iterate of `riemann_integral`:
-    the one-axis sum over x_1 of the (r-1)-fold sum at w + a_1 x_1.
+    u the integrator carries. Every input, and the budget, is checked
+    first; n = 0 is 1 with no sum taken, and any other n is `_level_sums`'
+    pair reduced to a `Fraction`.
     """
     _level_points((n,), params, u, N, budget)
     if n == 0:
         # the integrand is 1, and sum_xs u^|xs| = [p^N : u]^r is the normaliser
         return Fraction(1)
-    qv = params.q.value
-    bracket_pow: dict[int, Rational] = {}
-
-    def level_sum(arg: int, axes: tuple[int, ...]) -> Rational:
-        if not axes:
-            if arg not in bracket_pow:
-                bracket_pow[arg] = qbracket(arg, qv) ** n
-            return bracket_pow[arg]
-        aj, rest = axes[0], axes[1:]
-        return riemann_integral(lambda x: level_sum(arg + aj * x, rest), u, 1, N, budget)
-
-    return level_sum(w, params.a)
+    return Fraction(*_level_sums((n,), w, params, u, N)[0])
 
 
 def riemann_error_valuations(
@@ -215,111 +197,91 @@ def riemann_error_valuations(
     """nu_p(multi_riemann_integral(n, w, params, u, N) - target) for each n
     in `ns` and its target, exactly.
 
-    When u is an integer with v = nu_p(u) >= 1 and q an integer ≡ 1
-    (mod p), the level sums of every n >= 1 with a p-integral target are
-    taken mod p^K with K = v p^N + N + GUARD_DIGITS, together from one set
-    of axis sums: their error starts at the u^(p^N) tail, so its valuation
-    is about v p^N. A nonzero residue is that n's valuation; a
-    zero residue, like every other input, sends that n alone to the exact
-    sum (1 at n = 0). Every input, and the budget, is checked before any
-    work; `ns` and `targets` must have the same length.
+    Every n takes its level sum from one call of `_level_sums`, as an
+    unreduced pair num/den; against the target C/D the valuation is
+    nu_p(num D - C den) - nu_p(den) - nu_p(D), so no `Fraction` is built.
+    Every input, and the budget, is checked before any work; `ns` and
+    `targets` must have the same length.
     """
     if len(ns) != len(targets):
         raise PreconditionError(
             f"{len(ns)} moments but {len(targets)} targets", parameter="targets"
         )
-    points = _level_points(ns, params, u, N, budget)
-    p, v = u.p, u.valuation
-    q, uu = params.q.value, u.u
+    _level_points(ns, params, u, N, budget)
+    p = u.p
     targets = [Fraction(t) for t in targets]
-    residues = [0] * len(ns)
-    if v >= 1 and uu.denominator == 1 and q.denominator == 1 and q != 1 and (q - 1) % p == 0:
-        picked = [
-            i for i, (n, t) in enumerate(zip(ns, targets)) if n >= 1 and valuation(t, p) >= 0
-        ]
-        if picked:
-            K = v * points + N + GUARD_DIGITS
-            found = _level_residues(
-                [ns[i] for i in picked], w, params.a, int(q), int(uu), p, v, points, K,
-                [targets[i] for i in picked],
-            )
-            for i, residue in zip(picked, found):
-                residues[i] = residue
     return [
-        valuation(residue, p)
-        if residue
-        else valuation(multi_riemann_integral(n, w, params, u, N, budget) - target, p)
-        for n, target, residue in zip(ns, targets, residues)
+        valuation(num * t.denominator - t.numerator * den, p)
+        - valuation(den, p)
+        - valuation(t.denominator, p)
+        for (num, den), t in zip(_level_sums(ns, w, params, u, N), targets)
     ]
 
 
-def _level_residues(
-    ns: Sequence[int],
-    w: int,
-    a: tuple[int, ...],
-    q: int,
-    u: int,
-    p: int,
-    v: int,
-    points: int,
-    K: int,
-    targets: Sequence[Fraction],
-) -> list[int]:
-    """(level sum - target) mod p^K for each n >= 1 in `ns` and its target,
-    up to a p-adic unit factor.
+def _level_sums(
+    ns: Sequence[int], w: int, params: BarnesParams, u: AdmissibleU, N: int
+) -> list[tuple[int, int]]:
+    """The level-N sums of `multi_riemann_integral` for each n in `ns`, as
+    unreduced pairs (numerator, denominator) of ints; (1, 1) at n = 0.
 
-    With e = nu_p(q - 1) and the unit c = (q - 1)/p^e, [x : q] = b(x)/c where
-    b(x) = (q^x - 1)/p^e is p-integral. The level sum is
-    c^-n T_n / [p^N : u]^r with T_n = sum_xs b(w + a.xs)^n u^|xs|, and
-    dividing by the unit c^-n / [p^N : u]^r leaves
-    T_n - target c^n [p^N : u]^r.
+    Expanding [y : q]^n = (1-q)^-n sum_j C(n, j) (-1)^j q^(j y) splits the
+    sum over the axes: term j of the r-fold sum is q^(j w) prod_i S(a_i j)
+    over the normaliser S(0)^r = [p^N : u]^r, with the axis sum
+    S(k) = sum_(x < p^N) (q^k u)^x. With q = s/t and u = c/d, S(k) is the
+    integer `_axis_sum(A, B, p^N)` over B^(p^N - 1), for A = s^k c and
+    B = t^k d when k >= 0, and A = t^|k| c and B = s^|k| d when k < 0; every
+    n shares each k's sum. The d^(r (p^N - 1)) cancel against the
+    normaliser, so term j lies over t^(j E_t) s^(j E_s), where
+    E_t = (p^N - 1) sum_(a_i > 0) a_i + w and
+    E_s = (p^N - 1) sum_(a_i < 0) |a_i| - w; a negative exponent moves its
+    power to the numerator. Each n's terms then share one denominator, and
+    no gcd is taken.
 
-    Expanding b^n binomially splits the sum over the axes:
-    p^(e n) T_n = sum_j C(n, j) (-1)^(n-j) q^(w j) prod_i S(a_i j), where the
-    axis sum S(k) = sum_(x < p^N) (q^k u)^x is added term by term mod
-    p^(K + e max ns); every n and axis shares it, and S(0) = [p^N : u]. The
-    division by p^(e n) is exact: a remainder raises `InternalError`.
+    At n >= 1 the domain in q is `h_closed`'s: q = 1, and q = 0 with w < 0
+    or some a_i < 0, raise `PreconditionError` naming q before any sum.
     """
-    e, top = valuation(q - 1, p), max(ns)
-    mod, wide = p**K, p ** (K + e * top)
-    exponents = {aj * j for aj in a for j in range(top + 1)}
-    sums = {k: _axis_sum(k, q, u, points, wide) for k in exponents}
-    # products[j] = q^(w j) prod_i S(a_i j)
-    products, qw = [], pow(q, w, wide)
-    for j in range(top + 1):
-        product = pow(qw, j, wide)
-        for aj in a:
-            product = product * sums[aj * j] % wide
-        products.append(product)
-    c = (q - 1) // p**e
-    scale = pow(sums[0], len(a), mod)
-    residues = []
-    for n, t in zip(ns, targets):
-        shifted = sum(comb(n, j) * (-1) ** (n - j) * products[j] for j in range(n + 1))
-        total, remainder = divmod(shifted % wide, p ** (e * n))
-        if remainder:
-            raise InternalError(f"the level sum of n = {n} is not divisible by p^(e n)")
-        target = t.numerator * pow(t.denominator, -1, mod) * pow(c, n, mod) * scale
-        residues.append((total - target) % mod)
-    return residues
+    top, a = max(ns, default=0), params.a
+    if top == 0:
+        return [(1, 1)] * len(ns)
+    q = params.q.value
+    if q == 1:
+        raise PreconditionError("q = 1; use limit_q_to_1", parameter="q")
+    s, t = q.numerator, q.denominator
+    if s == 0 and (w < 0 or min(a) < 0):
+        raise PreconditionError("0 cannot be raised to a negative power", parameter="q")
+    c, d = u.u.numerator, u.u.denominator
+    points = u.p**N
+    sums = {}
+    for k in {aj * j for aj in a for j in range(top + 1)}:
+        up, down = (s, t) if k >= 0 else (t, s)
+        sums[k] = _axis_sum(up ** abs(k) * c, down ** abs(k) * d, points)
+    products = [prod(sums[aj * j] for aj in a) for j in range(top + 1)]
+    e_t = (points - 1) * sum(aj for aj in a if aj > 0) + w
+    e_s = (points - 1) * sum(-aj for aj in a if aj < 0) - w
+    pairs = []
+    for n in ns:
+        if n == 0:
+            pairs.append((1, 1))
+            continue
+        # the powers of t and s in the shared denominator
+        t_den, s_den = n * max(e_t, 0), n * max(e_s, 0)
+        total = sum(
+            comb(n, j) * (-1) ** j * products[j] * t ** (t_den - j * e_t) * s ** (s_den - j * e_s)
+            for j in range(n + 1)
+        )
+        pairs.append((t**n * total, (t - s) ** n * products[0] * t**t_den * s**s_den))
+    return pairs
 
 
-def _axis_sum(k: int, q: int, u: int, points: int, mod: int) -> int:
-    """S(k) = sum_(x < points) (q^k u)^x mod `mod`, term by term by Horner:
-    one small-integer multiply per step. For k < 0 it is summed reversed in
-    the integer z = q^-k, as sum_x u^x z^(points - 1 - x) with a running u^x,
-    and multiplied once by z^-(points - 1)."""
-    z, total = q ** abs(k), 0
-    if k >= 0:
-        zu = z * u
-        for _ in range(points):
-            total = (total * zu + 1) % mod
-        return total
-    upow = 1
-    for _ in range(points):
-        total = (total * z + upow) % mod
-        upow = upow * u % mod
-    return total * pow(z, 1 - points, mod) % mod
+def _axis_sum(A: int, B: int, points: int) -> int:
+    """sum_(x < points) A^x B^(points - 1 - x), added term by term by Horner
+    with a running power of B: two small-integer multiplies per step, and
+    no list of terms or powers."""
+    total = power = 1
+    for _ in range(points - 1):
+        power *= B
+        total = total * A + power
+    return total
 
 
 def _moment_sum(
@@ -405,8 +367,9 @@ def prop5_check(
     k-th moment (1/(1-u)) H_k. Since 1 - u^m = [m : u] (1 - u), that sum is
     the rank-1 `multi_riemann_integral(k, 0, ...)` with a = (a1,), divided by
     1 - u, so the difference is `riemann_error_valuations` against H_k less
-    nu_p(1 - u). Exact, like that valuation; INFINITY when the level-N sum
-    is already exact (k = 0). The budget is checked before any work.
+    nu_p(1 - u). Exact, like that valuation, which is read off the integer
+    pair of `_level_sums`; INFINITY when the level-N sum is already exact
+    (k = 0). The budget is checked before any work.
     """
     if k < 0:
         raise PreconditionError("k must be >= 0", parameter="k")

@@ -32,8 +32,8 @@ REPORT_SHA256 = {
 }
 
 # sha256 of the seed-1 riemann-limit report, recorded from the exact
-# Fraction sums: a second draw of samples whose large valuations the modular
-# path of riemann_error_valuations must reproduce digit for digit
+# Fraction sums: a second draw of samples whose large valuations the integer
+# axis sums of riemann_error_valuations must reproduce digit for digit
 RIEMANN_LIMIT_SEED1_SHA256 = "f813cbe054d610349e6f57e5df2206436e1a72522f4ed67cab11a6abdbb61e4a"
 
 # sha256 of the seed-1 qlimit report, recorded from the Fraction-coefficient

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -12,7 +11,6 @@ from qbarnes import (
     AdmissibleU,
     BarnesParams,
     BudgetError,
-    InternalError,
     MeasureCell,
     PadicContext,
     PadicNumber,
@@ -188,26 +186,11 @@ def test_riemann_integral_lift_runs_the_sum_in_padic_scalars():
             assert padic.digits == ctx.precision
 
 
-def _counting_fallbacks(monkeypatch):
-    """Patches the exact sum riemann_error_valuations falls back to; returns
-    the list each fallback call appends its (n, w) to."""
-    calls = []
-    exact = pi.multi_riemann_integral
-
-    def counted(n, w, *args, **kwargs):
-        calls.append((n, w))
-        return exact(n, w, *args, **kwargs)
-
-    monkeypatch.setattr(pi, "multi_riemann_integral", counted)
-    return calls
-
-
-def test_riemann_error_valuation_matches_exact_path(monkeypatch):
+def test_riemann_error_valuation_matches_exact_path():
     # every level N <= 2 of p in {3,5,7}, r in {1,2}, a_j = ±1, ±2 with mixed
     # signs, v in {1,2}, q = 1 + p {1,2,3}, n <= 3, w in {0,1}; the last two
     # cases add a negative q and a negative u
-    exact = multi_riemann_integral
-    fallbacks = _counting_fallbacks(monkeypatch)
+    exact = _multi_riemann_reference
     a_rows = [(1,), (2,), (-1,), (-2,), (1, -2), (-1, 2), (2, 1), (-2, -1)]
     cases = [
         (p, a, v, 1 + p * (1 + i % 3), 2)
@@ -227,14 +210,9 @@ def test_riemann_error_valuation_matches_exact_path(monkeypatch):
             assert riemann_error_valuations((n,), w, params, uu, N, (target,))[0] == expected, (
                 p, a, v, q, n, w, N,
             )
-    # only n = 0 reached the exact sum, which returns 1 there without
-    # summing: every other valuation above was decided mod p^K
-    assert len(fallbacks) == len(cases) * 2 * 3 and all(n == 0 for n, _ in fallbacks)
 
     # the many-n form: one call per (case, w, N) gives every n's valuation,
-    # the same as the single-n calls and the exact path, and again only
-    # n = 0 reaches the exact sum
-    fallbacks.clear()
+    # the same as the single-n calls and the per-point sum
     for p, a, v, q, c in cases:
         uu = AdmissibleU(F(p) ** v * c, p)
         params = BarnesParams(a, uu.u, QBase(F(q)))
@@ -243,81 +221,31 @@ def test_riemann_error_valuation_matches_exact_path(monkeypatch):
             assert riemann_error_valuations(ns, w, params, uu, N, targets) == list(expected), (
                 p, a, v, q, w, N,
             )
-    assert len(fallbacks) == len(cases) * 2 * 3 and all(n == 0 for n, _ in fallbacks)
 
 
 def test_riemann_error_valuation_skips_the_modular_sum_at_n_zero(monkeypatch):
-    # n = 0 makes the level sum exactly 1, so no residue mod p^K is summed
-    residues, moments = pi._level_residues, []
+    # n = 0 makes the level sum exactly 1, so no axis sum is taken
+    def no_sum(*args):
+        raise AssertionError("summed an axis at n = 0")
 
-    def no_zero_moment(ns, *args):
-        if 0 in ns:
-            raise AssertionError("summed mod p^K at n = 0")
-        moments.extend(ns)
-        return residues(ns, *args)
-
-    monkeypatch.setattr(pi, "_level_residues", no_zero_moment)
+    monkeypatch.setattr(pi, "_axis_sum", no_sum)
     for p, a, q in ((3, (1,), 4), (5, (1, -2), 11), (7, (-1, 2), 8)):
         uu = AdmissibleU(F(p), p)
         params = BarnesParams(a, uu.u, QBase(F(q)))
         for w, N in itertools.product((0, 1, -2), (0, 1, 2)):
             assert riemann_error_valuations((0,), w, params, uu, N, (F(1),))[0] == INFINITY
         assert prop5_check(0, uu, F(q), a[0], 2) == INFINITY
-    # n >= 1 still takes the modular path
+    # n >= 1 sums
+    monkeypatch.undo()
     target = h_closed(1, 0, params)
-    expected = valuation(multi_riemann_integral(1, 0, params, uu, 1) - target, uu.p)
+    expected = valuation(_multi_riemann_reference(1, 0, params, uu, 1) - target, uu.p)
     assert riemann_error_valuations((1,), 0, params, uu, 1, (target,))[0] == expected
-    assert moments == [1]
 
 
-def test_riemann_error_valuations_send_only_a_zero_residue_to_the_exact_sum(monkeypatch):
-    # a zero residue at n = 2 alone: n = 2 (and n = 0, which never sums mod
-    # p^K) reach the exact sum, n = 1 and n = 3 keep their residues; the
-    # valuations come back in the order of ns, whatever that order is
-    residues = pi._level_residues
-
-    def zero_at_two(ns, *args):
-        return [0 if n == 2 else r for n, r in zip(ns, residues(ns, *args))]
-
-    monkeypatch.setattr(pi, "_level_residues", zero_at_two)
-    fallbacks = _counting_fallbacks(monkeypatch)
-    uu = AdmissibleU(F(5), 5)
-    params = BarnesParams((1, -2), uu.u, QBase(F(11)))
-    for ns in ((0, 1, 2, 3), (3, 2, 1, 0)):
-        fallbacks.clear()
-        for w, N in itertools.product((0, 1), (1, 2)):
-            targets = [h_closed(n, w, params) for n in ns]
-            expected = [
-                valuation(multi_riemann_integral(n, w, params, uu, N) - t, 5)
-                for n, t in zip(ns, targets)
-            ]
-            assert riemann_error_valuations(ns, w, params, uu, N, targets) == expected
-        assert fallbacks == [(n, w) for w in (0, 1) for _ in (1, 2) for n in ns if n in (0, 2)]
-
-
-def _level_residues_per_point(ns, w, a, q, u, p, v, points, K, targets):
-    """`_level_residues` from its definition: T_n = sum_xs b(w + a.xs)^n
-    u^|xs| mod p^K point by point, less target c^n [p^N : u]^r."""
-    e = valuation(q - 1, p)
-    mod, pe = p**K, p**e
-    sums = [0] * len(ns)
-    for xs in itertools.product(range(points), repeat=len(a)):
-        y = w + sum(aj * x for aj, x in zip(a, xs))
-        b = (pow(q, y, mod * pe) - 1) // pe
-        weight = pow(u, sum(xs), mod)
-        for i, n in enumerate(ns):
-            sums[i] += pow(b, n, mod) * weight
-    norm = sum(pow(u, x, mod) for x in range(points))
-    c = (q - 1) // pe
-    return [
-        (total - t.numerator * pow(t.denominator, -1, mod) * c**n * norm ** len(a)) % mod
-        for total, n, t in zip(sums, ns, targets)
-    ]
-
-
-def test_level_residues_match_the_sum_point_by_point():
-    # r = 3 at N = 3, w < 0, |a_j| = 3, e = 2 (q = 1 + p^2), negative q and
-    # u, n up to 5, and ns unsorted with a repeat; then seeded draws
+def test_level_sums_match_the_sum_point_by_point():
+    # r = 3 at N = 3, w < 0, |a_j| = 3, q = 1 + p^2, negative q and u, n up
+    # to 5, and ns unsorted with a repeat; then seeded draws. Each pair
+    # equals the per-point sum, and so does each valuation against a target
     cases = [
         (3, 1, 3, (3, -1, 2), -2, 10, -1, (5, 2, 5, 1)),
         (3, 2, 2, (-3, -2, 1), -4, -8, 2, (4, 1, 3)),
@@ -334,20 +262,16 @@ def test_level_residues_match_the_sum_point_by_point():
         ns = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
         cases.append((p, rng.randint(1, 3), N, a, rng.randint(-4, 4), q, c, ns))
     for p, v, N, a, w, q, c, ns in cases:
-        points = p**N
-        K = v * points + N + pi.GUARD_DIGITS
+        uu = AdmissibleU(F(p) ** v * c, p)
+        params = BarnesParams(a, uu.u, QBase(F(q)))
+        sums = {n: _multi_riemann_reference(n, w, params, uu, N) for n in set(ns)}
         denominators = [d for d in (1, 2, 4, 7, 11) if d % p]
         targets = [F(rng.randint(-99, 99), rng.choice(denominators)) for _ in ns]
-        args = (list(ns), w, a, q, p**v * c, p, v, points, K, targets)
-        assert pi._level_residues(*args) == _level_residues_per_point(*args), (p, v, N, a, w, q, c)
-
-
-def test_level_residues_raise_on_an_inexact_division(monkeypatch):
-    # C(n, 1) one too large adds q^w prod_i S(a_i), a p-adic unit, to
-    # p^(e n) T_n: the remainder is an error, never floored away
-    monkeypatch.setattr(pi, "comb", lambda n, j: math.comb(n, j) + (j == 1))
-    with pytest.raises(InternalError):
-        pi._level_residues([2], 1, (1, -2), 10, 3, 3, 1, 9, 9 + 2 + 3, [F(1)])
+        pairs = pi._level_sums(ns, w, params, uu, N)
+        assert [F(*pair) for pair in pairs] == [sums[n] for n in ns], (p, v, N, a, w, q, c)
+        assert riemann_error_valuations(ns, w, params, uu, N, targets) == [
+            valuation(sums[n] - t, p) for n, t in zip(ns, targets)
+        ], (p, v, N, a, w, q, c)
 
 
 def test_riemann_error_valuations_keep_no_term_of_the_level_sum():
@@ -369,9 +293,10 @@ def test_riemann_error_valuations_keep_no_term_of_the_level_sum():
     assert peak < 1_500_000, peak
 
 
-def test_riemann_error_valuation_falls_back_outside_its_domain(monkeypatch):
-    exact = multi_riemann_integral
-    fallbacks = _counting_fallbacks(monkeypatch)
+def test_riemann_error_valuation_falls_back_outside_its_domain():
+    # u of negative valuation or not an integer, q rational or not ≡ 1 mod p,
+    # a target outside Z_p: each valuation equals the per-point sum's
+    exact = _multi_riemann_reference
     cases = [
         (AdmissibleU(F(2, 3), 3), F(4), 0),  # nu_p(u) < 0
         (AdmissibleU(F(9, 2), 3), F(4), 0),  # u not an integer
@@ -385,15 +310,13 @@ def test_riemann_error_valuation_falls_back_outside_its_domain(monkeypatch):
             target = h_closed(2, 1, params) + shift
             expected = valuation(exact(2, 1, params, uu, N) - target, uu.p)
             assert riemann_error_valuations((2,), 1, params, uu, N, (target,))[0] == expected
-    assert fallbacks == [(2, 1)] * (2 * len(cases))
 
 
 def test_riemann_error_valuation_checks_budget_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("summed before the budget check")
 
-    monkeypatch.setattr(pi, "_level_residues", no_work)
-    monkeypatch.setattr(pi, "multi_riemann_integral", no_work)
+    monkeypatch.setattr(pi, "_level_sums", no_work)
     uu = AdmissibleU(F(3), 3)
     params = BarnesParams((1, 2), F(3), QBase(F(4)))
     with pytest.raises(BudgetError):
@@ -406,11 +329,14 @@ def test_level_sums_name_the_argument_out_of_range(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("summed before the inputs were checked")
 
-    monkeypatch.setattr(pi, "_level_residues", no_work)
-    monkeypatch.setattr(pi, "multi_riemann_integral", no_work)
+    monkeypatch.setattr(pi, "_axis_sum", no_work)
     uu = AdmissibleU(F(3), 3)
     params = BarnesParams((1,), uu.u, QBase(F(4)))
     h1 = h_closed(1, 0, params)
+    # h_closed's domain in q: q = 0 with some a_j < 0, though at N = 0 the
+    # one point's argument is w = 0, and q = (-1)^2 = 1
+    zero_q = BarnesParams((1, -1), uu.u, QBase(F(0)))
+    unit_q = BarnesParams((1,), uu.u, QBase(F(-1), 2))
     for call, parameter in (
         (lambda: riemann_integral(lambda x: F(1), uu, 1, -1), "N"),
         (lambda: riemann_integral(lambda x: F(1), uu, 0, 1), "d"),
@@ -423,10 +349,14 @@ def test_level_sums_name_the_argument_out_of_range(monkeypatch):
         # one target per moment: neither list is cut to the other's length
         (lambda: riemann_error_valuations((1, 2), 0, params, uu, 2, (h1,)), "targets"),
         (lambda: riemann_error_valuations((1,), 0, params, uu, 2, (h1, h1)), "targets"),
+        (lambda: multi_riemann_integral(1, 0, zero_q, uu, 0), "q"),
+        (lambda: riemann_error_valuations((2,), 0, unit_q, uu, 2, (F(0),)), "q"),
     ):
         with pytest.raises(PreconditionError) as exc:
             call()
         assert exc.value.parameter == parameter
+    # at n = 0 the sum is 1 whatever q is
+    assert multi_riemann_integral(0, -1, zero_q, uu, 2) == multi_riemann_integral(0, 0, unit_q, uu, 2) == 1
 
 
 def test_multi_riemann_budget():

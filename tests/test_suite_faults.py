@@ -11,8 +11,9 @@ then in the functions the suites call:
 - `interpolation` and `unit-power`: `angle_bracket` returns [x : q],
   without the division by omega(x);
 - `addition`: `h_addition` takes C(n, k-1) for C(n, k);
-- `riemann-limit` and `prop5`: `_level_residues` sums the last axis with
-  its a_r read as -a_r;
+- `riemann-limit` and `prop5`: `_level_sums` sums the last axis with its
+  a_r read as -a_r, and, apart, `_axis_sum` drops the last term of every
+  axis sum;
 - `theorem1-gf` and `qlimit`: `TruncatedSeries.scalar_exp` drops its top
   coefficient;
 - `carlitz-bridge`: `h_carlitz` takes C(m, i-1) for C(m, i);
@@ -145,29 +146,48 @@ def test_addition_fails_with_a_shifted_binomial(monkeypatch):
     assert all(not check["pass"] for check in report["checks"])
 
 
-def test_riemann_limit_and_prop5_fail_with_the_last_axis_summed_backwards(monkeypatch):
-    # the level residues with a[-1] read as -a[-1]: every term still carries
-    # its power of p, so the division by p^(e n) stays exact
-    residues = padic_integration._level_residues
+def _assert_every_level_sum_fails():
+    """riemann-limit and prop5 with a fault in their level sums: n = 0 and
+    k = 0 take no sum and still pass; every other check fails, the
+    nu_p(u) < 0 draw's too."""
+    riemann_limit = run_suite("riemann-limit")
+    checks = riemann_limit["checks"]
+    assert not riemann_limit["pass"]
+    # the nu_p(u) < 0 draw is there: u = c/p, with c prime to p
+    assert any(Fraction(check["params"]["u"]).numerator % check["params"]["p"] for check in checks)
+    assert all(check["pass"] == (check["params"]["n"] == 0) for check in checks)
+    prop5 = run_suite("prop5")
+    assert all(check["pass"] == (check["params"]["k"] == 0) for check in prop5["checks"])
 
-    def backwards(ns, w, a, *args):
-        return residues(ns, w, (*a[:-1], -a[-1]), *args)
+
+def test_riemann_limit_and_prop5_fail_with_the_last_axis_summed_backwards(monkeypatch):
+    # the level sums with a[-1] read as -a[-1]
+    level_sums = padic_integration._level_sums
+
+    def backwards(ns, w, params, u, N):
+        a = params.a
+        flipped = euler_barnes.BarnesParams((*a[:-1], -a[-1]), params.u, params.q)
+        return level_sums(ns, w, flipped, u, N)
 
     for suite in ("riemann-limit", "prop5"):
         assert run_suite(suite)["pass"]
-    monkeypatch.setattr(padic_integration, "_level_residues", backwards)
-    riemann_limit = run_suite("riemann-limit")
-    assert not riemann_limit["pass"]
-    # n = 0 and the nu_p(u) < 0 draw never sum mod p^K, so they still pass;
-    # every n = 1 check that does sum fails
-    for check in riemann_limit["checks"]:
-        params = check["params"]
-        if params["n"] == 0 or Fraction(params["u"]).numerator % params["p"]:
-            assert check["pass"], check["name"]
-        elif params["n"] == 1:
-            assert not check["pass"], check["name"]
-    prop5 = run_suite("prop5")
-    assert all(check["pass"] == (check["params"]["k"] == 0) for check in prop5["checks"])
+    monkeypatch.setattr(padic_integration, "_level_sums", backwards)
+    _assert_every_level_sum_fails()
+
+
+def test_riemann_limit_and_prop5_fail_without_the_last_term_of_an_axis_sum(monkeypatch):
+    # sum_(x < p^N) A^x B^(p^N - 1 - x) less its term x = p^N - 1: an error
+    # of valuation about v (p^N - 1), which only a bound of v p^N + N sees
+    # at nu_p(u) = v >= 1
+    axis_sum = padic_integration._axis_sum
+
+    def short(A, B, points):
+        return axis_sum(A, B, points) - A ** (points - 1)
+
+    for suite in ("riemann-limit", "prop5"):
+        assert run_suite(suite)["pass"]
+    monkeypatch.setattr(padic_integration, "_axis_sum", short)
+    _assert_every_level_sum_fails()
 
 
 def test_theorem1_gf_and_qlimit_fail_when_exp_drops_its_top_coefficient(monkeypatch):
