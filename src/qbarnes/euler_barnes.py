@@ -627,20 +627,26 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 
 
 def h_addition(n: int, w: int, params: BarnesParams) -> Rational:
-    """H_n(w) = sum_k C(n,k) [w:q]^(n-k) q^(wk) H_k(0); integer w only."""
+    """H_n(w) = sum_k C(n,k) [w:q]^(n-k) q^(wk) H_k(0); integer w only.
+    Takes H_0(0), ..., H_n(0) from `h_closed` and sums them with
+    `_addition_sum`."""
     if n < 0:
         raise PreconditionError("n must be >= 0", parameter="n")
-    qv = params.q.value
-    bw = qbracket(w, qv)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += (
-            comb(n, k)
-            * bw ** (n - k)
-            * rational_power(qv, w * k)
-            * h_closed(k, 0, params)
-        )
-    return total
+    return _addition_sum(n, w, params.q.value, (h_closed(k, 0, params) for k in range(n + 1)))
+
+
+def _addition_sum(n: int, w: int, qv: Fraction, h0: Iterable[Rational]) -> Rational:
+    """Route 2's sum sum_k C(n,k) [w:q]^(n-k) q^(wk) H_k(0) at q = qv, from
+    H_0(0), ..., H_n(0) in `h0`: a caller that sums many (n, w) computes
+    them once. h0 is read in order, as far as H_n(0), after [w : q] and
+    q^w: an iterator of `h_closed` calls, as `h_addition` passes, raises an
+    error of q before any pole of an H_k(0). The terms are added as
+    integers over one denominator, and one `Fraction` reduces the sum."""
+    (b, c), (g, e) = qbracket(w, qv).as_integer_ratio(), rational_power(qv, w).as_integer_ratio()
+    h, den = _over_common_denominator([h_k for _, h_k in zip(range(n + 1), h0)])
+    # [w:q] = b/c and q^w = g/e, so [w:q]^(n-k) q^(wk) = (b e)^(n-k) (c g)^k / (c e)^n
+    top = sum(comb(n, k) * (b * e) ** (n - k) * (c * g) ** k * h_k for k, h_k in enumerate(h))
+    return Fraction(top, (c * e) ** n * den)
 
 
 # ---------------------------------------------------------------------------

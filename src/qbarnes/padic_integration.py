@@ -8,22 +8,26 @@ arguments; the identity suites check their cell additivity, integrality,
 and convergence to the closed forms.
 
 Every value is exact: no convergence claim depends on rounding. One routine,
-`riemann_integral`, sums a function against mu_u at a level: in exact
-rationals for the eq. (8) bridge, and in p-adic numbers for the L-value
-sums of `characters_lfunctions`, which hand it their embedding as `lift`.
-The r-fold moment sums of [w + a.x : q]^n have one exact path,
-`_level_sums`. It expands each q-bracket power binomially, so the r-fold
-sum splits into one-axis sums of geometric terms, each an integer added
-term by term by Horner and shared by every n, and returns each n's sum as
-an unreduced pair of integers. `multi_riemann_integral` is that pair as a
-`Fraction`; `riemann_error_valuations` reads nu_p(level sum - target) off
-it for several moments n at once, with no gcd. Every valuation is exact.
+`riemann_integral`, sums any function against mu_u at a level, point by
+point, in the scalars its `lift` names: the p-adic L-value sums of
+`characters_lfunctions` hand it their embedding. The moment sums of
+q-brackets have one exact integer kernel instead. It expands each
+q-bracket power binomially, so a sum splits into one-axis sums of geometric
+terms, each an integer added term by term by Horner (`_axis_sum`) and
+shared by every moment, and it returns each moment's sum as an unreduced
+pair of integers with the valuation of its denominator. `_level_sums`
+serves the r-fold sums of [w + a.x : q]^n, and `_unit_sums` the sums of
+chi(x) [a1 x : q]^k over the units of the eq. (8) bridge, split into
+residue classes. `multi_riemann_integral` is a pair as a `Fraction`;
+`riemann_error_valuations` and `unit_error_valuations` read
+nu_p(level sum - target) off the pairs for several moments at once, with no
+gcd. Every valuation is exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, prod
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import BudgetError, PoleError, PreconditionError
 from .exact_numbers import Frozen, Rational, check_odd_prime, valuation
@@ -149,18 +153,16 @@ def riemann_integral(
 
 def _level_points(
     ns: Sequence[int], params: BarnesParams, u: AdmissibleU, N: int, budget: int
-) -> int:
-    """Checks the inputs of the r-fold level-N sums of the moments `ns`;
-    returns p^N, the points per axis."""
+) -> None:
+    """Checks the inputs of the r-fold level-N sums of the moments `ns`,
+    and their p^(N r) points against the budget."""
     if params.u != u.u:
         raise PreconditionError("params.u and the integrator's u differ", parameter="u")
     if N < 0:
         raise PreconditionError("N must be >= 0", parameter="N")
     if any(n < 0 for n in ns):
         raise PreconditionError("n must be >= 0", parameter="n")
-    points = u.p**N
-    _check_budget(points**params.r, budget)
-    return points
+    _check_budget(u.p ** (N * params.r), budget)
 
 
 def multi_riemann_integral(
@@ -175,14 +177,11 @@ def multi_riemann_integral(
 
     Converges p-adically to H_n^(r)(w, u, q | a); params.u must be the same
     u the integrator carries. Every input, and the budget, is checked
-    first; n = 0 is 1 with no sum taken, and any other n is `_level_sums`'
-    pair reduced to a `Fraction`.
+    first; the sum is `_level_sums`' pair reduced to a `Fraction`, 1 with no
+    sum taken at n = 0.
     """
     _level_points((n,), params, u, N, budget)
-    if n == 0:
-        # the integrand is 1, and sum_xs u^|xs| = [p^N : u]^r is the normaliser
-        return Fraction(1)
-    return Fraction(*_level_sums((n,), w, params, u, N)[0])
+    return Fraction(*_level_sums((n,), w, params, u, N)[0][:2])
 
 
 def riemann_error_valuations(
@@ -208,21 +207,46 @@ def riemann_error_valuations(
             f"{len(ns)} moments but {len(targets)} targets", parameter="targets"
         )
     _level_points(ns, params, u, N, budget)
-    p = u.p
-    targets = [Fraction(t) for t in targets]
+    return _error_valuations(_level_sums(ns, w, params, u, N), targets, u.p)
+
+
+def unit_error_valuations(
+    ks: Sequence[int], chi: Callable[[int], int], a1: int, u: AdmissibleU, q: Rational,
+    D: int, N: int, targets: Sequence[Rational], budget: int = DEFAULT_BUDGET,
+) -> list[int | float]:
+    """nu_p(unit sum - target) for each k in `ks` and its target, exactly.
+
+    The unit sum is the level-N Riemann sum of chi(x) [a1 x : q]^k against
+    mu_u over the units x < D p^N, sum_(p ∤ x) chi(x) [a1 x : q]^k u^x over
+    [D p^N : u]; it tends to a unit moment of the eq. (8) bridge. chi is an
+    int-valued character whose modulus divides D p, and `targets` holds
+    one target per k. The sums are the pairs of `_unit_sums`, read as
+    `riemann_error_valuations` reads its own. N >= 1, a1 >= 1, q != 1 and
+    the D p^N points are checked before any work.
+    """
+    if N < 1 or a1 < 1 or q == 1:
+        flag = "N" if N < 1 else "a" if a1 < 1 else "q"
+        raise PreconditionError("unit sums need N >= 1, a1 >= 1 and q != 1", parameter=flag)
+    _check_budget(D * u.p**N, budget)
+    return _error_valuations(_unit_sums(ks, chi, a1, u, q, D, N), targets, u.p)
+
+
+def _error_valuations(sums, targets: Sequence[Rational], p: int) -> list[int | float]:
+    """nu_p(num/den - C/D) for each (num, den, nu_p(den)) of `sums` and
+    target C/D: nu_p(num D - C den) - nu_p(den) - nu_p(D), with no
+    `Fraction` of the sum built."""
     return [
-        valuation(num * t.denominator - t.numerator * den, p)
-        - valuation(den, p)
-        - valuation(t.denominator, p)
-        for (num, den), t in zip(_level_sums(ns, w, params, u, N), targets)
+        valuation(num * t.denominator - t.numerator * den, p) - v_den - valuation(t.denominator, p)
+        for (num, den, v_den), t in zip(sums, map(Fraction, targets))
     ]
 
 
 def _level_sums(
     ns: Sequence[int], w: int, params: BarnesParams, u: AdmissibleU, N: int
-) -> list[tuple[int, int]]:
+) -> list[tuple[int, int, int]]:
     """The level-N sums of `multi_riemann_integral` for each n in `ns`, as
-    unreduced pairs (numerator, denominator) of ints; (1, 1) at n = 0.
+    unreduced pairs of ints, each with its denominator's valuation at p:
+    (numerator, denominator, nu_p(denominator)); (1, 1, 0) when every n is 0.
 
     Expanding [y : q]^n = (1-q)^-n sum_j C(n, j) (-1)^j q^(j y) splits the
     sum over the axes: term j of the r-fold sum is q^(j w) prod_i S(a_i j)
@@ -231,18 +255,14 @@ def _level_sums(
     integer `_axis_sum(A, B, p^N)` over B^(p^N - 1), for A = s^k c and
     B = t^k d when k >= 0, and A = t^|k| c and B = s^|k| d when k < 0; every
     n shares each k's sum. The d^(r (p^N - 1)) cancel against the
-    normaliser, so term j lies over t^(j E_t) s^(j E_s), where
-    E_t = (p^N - 1) sum_(a_i > 0) a_i + w and
-    E_s = (p^N - 1) sum_(a_i < 0) |a_i| - w; a negative exponent moves its
-    power to the numerator. Each n's terms then share one denominator, and
-    no gcd is taken.
+    normaliser, and `_binomial_pairs` adds the terms over one denominator.
 
     At n >= 1 the domain in q is `h_closed`'s: q = 1, and q = 0 with w < 0
     or some a_i < 0, raise `PreconditionError` naming q before any sum.
     """
     top, a = max(ns, default=0), params.a
     if top == 0:
-        return [(1, 1)] * len(ns)
+        return [(1, 1, 0)] * len(ns)
     q = params.q.value
     if q == 1:
         raise PreconditionError("q = 1; use limit_q_to_1", parameter="q")
@@ -258,19 +278,59 @@ def _level_sums(
     products = [prod(sums[aj * j] for aj in a) for j in range(top + 1)]
     e_t = (points - 1) * sum(aj for aj in a if aj > 0) + w
     e_s = (points - 1) * sum(-aj for aj in a if aj < 0) - w
-    pairs = []
+    return [*_binomial_pairs(ns, products, products[0], s, t, e_t, e_s, u.p)]
+
+
+def _unit_sums(
+    ks: Sequence[int], chi: Callable, a1: int, u: AdmissibleU, q: Rational, D: int, N: int
+) -> list[tuple[int, int, int]]:
+    """The unit sums of `unit_error_valuations` for each k in `ks`, as
+    `_level_sums` gives its own: (numerator, denominator, nu_p(denominator)).
+
+    The binomial split of `_level_sums` makes term j the sum of
+    chi(x) (q^(j a1) u)^x over the units x < D p^N: with q = s/t, u = c/d,
+    A = s^(j a1) c and B = t^(j a1) d, it is sum_x chi(x) A^x B^(D p^N-1-x)
+    over B^(D p^N - 1). Write x = x0 + D p y with x0 < D p and y < p^(N-1):
+    chi(x), and whether p divides x, depend on x0 alone, so that integer is
+    the class sum over x0 < D p with p ∤ x0 of chi(x0) A^x0 B^(D p - 1 - x0)
+    times `_axis_sum(A^(D p), B^(D p), p^(N-1))`. The normaliser
+    [D p^N : u] is `_axis_sum(c, d, D p^N)` over d^(D p^N - 1), so the
+    powers of d cancel. Every term of every class sum and axis sum is
+    added, one by one. The caller checks a1 >= 1 and N >= 1.
+    """
+    p, (s, t), (c, d) = u.p, (q.numerator, q.denominator), (u.u.numerator, u.u.denominator)
+    period, points = D * p, D * p**N
+    terms = []
+    for j in range(max(ks, default=0) + 1):
+        A, B = s ** (j * a1) * c, t ** (j * a1) * d
+        classes = sum(chi(x0) * A**x0 * B ** (period - 1 - x0) for x0 in range(period) if x0 % p)
+        terms.append(classes * _axis_sum(A**period, B**period, p ** (N - 1)))
+    return [*_binomial_pairs(ks, terms, _axis_sum(c, d, points), s, t, (points - 1) * a1, 0, p)]
+
+
+def _binomial_pairs(
+    ns: Sequence[int], terms: Sequence[int], norm: int, s: int, t: int, e_t: int, e_s: int, p: int
+) -> Iterator[tuple[int, int, int]]:
+    """(1-q)^-n sum_j C(n, j) (-1)^j terms[j] / (t^(j e_t) s^(j e_s) norm)
+    for each n in `ns`, with q = s/t, as (numerator, denominator,
+    nu_p(denominator)); a negative exponent moves its power to the
+    numerator.
+
+    Each n's terms share the denominator (t - s)^n norm t^(n e_t) s^(n e_s),
+    each exponent at least 0, so no gcd is taken. Its valuation is the sum
+    of its factors', with nu_p(norm) taken once.
+    """
+    # q = 0 puts no power of s in a denominator, so its valuation is not read
+    v_norm, v_t, v_ts, v_s = (valuation(x, p) if x else 0 for x in (norm, t, t - s, s))
     for n in ns:
-        if n == 0:
-            pairs.append((1, 1))
-            continue
         # the powers of t and s in the shared denominator
         t_den, s_den = n * max(e_t, 0), n * max(e_s, 0)
         total = sum(
-            comb(n, j) * (-1) ** j * products[j] * t ** (t_den - j * e_t) * s ** (s_den - j * e_s)
+            comb(n, j) * (-1) ** j * terms[j] * t ** (t_den - j * e_t) * s ** (s_den - j * e_s)
             for j in range(n + 1)
         )
-        pairs.append((t**n * total, (t - s) ** n * products[0] * t**t_den * s**s_den))
-    return pairs
+        den = (t - s) ** n * norm * t**t_den * s**s_den
+        yield t**n * total, den, n * v_ts + v_norm + t_den * v_t + s_den * v_s
 
 
 def _axis_sum(A: int, B: int, points: int) -> int:

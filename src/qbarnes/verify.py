@@ -4,8 +4,9 @@ Each suite runs a pinned, seeded parameter grid and reports per-check
 residuals (exact rationals, expected 0) or p-adic error valuations
 (expected to grow with the level). Nothing here is approximate: residuals
 come from exact arithmetic. Every valuation reported is exact
-(riemann-limit's and prop5's come from `riemann_error_valuations`) except
-the `agreement_valuation` of interpolation and unit-power, which reads the
+(riemann-limit's and prop5's come from `riemann_error_valuations`,
+eq8-bridge's from `unit_error_valuations`) except the
+`agreement_valuation` of interpolation and unit-power, which reads the
 joint precision, a lower bound, when every tracked digit agrees.
 
 A suite is a generator of checks over a seeded `ParameterSampler`; `_suite`
@@ -49,12 +50,11 @@ from .exact_numbers import (
     format_valuation,
     padic_pow,
     to_padic,
-    valuation,
 )
 from .euler_barnes import (
     BarnesParams,
+    _addition_sum,
     distribution_check,
-    h_addition,
     h_carlitz,
     h_closed,
     limit_q_to_1,
@@ -68,9 +68,9 @@ from .padic_integration import (
     multi_riemann_integral,  # unused here; perfbench's tests assert its tracer wraps this name
     prop5_check,
     riemann_error_valuations,
-    riemann_integral,
+    unit_error_valuations,
 )
-from .qnum import QBase, qbracket
+from .qnum import QBase
 from .series import classical_gf_coefficients, q_gf_coefficients
 
 
@@ -82,6 +82,13 @@ def _strictly_increasing(vals) -> bool:
     # an infinite valuation means the level is already exact; staying there
     # counts as increasing
     return all(b > a or b == INFINITY for a, b in zip(vals, vals[1:]))
+
+
+def _past_the_tail(vals, levels, v: int, p: int, D: int = 1) -> bool:
+    """Every level N's error valuation is at least v D p^N + N. With
+    nu_p(u) = v >= 1 the u^(D p^N) tail of a level sum over D p^N points
+    bounds its error, so a sum that loses a single term falls below this."""
+    return all(x >= v * D * p**N + N for x, N in zip(vals, levels))
 
 
 def _first_diff(pairs) -> Fraction:
@@ -188,9 +195,11 @@ def _addition(sampler: ParameterSampler, budget: int) -> Checks:
 
     def build(i):
         params = sampler.barnes(1 + i % 3, 3)
-        h_closed(8, 0, params)  # probe the worst pole up front
+        # H_k(0) for k <= 8, which route 2 sums every (n, w) from; H_8(0)
+        # comes first, to probe the worst pole up front
+        h0 = [h_closed(k, 0, params) for k in range(8, -1, -1)][::-1]
         pairs = (
-            (h_addition(n, w, params), h_closed(n, w, params))
+            (_addition_sum(n, w, params.q.value, h0), h_closed(n, w, params))
             for n in range(9)
             for w in range(6)
         )
@@ -306,9 +315,7 @@ def _riemann_limit(sampler: ParameterSampler, budget: int) -> Checks:
                 for w in (0, 1):
                     vals = [at_level[n] for at_level in by_w[w]]
                     if v >= 1:
-                        ok = _weakly_increasing(vals) and all(
-                            x >= v * p**N + N for x, N in zip(vals, levels)
-                        )
+                        ok = _weakly_increasing(vals) and _past_the_tail(vals, levels, v, p)
                     else:
                         ok = all(x >= N - 1 for x, N in zip(vals, levels))
                     yield f"p{p}-r{r}-v{v}-n{n}-w{w}", {
@@ -375,9 +382,7 @@ def _prop5(sampler: ParameterSampler, budget: int) -> Checks:
             if k == 0:
                 ok = all(x == INFINITY for x in vals)
             else:
-                ok = _strictly_increasing(vals) and all(
-                    x >= uu.valuation * p**N + N for x, N in zip(vals, levels)
-                )
+                ok = _strictly_increasing(vals) and _past_the_tail(vals, levels, uu.valuation, p)
             yield f"p{p}-k{k}", {
                 **base,
                 "a1": a1,
@@ -386,19 +391,13 @@ def _prop5(sampler: ParameterSampler, budget: int) -> Checks:
             }, ok, vals[-1]
 
 
-def _unit_moment(chi: DirichletCharacter, p: int, a1: int, q: Fraction, k: int) -> Callable:
-    """x -> chi(x) [a1 x:q]^k on the p-adic units, 0 on p Z_p."""
-
-    def integrand(x: int) -> Fraction:
-        if x % p == 0 or chi(x) == 0:
-            return Fraction(0)
-        return chi(x) * qbracket(a1 * x, q) ** k
-
-    return integrand
-
-
 def _eq8_bridge(sampler: ParameterSampler, budget: int) -> Checks:
-    """Unit-restricted moment sums against the two-Euler-factor closed form."""
+    """Unit-restricted moment sums against the two-Euler-factor closed form.
+
+    The error valuation must be weakly increasing over the levels and at
+    least v D p^N + N at every level N, for v = nu_p(u) and the D p^N
+    points of the level, as riemann-limit's level sums must.
+    """
     for p in (3, 5):
         levels = (1, 2, 3, 4) if p == 3 else (1, 2, 3)
         q, uu, base = _sample_padic_qu(sampler, p, 1)
@@ -406,14 +405,14 @@ def _eq8_bridge(sampler: ParameterSampler, budget: int) -> Checks:
             chi = _CHARACTERS[label]()
             a1 = 1 if label != "quadratic4" else 2
             D = _tame_part(chi.modulus, p)
-            for k in range(5):
-                target = _l_negative_exact(k, chi, uu.u, q, a1, p)
-                integrand = _unit_moment(chi, p, a1, q, k)
-                vals = [
-                    valuation(riemann_integral(integrand, uu, D, N, budget) - target, p)
-                    for N in levels
-                ]
-                ok = _weakly_increasing(vals) and vals[-1] >= levels[-1]
+            ks = range(5)
+            targets = [_l_negative_exact(k, chi, uu.u, q, a1, p) for k in ks]
+            # each level takes every k in one call
+            by_level = [
+                unit_error_valuations(ks, chi, a1, uu, q, D, N, targets, budget) for N in levels
+            ]
+            for k, vals in zip(ks, zip(*by_level)):
+                ok = _weakly_increasing(vals) and _past_the_tail(vals, levels, uu.valuation, p, D)
                 yield f"p{p}-{label}-k{k}", {
                     **base,
                     "character": label,

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -390,6 +391,29 @@ def test_addition_formula():
     for n in range(6):
         for w in range(4):
             assert h_addition(n, w, p) == h_closed(n, w, p)
+
+
+def test_addition_sum_from_the_callers_h_k0_matches_h_addition_and_h_closed():
+    # seeded draws of rank 1-3, mixed-sign a, rational u and q of either
+    # sign; route 2's sum from one list of H_k(0), k <= 8, for every
+    # (n, w), w < 0 included, equals h_addition and route 1
+    rng = random.Random(18)
+    draws = 0
+    while draws < 12:
+        a = tuple(rng.choice((-2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3)))
+        u, q = (F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2))
+        if u in (0, 1) or q in (0, 1):
+            continue
+        params = _params(a, u, q)
+        try:
+            h0 = [h_closed(k, 0, params) for k in range(9)]
+        except PoleError:
+            continue
+        draws += 1
+        for n, w in itertools.product(range(9), range(-2, 5)):
+            expected = h_closed(n, w, params)
+            assert euler_barnes._addition_sum(n, w, q, h0) == expected, (a, u, q, n, w)
+            assert h_addition(n, w, params) == expected
 
 
 def test_distribution_residual_zero():

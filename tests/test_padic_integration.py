@@ -11,6 +11,7 @@ from qbarnes import (
     AdmissibleU,
     BarnesParams,
     BudgetError,
+    DirichletCharacter,
     MeasureCell,
     PadicContext,
     PadicNumber,
@@ -223,7 +224,7 @@ def test_riemann_error_valuation_matches_exact_path():
             )
 
 
-def test_riemann_error_valuation_skips_the_modular_sum_at_n_zero(monkeypatch):
+def test_riemann_error_valuation_takes_no_axis_sum_at_n_zero(monkeypatch):
     # n = 0 makes the level sum exactly 1, so no axis sum is taken
     def no_sum(*args):
         raise AssertionError("summed an axis at n = 0")
@@ -264,21 +265,113 @@ def test_level_sums_match_the_sum_point_by_point():
     for p, v, N, a, w, q, c, ns in cases:
         uu = AdmissibleU(F(p) ** v * c, p)
         params = BarnesParams(a, uu.u, QBase(F(q)))
-        sums = {n: _multi_riemann_reference(n, w, params, uu, N) for n in set(ns)}
+        reference = {n: _multi_riemann_reference(n, w, params, uu, N) for n in set(ns)}
         denominators = [d for d in (1, 2, 4, 7, 11) if d % p]
         targets = [F(rng.randint(-99, 99), rng.choice(denominators)) for _ in ns]
-        pairs = pi._level_sums(ns, w, params, uu, N)
-        assert [F(*pair) for pair in pairs] == [sums[n] for n in ns], (p, v, N, a, w, q, c)
+        sums = pi._level_sums(ns, w, params, uu, N)
+        assert [F(num, den) for num, den, _ in sums] == [reference[n] for n in ns], (
+            p, v, N, a, w, q, c,
+        )
         assert riemann_error_valuations(ns, w, params, uu, N, targets) == [
-            valuation(sums[n] - t, p) for n, t in zip(ns, targets)
+            valuation(reference[n] - t, p) for n, t in zip(ns, targets)
         ], (p, v, N, a, w, q, c)
 
 
+def test_level_sums_add_the_valuations_of_their_denominators_factors():
+    # seeded draws of every shape the level sums take: q an integer or s/t
+    # with p dividing s, t or t - s (and q = 0), u of either sign of
+    # valuation, w < 0, mixed-sign a. Each denominator's valuation, added
+    # from its factors, equals the one read off the whole denominator
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        p, r = rng.choice((3, 5, 7)), rng.randint(1, 3)
+        a = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r))
+        q = rng.choice((F(1 + p), F(1 - p * p), F(p, 2), F(2, p), F(1 + p, 1 + 2 * p), F(-3, 4), 0))
+        w = rng.randint(-3, 3)
+        if q == 0:
+            a, w = tuple(abs(aj) for aj in a), abs(w)
+        uu = AdmissibleU(F(p) ** rng.choice((-1, 1, 2)) * rng.choice((1, -2, F(1, 2))), p)
+        params = BarnesParams(a, uu.u, QBase(q))
+        ns = [rng.randint(0, 5) for _ in range(rng.randint(1, 4))]
+        N = rng.randint(0, 3 if r == 1 else 1)
+        for num, den, v_den in pi._level_sums(ns, w, params, uu, N):
+            assert v_den == valuation(den, p), (p, a, q, w, uu.u, ns, N)
+            seen.add(v_den > 0)
+    assert seen == {True, False}
+
+
+def _unit_moment_reference(chi, a1, u, q, D, N, k):
+    """The unit sum point by point, in `Fraction`s: chi(x) [a1 x : q]^k on
+    the units, 0 on p Z_p, summed against mu_u by `riemann_integral`."""
+
+    def integrand(x):
+        if x % u.p == 0 or chi(x) == 0:
+            return F(0)
+        return chi(x) * qbracket(a1 * x, q) ** k
+
+    return riemann_integral(integrand, u, D, N)
+
+
+def test_unit_sums_match_the_sum_point_by_point():
+    # p = 3 and 5; the trivial character with D = 1 and 4, quadratic3 and
+    # quadratic4 with their own D (1 or 3, and 4); k = 0..4 in one call;
+    # levels 1-4 (1-3 at p = 5); u of valuation 1, 2 or -1, of either sign,
+    # integer or not; integer and rational q. Each pair equals the per-point
+    # sum, its denominator's valuation is the one read off it, and each
+    # valuation against a target equals the per-point sum's
+    rng = random.Random(16)
+    characters = [
+        (DirichletCharacter.trivial(1), 1, 1),
+        (DirichletCharacter.trivial(1), 1, 4),
+        (DirichletCharacter.quadratic(3), 1, None),
+        (DirichletCharacter.quadratic(4), 2, 4),
+    ]
+    ks = range(5)
+    for p in (3, 5):
+        for chi, a1, D in characters:
+            D = D or (1 if p == 3 else 3)
+            for N in (1, 2, 3, 4) if p == 3 else (1, 2, 3):
+                uu = AdmissibleU(F(p) ** rng.choice((1, 2, -1)) * rng.choice((1, -2, F(1, 2))), p)
+                q = rng.choice((F(1 + p), F(1 + 2 * p), F(1 - p), F(3, 2), F(-2, 3)))
+                reference = [_unit_moment_reference(chi, a1, uu, q, D, N, k) for k in ks]
+                sums = pi._unit_sums(ks, chi, a1, uu, q, D, N)
+                case = (p, chi.modulus, a1, D, N, uu.u, q)
+                assert [F(num, den) for num, den, _ in sums] == reference, case
+                assert [v_den for _, _, v_den in sums] == [valuation(den, p) for _, den, _ in sums]
+                targets = [ref + F(rng.randint(-9, 9) * p ** rng.randint(0, 30), 7) for ref in reference]
+                assert pi.unit_error_valuations(ks, chi, a1, uu, q, D, N, targets) == [
+                    valuation(ref - t, p) for ref, t in zip(reference, targets)
+                ], case
+
+
+def test_unit_error_valuations_check_their_inputs_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("summed before the inputs were checked")
+
+    monkeypatch.setattr(pi, "_unit_sums", no_work)
+    chi, uu, q = DirichletCharacter.quadratic(4), AdmissibleU(F(3), 3), F(4)
+    for args, parameter in (
+        ((2, uu, q, 4, 0), "N"),
+        ((0, uu, q, 4, 1), "a"),
+        ((-1, uu, q, 4, 1), "a"),
+        ((2, uu, F(1), 4, 1), "q"),
+    ):
+        with pytest.raises(PreconditionError) as exc:
+            pi.unit_error_valuations((1,), chi, *args, (F(0),))
+        assert exc.value.parameter == parameter
+    # the D p^N points, here 4 * 27, not the p^(N-1) points of an axis sum
+    with pytest.raises(BudgetError, match="108 evaluation points exceed the budget of 107"):
+        pi.unit_error_valuations((1,), chi, 2, uu, q, 4, 3, (F(0),), budget=107)
+    monkeypatch.undo()
+    assert pi.unit_error_valuations((1,), chi, 2, uu, q, 4, 3, (F(0),), budget=108)[0] < INFINITY
+
+
 def test_riemann_error_valuations_keep_no_term_of_the_level_sum():
-    # each axis sum is a Horner sum kept on the fly: no list of the 2,401
-    # terms, nor of the powers u^x or q^x, lives through it. A table of the
-    # 2,401 powers u^x mod p^K alone peaks near 2.7 MB here; the whole call
-    # near 0.05 MB.
+    # each axis sum is a Horner sum over Z kept on the fly: no list of the
+    # 2,401 terms, nor of the powers u^x or q^x, lives through it. A table
+    # of the 2,401 powers u^x alone would take about 2.6 MB here; the whole
+    # call peaks near 0.07 MB.
     uu = AdmissibleU(F(7) ** 2 * 3, 7)
     params = BarnesParams((1,), uu.u, QBase(F(15)))
     ns, N = range(4), 4
@@ -293,7 +386,7 @@ def test_riemann_error_valuations_keep_no_term_of_the_level_sum():
     assert peak < 1_500_000, peak
 
 
-def test_riemann_error_valuation_falls_back_outside_its_domain():
+def test_riemann_error_valuation_holds_for_any_admissible_u_q_and_target():
     # u of negative valuation or not an integer, q rational or not ≡ 1 mod p,
     # a target outside Z_p: each valuation equals the per-point sum's
     exact = _multi_riemann_reference

@@ -10,9 +10,11 @@ refinement (`euler_barnes.refinement`):
 then in the functions the suites call:
 - `interpolation` and `unit-power`: `angle_bracket` returns [x : q],
   without the division by omega(x);
-- `addition`: `h_addition` takes C(n, k-1) for C(n, k);
+- `addition`: route 2's sum, `_addition_sum`, takes C(n, k-1) for C(n, k);
 - `riemann-limit` and `prop5`: `_level_sums` sums the last axis with its
   a_r read as -a_r, and, apart, `_axis_sum` drops the last term of every
+  axis sum;
+- `eq8-bridge`, at seeds 0-2: `_axis_sum` drops the last term of every
   axis sum;
 - `theorem1-gf` and `qlimit`: `TruncatedSeries.scalar_exp` drops its top
   coefficient;
@@ -138,10 +140,11 @@ def _with_shifted_binomial(function):
 
 
 def test_addition_fails_with_a_shifted_binomial(monkeypatch):
-    faulty = _with_shifted_binomial(euler_barnes.h_addition)
+    # the suite sums route 2 through _addition_sum, from its own H_k(0)
+    faulty = _with_shifted_binomial(euler_barnes._addition_sum)
     assert run_suite("addition")["pass"]
-    monkeypatch.setattr(euler_barnes, "h_addition", faulty)
-    monkeypatch.setattr(verify, "h_addition", faulty)
+    monkeypatch.setattr(euler_barnes, "_addition_sum", faulty)
+    monkeypatch.setattr(verify, "_addition_sum", faulty)
     report = run_suite("addition")
     assert all(not check["pass"] for check in report["checks"])
 
@@ -175,19 +178,42 @@ def test_riemann_limit_and_prop5_fail_with_the_last_axis_summed_backwards(monkey
     _assert_every_level_sum_fails()
 
 
-def test_riemann_limit_and_prop5_fail_without_the_last_term_of_an_axis_sum(monkeypatch):
-    # sum_(x < p^N) A^x B^(p^N - 1 - x) less its term x = p^N - 1: an error
-    # of valuation about v (p^N - 1), which only a bound of v p^N + N sees
-    # at nu_p(u) = v >= 1
-    axis_sum = padic_integration._axis_sum
+def _without_the_last_term(axis_sum):
+    """`_axis_sum` less its term x = points - 1, A^(points - 1): an error of
+    valuation about v (points - 1), which only a bound of v points + N sees
+    at nu_p(u) = v >= 1."""
 
     def short(A, B, points):
         return axis_sum(A, B, points) - A ** (points - 1)
 
+    return short
+
+
+def test_riemann_limit_and_prop5_fail_without_the_last_term_of_an_axis_sum(monkeypatch):
     for suite in ("riemann-limit", "prop5"):
         assert run_suite(suite)["pass"]
-    monkeypatch.setattr(padic_integration, "_axis_sum", short)
+    monkeypatch.setattr(
+        padic_integration, "_axis_sum", _without_the_last_term(padic_integration._axis_sum)
+    )
     _assert_every_level_sum_fails()
+
+
+def test_eq8_bridge_fails_without_the_last_term_of_an_axis_sum(monkeypatch):
+    # the class sums' axis sums and the normaliser each lose a term; every
+    # check falls below v D p^N + N, though its valuations still increase
+    # with the level and reach N at the last one
+    seeds = (0, 1, 2)
+    for seed in seeds:
+        assert run_suite("eq8-bridge", seed)["pass"]
+    monkeypatch.setattr(
+        padic_integration, "_axis_sum", _without_the_last_term(padic_integration._axis_sum)
+    )
+    for seed in seeds:
+        checks = run_suite("eq8-bridge", seed)["checks"]
+        assert len(checks) == 30 and all(not check["pass"] for check in checks), seed
+        for check in checks:
+            vals = [int(v) for v in check["params"]["valuations"]]
+            assert vals == sorted(vals) and vals[-1] >= check["params"]["levels"][-1]
 
 
 def test_theorem1_gf_and_qlimit_fail_when_exp_drops_its_top_coefficient(monkeypatch):
