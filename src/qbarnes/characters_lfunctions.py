@@ -11,17 +11,19 @@ chi by omega^k bumps the modulus to lcm(d, p).
 
 The two L-value routes are deliberately independent: `l_riemann` sums the
 defining integral over the p-adic units at level N, with the one Riemann
-sum of `padic_integration` run in p-adic numbers, while `l_at_negative`
+loop of `padic_integration` run in p-adic numbers, while `l_at_negative`
 evaluates the closed form with its Euler-like correction factor at u^p, q^p.
-The interpolation suite compares them.
+The interpolation suite compares them. `l_riemann_run` serves a run of
+(s, chi) over several levels in one pass over the points, taking each
+<a1 x : q> once; `l_riemann` is its one-term, one-level case.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, prod
-from typing import Callable
+from math import gcd, lcm, prod
+from typing import Callable, Sequence
 
 from .errors import InternalError, PreconditionError
 from .exact_numbers import (
@@ -36,7 +38,7 @@ from .exact_numbers import (
     valuation,
 )
 from .euler_barnes import _integer_a, refinement
-from .padic_integration import DEFAULT_BUDGET, AdmissibleU, riemann_integral
+from .padic_integration import DEFAULT_BUDGET, AdmissibleU, riemann_sums
 
 
 class DirichletCharacter:
@@ -300,37 +302,68 @@ def l_riemann(
         chi(x) <a1 x : q>^(-s) u^x
 
     D is the prime-to-p part of the character modulus; the p-part must be
-    resolved by the level, i.e. the character modulus divides D p^N. The sum
-    is `riemann_integral` of chi(x) <a1 x : q>^(-s), zero off the units, in
-    p-adic numbers at the context.
+    resolved by the level, i.e. the character modulus divides D p^N. The
+    sum runs in p-adic numbers at the context: each unit x adds
+    padic_pow(<a1 x : q>, -s) chi(x) u^x to a running total, which is
+    divided once by the normaliser. The one-(s, chi), one-level case of
+    `l_riemann_run`.
+    """
+    return l_riemann_run([(s, chi)], u, q, a1, context, (N,), budget)[0][0]
+
+
+def l_riemann_run(
+    terms: Sequence[tuple[int | PadicNumber, DirichletCharacter]], u: AdmissibleU, q: Rational,
+    a1: int, context: PadicContext, levels: Sequence[int], budget: int = DEFAULT_BUDGET,
+) -> list[list[PadicNumber]]:
+    """`l_riemann(s, chi, u, q, a1, context, N, budget)` for each (s, chi)
+    in `terms` and each N in `levels`: one list of level sums per term.
+
+    Every (s, chi, N) is checked as `l_riemann` checks it, term by term,
+    before any point is summed; the budget and the poles of the normalisers
+    come next. The sums are one `riemann_sums` pass in p-adic numbers at
+    the context, over x < D p^N for the largest D p^N of any term:
+    <a1 x : q> is taken once per unit x at which some chi(x) is nonzero,
+    each term adds padic_pow(<a1 x : q>, -s) chi(x) u^x to its own total,
+    with the same PadicNumber operations as one `l_riemann` call, and each
+    level is read off at its own D p^N and divided by its normaliser. So
+    every digit is that of the call for the term and level alone. A sum
+    that vanishes identically raises `InternalError`.
     """
     p = context.p
-    _check_l_inputs(chi, u, a1, context)
-    if N < 1:
-        raise PreconditionError("N must be >= 1", parameter="level-N")
-    D = _tame_part(chi.modulus, p)
-    if D * p**N % chi.modulus != 0:
-        raise PreconditionError(
-            "the level does not resolve the character's p-part", parameter="level-N"
-        )
-    if isinstance(s, PadicNumber):
-        neg_s: int | PadicNumber = -s
-    else:
-        neg_s = -int(s)
     lift = functools.partial(to_padic, context=context)
-    chi_values = [lift(chi(x)) for x in range(chi.modulus)]
-    zero = PadicNumber.zero(context)
+    rows, moduli, period = [], [], p
+    for s, chi in terms:
+        _check_l_inputs(chi, u, a1, context)
+        D = _tame_part(chi.modulus, p)
+        for N in levels:
+            if N < 1:
+                raise PreconditionError("N must be >= 1", parameter="level-N")
+            if D * p**N % chi.modulus != 0:
+                raise PreconditionError(
+                    "the level does not resolve the character's p-part", parameter="level-N"
+                )
+        rows.append((-s if isinstance(s, PadicNumber) else -int(s), chi))
+        moduli.append([D * p**N for N in levels])
+        period = lcm(period, chi.modulus)
+    # which terms x has, and their chi(x), depend on x mod the period alone
+    live = [
+        [(i, neg_s, lift(chi(x))) for i, (neg_s, chi) in enumerate(rows) if chi(x)] if x % p else []
+        for x in range(period)
+    ]
 
-    def integrand(x: int) -> PadicNumber:
-        cv = chi_values[x % chi.modulus]
-        if x % p == 0 or cv.is_zero:
-            return zero
-        return padic_pow(angle_bracket(a1 * x, q, context), neg_s) * cv
+    def integrand(x: int) -> list[tuple[int, PadicNumber]]:
+        at_x = live[x % period]
+        if not at_x:
+            return at_x
+        bracket = angle_bracket(a1 * x, q, context)
+        return [(i, padic_pow(bracket, neg_s) * cv) for i, neg_s, cv in at_x]
 
-    total = riemann_integral(integrand, u, D, N, budget, lift=lift)
-    if total.is_zero:
+    points = sorted({m for ms in moduli for m in ms})
+    sums = dict(zip(points, riemann_sums(integrand, len(terms), u, points, budget, lift=lift)))
+    out = [[sums[m][i] for m in ms] for i, ms in enumerate(moduli)]
+    if any(total.is_zero for row in out for total in row):
         raise InternalError("unit-restricted sum vanished identically")
-    return total
+    return out
 
 
 def _l_negative_exact(

@@ -23,6 +23,9 @@ takes one `Fraction` of the normalized pair. Its one loop (`_closed_form`) also 
 weighted batch sum_i c_i H_n(w_i): term l's denominator D_l depends on l,
 a, u and q but not on w, so each D_l is built once, the arguments change
 only the numerators, and the batch costs one tree, not one per argument.
+Nor does D_l depend on n: the loop serves a run of n (`h_closed_run`) with
+one set of D_l, for the largest n, and one tree per n; `h_closed` is the
+run of one n.
 
 The rational function (route 4) is built over Z. With u = c/d, each
 nonzero exponent m = l a_j contributes one denominator factor keyed by the
@@ -42,8 +45,10 @@ The order-f refinement is the distribution relation H_n(w, u, q | a) =
 u^f, q^f | a). `distribution_check` tests it, the moment measure of a cell
 of modulus f is its term i = (x,) over 1-u, H_{k,chi} weights its terms by
 chi(i_1)..chi(i_r), and the Euler factor of L(-k) is the order-pd
-refinement at the indices p i. `refinement` alone builds the refined base,
-and rejects u^f = 1 and q^f = 1, for all of them. It hands each caller's
+refinement at the indices p i. `refinement_run` alone builds the refined
+base for a run of n, and rejects u^f = 1 and q^f = 1, for all of them:
+`distribution_run` checks a run of n in one pass, and `refinement` is the
+run of one n. It hands each caller's
 batch of indices to route 1 as one weighted sum, and route 1 normalizes it
 in its final integer step: the refined closed form's own (1-u^f)^r /
 (1-q^f)^n times the prefactor is (1-u)^r / (1-q)^n, so no caller builds
@@ -411,10 +416,18 @@ class BarnesParams(Frozen):
 
 def h_closed(n: int, w: FractionalArg | int, params: BarnesParams) -> Rational:
     """H_n^(r)(w, u, q | a) from the (n+1)-term closed form, summed over Z
-    as `_closed_form` describes: its one-term case, which skips the batch
-    pass. Fractional w = m/f needs f to divide the base exponent of q; an
-    int w is w/1 (an int has a numerator and a denominator too)."""
-    return _closed_form(n, [(w.numerator, w.denominator)], None, 1, params, None)
+    as `_closed_form` describes: the one-n case of `h_closed_run`."""
+    return _closed_form((n,), [(w.numerator, w.denominator)], None, 1, params, None)[0]
+
+
+def h_closed_run(ns: Sequence[int], w: FractionalArg | int, params: BarnesParams) -> list[Rational]:
+    """[H_n^(r)(w, u, q | a) for n in ns], in one pass of `_closed_form`:
+    the D_l are built once, for the largest n, and each n takes its own
+    tree. Fractional w = m/f needs f to divide the base exponent of q; an
+    int w is w/1 (an int has a numerator and a denominator too). A negative
+    n raises first; otherwise the run raises what its largest n alone
+    would."""
+    return _closed_form(ns, [(w.numerator, w.denominator)], None, 1, params, None)
 
 
 def _root_exponent(n: int, m: int, f: int, e: int, s: int, a: tuple[int, ...]) -> int:
@@ -432,22 +445,23 @@ def _root_exponent(n: int, m: int, f: int, e: int, s: int, a: tuple[int, ...]) -
 
 
 def _closed_form(
-    n: int,
+    ns: Sequence[int],
     args: Sequence[tuple[int, int]],
     weights: Sequence[int] | None,
     scale: int,
     params: BarnesParams,
     coarse_u: Fraction | None,
-) -> Fraction:
+) -> list[Fraction]:
     """sum_i g_i H_n(m_i / f_i) / scale over the arguments (m_i, f_i), for
-    integer weights g_i; weights None is one argument with weight 1, which
-    skips the batch pass. Route 1's one loop: `h_closed` is its one-term
-    case, and the order-f `refinement` hands it each batch.
+    integer weights g_i, for each n of the run `ns`; weights None is one
+    argument with weight 1, which skips the batch pass. Route 1's one loop:
+    `h_closed_run` and `h_closed` are its one-argument case, and the order-f
+    `refinement_run` hands it each batch.
 
     `coarse_u` picks the normalization: None (`h_closed`) gives H_n itself,
-    the sum times (1-u)^r / (1-q)^n. `refinement` passes its params as the
-    refined base, u^f and q^f = root^f, and its own u as `coarse_u`; the
-    sum is then times (1-u)^r / (1-root)^n, its prefactor times the
+    the sum times (1-u)^r / (1-q)^n. `refinement_run` passes its params as
+    the refined base, u^f and q^f = root^f, and its own u as `coarse_u`;
+    the sum is then times (1-u)^r / (1-root)^n, its prefactor times the
     refined closed form's own normalization.
 
     The sum runs over Z. With q = root^e, root = s/t and u = c/d, each
@@ -460,20 +474,25 @@ def _closed_form(
     integer sum_k g_k s^(l(k - k_lo)) t^(l(k_hi - k)), the weights of equal
     k added, for k_lo and k_hi the least and largest k; a batch with one k
     is that k's terms times the summed weight. Shifting every exponent by
-    its minimum over l leaves integer numerators, and a product tree adds
-    the n+1 fractions. While the D_l have fewer than `_REDUCE_BITS` bits
-    together, no merge can pass it: the tree is plain (`_add_plain`) and
-    one `Fraction` reduces the normalized pair. Otherwise `_add_fractions`
-    reduces the merges past `_REDUCE_BITS`, and a root that no merge
-    reduced takes one gcd. The normalization, reduced on its own, is then
+    its minimum over l leaves integer numerators.
+
+    Only C(n,l), those shifts and the normalization depend on n: the D_l
+    and the batch's integer sums are built once, for l up to the largest n
+    of the run, and each n adds its own n+1 fractions over a product tree.
+    While its D_l have fewer than `_REDUCE_BITS` bits together, no merge
+    can pass it: the tree is plain (`_add_plain`) and one `Fraction`
+    reduces the normalized pair. Otherwise `_add_fractions` reduces the
+    merges past `_REDUCE_BITS`, and a root that no merge reduced takes one
+    gcd. The normalization, reduced on its own, is then
     cross-reduced with the root as `Fraction._mul` does, which leaves a
     coprime pair for `coprime_fraction`: the result costs no gcd of the
     full pair.
 
-    A fault is that of the per-argument sum: the first argument's, then a
-    pole, which no argument changes, then the other arguments' in order.
+    A negative n raises first. Otherwise a fault is that of the
+    per-argument sum at the largest n: the first argument's, then a pole,
+    which no argument changes, then the other arguments' in order.
     """
-    if n < 0:
+    if min(ns) < 0:
         raise PreconditionError("n must be >= 0", parameter="n")
     q = params.q
     if q.value == 1:
@@ -481,15 +500,18 @@ def _closed_form(
     e = q.exponent
     s, t = q.root.numerator, q.root.denominator
     c, d = params.u.numerator, params.u.denominator
-    k = _root_exponent(n, *args[0], e, s, params.a)
+    top = max(ns)
+    k = _root_exponent(top, *args[0], e, s, params.a)
 
     # term l = (-1)^l C(n,l) s^(l alpha) t^(l beta) / D_l for args[0], the
     # common d^r left out: the root^(lk) of q^(lw), and the root^|M| that
-    # each factor with M < 0 moves to the numerator
+    # each factor with M < 0 moves to the numerator; `terms` keeps
+    # ((-1)^l, D_l), and C(n,l) comes in with n
     neg = sum(aj for aj in params.a if aj < 0)
     alpha, beta = k - e * neg, e * (sum(params.a) - neg) - k
     terms: list[tuple[int, int]] = []
-    for l in range(n + 1):
+    bits = [0]
+    for l in range(top + 1):
         D = 1
         for j, aj in enumerate(params.a):
             M = l * aj * e
@@ -499,11 +521,11 @@ def _closed_form(
                     f"pole 1 - q^(l a_j) u = 0 at l={l}, j={j}", parameter="u"
                 )
             D *= factor
-        C = comb(n, l)
-        terms.append((-C if l % 2 else C, D))
+        terms.append((-1 if l % 2 else 1, D))
+        bits.append(bits[-1] + D.bit_length())
     weight = 1
     if weights is not None:
-        ks = [k, *(_root_exponent(n, m, f, e, s, params.a) for m, f in args[1:])]
+        ks = [k, *(_root_exponent(top, m, f, e, s, params.a) for m, f in args[1:])]
         by_k: dict[int, int] = {}
         for kk, g in zip(ks, weights):
             by_k[kk] = by_k.get(kk, 0) + g
@@ -518,11 +540,6 @@ def _closed_form(
                 for l, (C, D) in enumerate(terms)
             ]
             alpha, beta = alpha + lo - k, beta - hi + k
-    a_min, b_min = min(0, n * alpha), min(0, n * beta)
-    fractions = [
-        (C * s ** (l * alpha - a_min) * t ** (l * beta - b_min), D)
-        for l, (C, D) in enumerate(terms)
-    ]
     # (1-u)^r d^r = (d-c)^r and 1/(1-q)^n = t^(en) / (t^e - s^e)^n; for
     # a refinement, u = u0^f with u0 = c0/d0, so (1-u0)^r d^r is
     # (d0^(f-1) (d0-c0))^r, and q0 = root is e = 1
@@ -531,23 +548,33 @@ def _closed_form(
     else:
         d0 = coarse_u.denominator
         norm, e = d // d0 * (d0 - coarse_u.numerator), 1
-    shift = e * n + b_min
-    out_num = weight * norm ** params.r * t ** max(shift, 0)
-    out_den = (t**e - s**e) ** n * s**-a_min * t ** max(-shift, 0) * scale
-    if sum(D.bit_length() for _, D in terms) < _REDUCE_BITS:
-        # every merge is plain, and at this size one gcd of the whole pair
-        # costs less than the four gcds of the reducing path below
-        num, den = _pairwise(fractions, _add_plain)
-        return Fraction(num * out_num, den * out_den)
-    num, den, reduced = _pairwise([(N, D, False) for N, D in fractions], _add_fractions)
-    if not reduced:
-        num, den = _reduced(num, den)
-    out_num, out_den = _reduced(out_num, out_den)
-    # two coprime pairs multiply to a coprime pair once the gcds across are
-    # divided out, as `Fraction._mul` does
-    num, out_den = _reduced(num, out_den)
-    out_num, den = _reduced(out_num, den)
-    return coprime_fraction(num * out_num, den * out_den)
+    norm = weight * norm**params.r
+    out = []
+    for n in ns:
+        a_min, b_min = min(0, n * alpha), min(0, n * beta)
+        fractions = [
+            (C * comb(n, l) * s ** (l * alpha - a_min) * t ** (l * beta - b_min), D)
+            for l, (C, D) in enumerate(terms[: n + 1])
+        ]
+        shift = e * n + b_min
+        out_num = norm * t ** max(shift, 0)
+        out_den = (t**e - s**e) ** n * s**-a_min * t ** max(-shift, 0) * scale
+        if bits[n + 1] < _REDUCE_BITS:
+            # every merge is plain, and at this size one gcd of the whole pair
+            # costs less than the four gcds of the reducing path below
+            num, den = _pairwise(fractions, _add_plain)
+            out.append(Fraction(num * out_num, den * out_den))
+            continue
+        num, den, reduced = _pairwise([(N, D, False) for N, D in fractions], _add_fractions)
+        if not reduced:
+            num, den = _reduced(num, den)
+        out_num, out_den = _reduced(out_num, out_den)
+        # two coprime pairs multiply to a coprime pair once the gcds across are
+        # divided out, as `Fraction._mul` does
+        num, out_den = _reduced(num, out_den)
+        out_num, den = _reduced(out_num, den)
+        out.append(coprime_fraction(num * out_num, den * out_den))
+    return out
 
 
 T = TypeVar("T")
@@ -789,17 +816,30 @@ def refinement(
 
         (1-u)^r [f:q]^n / (1-u^f)^r  sum c u^|i| H_n((w + a.i)/f, u^f, q^f | a),
 
-    which is H_n(w, u, q | a) when the batch is every i with c = 1.
+    which is H_n(w, u, q | a) when the batch is every i with c = 1: the
+    one-n case of `refinement_run`.
+    """
+    refined = refinement_run((n,), w, a, u, q, f)
+    return lambda weighted: refined(weighted)[0]
+
+
+def refinement_run(
+    ns: Sequence[int], w: int, a: tuple[int, ...], u: Rational, q: Rational, f: int
+) -> Callable[[Iterable[tuple[Rational, Sequence[int]]]], list[Rational]]:
+    """The order-f refinements of H_n(w, u, q | a) for each n of the run
+    `ns`, as the function `refined` that takes a batch of pairs (c, i) to
+    the list of each n's sum (see `refinement`).
 
     The terms differ only in their argument, so `refined` hands the batch
-    to route 1's `_closed_form` as integer weights and arguments, and it is
-    summed in one pass: one denominator per index l and one product tree
-    for the whole batch, not one per i. The prefactor is not
-    formed: `_closed_form` normalizes by (1-u)^r / (1-q)^n, the prefactor
-    times the refined closed form's own (1-u^f)^r / (1-q^f)^n. It equals
-    the sum of the terms one by one, and raises what the first failing term
-    would. u^f = 1 and q^f = 1 raise here; the refined `BarnesParams` is
-    built when `refined` is called, after the caller's own checks.
+    to route 1's `_closed_form` as integer weights and arguments, and the
+    run is summed in one pass: one denominator per index l and one product
+    tree per n for the whole batch, not one per i or per n. The prefactor
+    is not formed: `_closed_form` normalizes by (1-u)^r / (1-q)^n, the
+    prefactor times the refined closed form's own (1-u^f)^r / (1-q^f)^n.
+    It equals the sum of the terms one by one, and raises what the first
+    failing term of the largest n would. u^f = 1 and q^f = 1 raise here;
+    the refined `BarnesParams` is built when `refined` is called, after the
+    caller's own checks.
     """
     u, q = Fraction(u), Fraction(q)
     uf = u**f
@@ -808,7 +848,7 @@ def refinement(
     if q**f == 1:
         raise PreconditionError(f"q^{f} = 1 makes the refined base degenerate", parameter="q")
 
-    def refined(weighted: Iterable[tuple[Rational, Sequence[int]]]) -> Rational:
+    def refined(weighted: Iterable[tuple[Rational, Sequence[int]]]) -> list[Rational]:
         fine = BarnesParams(a, uf, QBase(q, f))
         pairs = list(weighted)
         # with u = c/d and cv = g/L over the lcm L of the denominators,
@@ -819,20 +859,27 @@ def refinement(
         c, d = u.numerator, u.denominator
         weights = [g * c**z * d ** (top - z) for g, z in zip(cvs, sizes)]
         args = [(w + sum(map(mul, fine.a, iv)), f) for _, iv in pairs]
-        return _closed_form(n, args, weights, L * d**top, fine, u)
+        return _closed_form(ns, args, weights, L * d**top, fine, u)
 
     return refined
 
 
 def distribution_check(n: int, w: int, f: int, params: BarnesParams) -> Rational:
-    """LHS - RHS of the order-f distribution relation, 0 when it holds: H_n(w)
-    less its `refinement` over i in {0..f-1}^r, all f^r terms in one batch,
-    over (u-1)^r."""
+    """LHS - RHS of the order-f distribution relation, 0 when it holds: the
+    one-n case of `distribution_run`."""
+    return distribution_run((n,), w, f, params)[0]
+
+
+def distribution_run(ns: Sequence[int], w: int, f: int, params: BarnesParams) -> list[Rational]:
+    """LHS - RHS of the order-f distribution relation for each n of the run
+    `ns`, 0 where it holds: H_n(w) (`h_closed_run`) less its
+    `refinement_run` over i in {0..f-1}^r, all f^r terms in one batch, over
+    (u-1)^r."""
     if f < 1:
         raise PreconditionError("f must be >= 1", parameter="f")
     if params.q.exponent != 1:
         raise PreconditionError("distribution check needs a base with exponent 1", parameter="q")
-    refined = refinement(n, w, params.a, params.u, params.q.root, f)
-    lhs = h_closed(n, w, params)
+    refined = refinement_run(ns, w, params.a, params.u, params.q.root, f)
+    lhs = h_closed_run(ns, w, params)
     rhs = refined((1, iv) for iv in itertools.product(range(f), repeat=params.r))
-    return (lhs - rhs) / (params.u - 1) ** params.r
+    return [(x - y) / (params.u - 1) ** params.r for x, y in zip(lhs, rhs)]

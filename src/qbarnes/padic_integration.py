@@ -7,27 +7,32 @@ moment measures E_k built from the closed-form H-values at fractional
 arguments; the identity suites check their cell additivity, integrality,
 and convergence to the closed forms.
 
-Every value is exact: no convergence claim depends on rounding. One routine,
-`riemann_integral`, sums any function against mu_u at a level, point by
-point, in the scalars its `lift` names: the p-adic L-value sums of
+Every value is exact: no convergence claim depends on rounding. One loop,
+`riemann_sums`, sums functions against mu_u point by point, in the scalars
+its `lift` names: several integrands and several levels in one pass, since
+the weight u^x of a point is the same at every level. `riemann_integral` is
+its one-integrand, one-level case, and the p-adic L-value sums of
 `characters_lfunctions` hand it their embedding. The moment sums of
 q-brackets have one exact integer kernel instead. It expands each
 q-bracket power binomially, so a sum splits into one-axis sums of geometric
 terms, each an integer added term by term by Horner (`_axis_sum`) and
-shared by every moment, and it returns each moment's sum as an unreduced
-pair of integers with the valuation of its denominator. `_level_sums`
-serves the r-fold sums of [w + a.x : q]^n, and `_unit_sums` the sums of
-chi(x) [a1 x : q]^k over the units of the eq. (8) bridge, split into
-residue classes. `multi_riemann_integral` is a pair as a `Fraction`;
-`riemann_error_valuations` and `unit_error_valuations` read
-nu_p(level sum - target) off the pairs for several moments at once, with no
-gcd. Every valuation is exact.
+shared by every moment and every argument w, and it returns each sum as an
+unreduced pair of integers with the valuation of its denominator.
+`_level_sums` serves the r-fold sums of [w + a.x : q]^n, and `_unit_sums`
+the sums of chi(x) [a1 x : q]^k over the units of the eq. (8) bridge, split
+into residue classes. `multi_riemann_integral` is a pair as a `Fraction`;
+`riemann_error_runs` (over a run of w), `riemann_error_valuations` (its
+one-w case) and `unit_error_valuations` read nu_p(level sum - target) off
+the pairs for several moments at once, with no gcd, trying the power of p
+that a sum past its u^(D p^N) tail is divisible by first. Every valuation
+is exact. Nothing is cached: a run over an index shares what does not
+depend on it within one call.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, prod
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetError, PoleError, PreconditionError
 from .exact_numbers import Frozen, Rational, check_odd_prime, valuation
@@ -127,28 +132,55 @@ def riemann_integral(
     """Level-N Riemann sum of the integrand against mu_u over Z_p.
 
     sum_{x < d p^N} f(x) mu_u(x + d p^N Z_p), evaluated at the smallest
-    nonnegative representatives. The sum runs in the integrand's scalars:
-    `lift` embeds the weights u^x and the normaliser [d p^N : u] there
-    (exact rationals by default). Each term is f(x) u^x, added to a running
-    total, and the total is divided once by the normaliser.
+    nonnegative representatives, in the integrand's scalars: `lift` embeds
+    the weights u^x and the normaliser [d p^N : u] there (exact rationals
+    by default). The one-integrand, one-level case of `riemann_sums`.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1", parameter="d")
     if N < 0:
         raise PreconditionError("N must be >= 0", parameter="N")
-    points = d * u.p**N
-    _check_budget(points, budget)
-    norm = qbracket_z(points, u.u)
-    if norm == 0:
-        raise PoleError("u^(d p^N) = 1", parameter="u")
+    sums = riemann_sums(lambda x: ((0, integrand(x)),), 1, u, (d * u.p**N,), budget, lift=lift)
+    return sums[0][0]
+
+
+def riemann_sums(
+    integrand: Callable[[int], Iterable], width: int, u: AdmissibleU, moduli: Sequence[int],
+    budget: int = DEFAULT_BUDGET, *, lift: Callable[[Rational], Any] = Fraction,
+) -> list[list]:
+    """The Riemann sums against mu_u over Z_p of the `width` components of
+    the integrand at each modulus m in `moduli`: for each m, the list of
+    sum_{x < m} f_i(x) u^x / [m : u], one per component i.
+
+    integrand(x) gives the pairs (i, f_i(x)) of the components i with a
+    term at x; a component it leaves out adds nothing there. The weight u^x
+    of x is the same at every modulus, so one pass over x < max(moduli)
+    serves them all: each term f_i(x) u^x is added to its component's
+    running total, and modulus m is read off at x = m - 1, each total
+    divided once by `lift`([m : u]). The sums run in the integrand's
+    scalars, which `lift` embeds the weights in. The largest modulus is
+    checked against the budget, and every modulus for a pole, before any
+    term.
+    """
+    _check_budget(max(moduli), budget)
+    norms = {}
+    for m in moduli:
+        norm = qbracket_z(m, u.u)
+        if norm == 0:
+            raise PoleError("u^(d p^N) = 1", parameter="u")
+        norms[m] = lift(norm)
     step = lift(u.u)
     upow = lift(1)
-    total = lift(0)
-    for x in range(points):
+    totals = [lift(0)] * width
+    sums = {}
+    for x in range(max(moduli)):
         if x:
             upow = upow * step
-        total = total + integrand(x) * upow
-    return total / lift(norm)
+        for i, f in integrand(x):
+            totals[i] = totals[i] + f * upow
+        if x + 1 in norms:
+            sums[x + 1] = [t / norms[x + 1] for t in totals]
+    return [sums[m] for m in moduli]
 
 
 def _level_points(
@@ -181,7 +213,7 @@ def multi_riemann_integral(
     sum taken at n = 0.
     """
     _level_points((n,), params, u, N, budget)
-    return Fraction(*_level_sums((n,), w, params, u, N)[0][:2])
+    return Fraction(*_level_sums((n,), (w,), params, u, N)[0][0][:2])
 
 
 def riemann_error_valuations(
@@ -194,20 +226,37 @@ def riemann_error_valuations(
     budget: int = DEFAULT_BUDGET,
 ) -> list[int | float]:
     """nu_p(multi_riemann_integral(n, w, params, u, N) - target) for each n
-    in `ns` and its target, exactly.
-
-    Every n takes its level sum from one call of `_level_sums`, as an
-    unreduced pair num/den; against the target C/D the valuation is
-    nu_p(num D - C den) - nu_p(den) - nu_p(D), so no `Fraction` is built.
-    Every input, and the budget, is checked before any work; `ns` and
-    `targets` must have the same length.
+    in `ns` and its target, exactly: the one-w case of
+    `riemann_error_runs`. `ns` and `targets` must have the same length.
     """
-    if len(ns) != len(targets):
+    return riemann_error_runs(ns, (w,), params, u, N, (targets,), budget)[0]
+
+
+def riemann_error_runs(
+    ns: Sequence[int], ws: Sequence[int], params: BarnesParams, u: AdmissibleU, N: int,
+    targets: Sequence[Sequence[Rational]], budget: int = DEFAULT_BUDGET,
+) -> list[list[int | float]]:
+    """`riemann_error_valuations` at each w in `ws`, against that w's list
+    of targets in `targets`, one per n: a list of valuations per w.
+
+    One call of `_level_sums` gives every (n, w) its level sum, as an
+    unreduced pair num/den; against the target C/D the valuation is
+    nu_p(num D - C den) - nu_p(den) - nu_p(D) (`_error_valuations`), so no
+    `Fraction` is built. Every input, and the budget, is checked before any
+    work.
+    """
+    lengths = [len(ts) for ts in targets]
+    if lengths != [len(ns)] * len(ws):
         raise PreconditionError(
-            f"{len(ns)} moments but {len(targets)} targets", parameter="targets"
+            f"{len(ns)} moments at {len(ws)} arguments but targets of lengths {lengths}",
+            parameter="targets",
         )
     _level_points(ns, params, u, N, budget)
-    return _error_valuations(_level_sums(ns, w, params, u, N), targets, u.p)
+    floor = u.valuation * u.p**N
+    return [
+        _error_valuations(sums, ts, u.p, floor)
+        for sums, ts in zip(_level_sums(ns, ws, params, u, N), targets)
+    ]
 
 
 def unit_error_valuations(
@@ -221,53 +270,76 @@ def unit_error_valuations(
     [D p^N : u]; it tends to a unit moment of the eq. (8) bridge. chi is an
     int-valued character whose modulus divides D p, and `targets` holds
     one target per k. The sums are the pairs of `_unit_sums`, read as
-    `riemann_error_valuations` reads its own. N >= 1, a1 >= 1, q != 1 and
+    `riemann_error_runs` reads its own. N >= 1, a1 >= 1, q != 1 and
     the D p^N points are checked before any work.
     """
     if N < 1 or a1 < 1 or q == 1:
         flag = "N" if N < 1 else "a" if a1 < 1 else "q"
         raise PreconditionError("unit sums need N >= 1, a1 >= 1 and q != 1", parameter=flag)
     _check_budget(D * u.p**N, budget)
-    return _error_valuations(_unit_sums(ks, chi, a1, u, q, D, N), targets, u.p)
+    floor = u.valuation * D * u.p**N
+    return _error_valuations(_unit_sums(ks, chi, a1, u, q, D, N), targets, u.p, floor)
 
 
-def _error_valuations(sums, targets: Sequence[Rational], p: int) -> list[int | float]:
+def _error_valuations(sums, targets: Sequence[Rational], p: int, floor: int) -> list[int | float]:
     """nu_p(num/den - C/D) for each (num, den, nu_p(den)) of `sums` and
     target C/D: nu_p(num D - C den) - nu_p(den) - nu_p(D), with no
-    `Fraction` of the sum built."""
+    `Fraction` of the sum built.
+
+    `floor` is v D p^N for nu_p(u) = v and D p^N points per axis: the
+    u^(D p^N) tail puts the error of a sum that loses no term past it. So
+    `_valuation_past` divides num D - C den by p^floor first and climbs
+    only through the quotient's valuation; it climbs in full where p^floor
+    does not divide, so the valuation is exact either way.
+    """
     return [
-        valuation(num * t.denominator - t.numerator * den, p) - v_den - valuation(t.denominator, p)
+        _valuation_past(num * t.denominator - t.numerator * den, p, floor) - v_den
+        - valuation(t.denominator, p)
         for (num, den, v_den), t in zip(sums, map(Fraction, targets))
     ]
 
 
+def _valuation_past(x: int, p: int, floor: int) -> int | float:
+    """nu_p(x), exactly: floor plus the valuation of x / p^floor where
+    floor >= 1 and p^floor divides x, and `valuation`'s full climb
+    otherwise (INFINITY at x = 0)."""
+    if floor > 0 and x:
+        quotient, rem = divmod(x, p**floor)
+        if not rem:
+            return floor + valuation(quotient, p)
+    return valuation(x, p)
+
+
 def _level_sums(
-    ns: Sequence[int], w: int, params: BarnesParams, u: AdmissibleU, N: int
-) -> list[tuple[int, int, int]]:
-    """The level-N sums of `multi_riemann_integral` for each n in `ns`, as
-    unreduced pairs of ints, each with its denominator's valuation at p:
-    (numerator, denominator, nu_p(denominator)); (1, 1, 0) when every n is 0.
+    ns: Sequence[int], ws: Sequence[int], params: BarnesParams, u: AdmissibleU, N: int
+) -> list[list[tuple[int, int, int]]]:
+    """The level-N sums of `multi_riemann_integral` for each w in `ws` and
+    each n in `ns`, one list per w, as unreduced pairs of ints, each with
+    its denominator's valuation at p: (numerator, denominator,
+    nu_p(denominator)); (1, 1, 0) when every n is 0.
 
     Expanding [y : q]^n = (1-q)^-n sum_j C(n, j) (-1)^j q^(j y) splits the
     sum over the axes: term j of the r-fold sum is q^(j w) prod_i S(a_i j)
     over the normaliser S(0)^r = [p^N : u]^r, with the axis sum
     S(k) = sum_(x < p^N) (q^k u)^x. With q = s/t and u = c/d, S(k) is the
     integer `_axis_sum(A, B, p^N)` over B^(p^N - 1), for A = s^k c and
-    B = t^k d when k >= 0, and A = t^|k| c and B = s^|k| d when k < 0; every
-    n shares each k's sum. The d^(r (p^N - 1)) cancel against the
-    normaliser, and `_binomial_pairs` adds the terms over one denominator.
+    B = t^k d when k >= 0, and A = t^|k| c and B = s^|k| d when k < 0. Only
+    q^(j w) depends on w: the axis sums and their products are built once,
+    shared by every n and w. The d^(r (p^N - 1)) cancel against the
+    normaliser, and `_binomial_pairs` adds each w's terms over one
+    denominator.
 
-    At n >= 1 the domain in q is `h_closed`'s: q = 1, and q = 0 with w < 0
-    or some a_i < 0, raise `PreconditionError` naming q before any sum.
+    At n >= 1 the domain in q is `h_closed`'s: q = 1, and q = 0 with some
+    w < 0 or some a_i < 0, raise `PreconditionError` naming q before any sum.
     """
     top, a = max(ns, default=0), params.a
     if top == 0:
-        return [(1, 1, 0)] * len(ns)
+        return [[(1, 1, 0)] * len(ns) for _ in ws]
     q = params.q.value
     if q == 1:
         raise PreconditionError("q = 1; use limit_q_to_1", parameter="q")
     s, t = q.numerator, q.denominator
-    if s == 0 and (w < 0 or min(a) < 0):
+    if s == 0 and (min(ws) < 0 or min(a) < 0):
         raise PreconditionError("0 cannot be raised to a negative power", parameter="q")
     c, d = u.u.numerator, u.u.denominator
     points = u.p**N
@@ -276,9 +348,11 @@ def _level_sums(
         up, down = (s, t) if k >= 0 else (t, s)
         sums[k] = _axis_sum(up ** abs(k) * c, down ** abs(k) * d, points)
     products = [prod(sums[aj * j] for aj in a) for j in range(top + 1)]
-    e_t = (points - 1) * sum(aj for aj in a if aj > 0) + w
-    e_s = (points - 1) * sum(-aj for aj in a if aj < 0) - w
-    return [*_binomial_pairs(ns, products, products[0], s, t, e_t, e_s, u.p)]
+    e_t = (points - 1) * sum(aj for aj in a if aj > 0)
+    e_s = (points - 1) * sum(-aj for aj in a if aj < 0)
+    return [
+        [*_binomial_pairs(ns, products, products[0], s, t, e_t + w, e_s - w, u.p)] for w in ws
+    ]
 
 
 def _unit_sums(

@@ -4,10 +4,18 @@ Each suite runs a pinned, seeded parameter grid and reports per-check
 residuals (exact rationals, expected 0) or p-adic error valuations
 (expected to grow with the level). Nothing here is approximate: residuals
 come from exact arithmetic. Every valuation reported is exact
-(riemann-limit's and prop5's come from `riemann_error_valuations`,
-eq8-bridge's from `unit_error_valuations`) except the
-`agreement_valuation` of interpolation and unit-power, which reads the
-joint precision, a lower bound, when every tracked digit agrees.
+(riemann-limit's come from `riemann_error_runs`, prop5's from
+`riemann_error_valuations`, eq8-bridge's from `unit_error_valuations`)
+except the `agreement_valuation` of interpolation and unit-power, which
+reads the joint precision, a lower bound, when every tracked digit agrees.
+
+A suite that repeats a kernel over an index hands the kernel the whole run
+in one call, and the kernel builds once what does not depend on that
+index; nothing is cached between calls. Route 1 takes a run of n
+(`h_closed_run`, and `distribution_run` for both sides of the distribution
+relation), the level sums a run of w (`riemann_error_runs`), and the
+L-value sums a run of (k, level) (`l_riemann_run`). The checks keep their
+order, so a report is the same byte for byte as one call per value.
 
 A suite is a generator of checks over a seeded `ParameterSampler`; `_suite`
 turns it into the callable that builds the whole report. A report is the
@@ -38,7 +46,7 @@ from .characters_lfunctions import (
     angle_bracket,
     kummer_check,
     l_at_negative,
-    l_riemann,
+    l_riemann_run,
     twist_teichmuller,
 )
 from .errors import PoleError, PreconditionError
@@ -55,8 +63,9 @@ from .euler_barnes import (
     BarnesParams,
     _addition_sum,
     distribution_check,
+    distribution_run,
     h_carlitz,
-    h_closed,
+    h_closed_run,
     limit_q_to_1,
 )
 from .padic_integration import (
@@ -67,7 +76,7 @@ from .padic_integration import (
     measure_bound_check,
     multi_riemann_integral,  # unused here; perfbench's tests assert its tracer wraps this name
     prop5_check,
-    riemann_error_valuations,
+    riemann_error_runs,
     unit_error_valuations,
 )
 from .qnum import QBase
@@ -180,9 +189,7 @@ def _theorem1_gf(sampler: ParameterSampler, budget: int) -> Checks:
     def build(i):
         params = sampler.barnes(1 + i % 3, 3)
         gf_at_x = {x: q_gf_coefficients(params, x, n_max) for x in x_values}
-        closed = {
-            x: [h_closed(n, x, params) for n in range(n_max + 1)] for x in x_values
-        }
+        closed = {x: h_closed_run(range(n_max + 1), x, params) for x in x_values}
         # x = 0 comes first and covers the numbers H_n = H_n(0)
         pairs = [pair for x in x_values for pair in zip(gf_at_x[x], closed[x])]
         return {**_barnes_params(params), "n_max": n_max, "x": list(x_values)}, pairs
@@ -195,11 +202,11 @@ def _addition(sampler: ParameterSampler, budget: int) -> Checks:
 
     def build(i):
         params = sampler.barnes(1 + i % 3, 3)
-        # H_k(0) for k <= 8, which route 2 sums every (n, w) from; H_8(0)
-        # comes first, to probe the worst pole up front
-        h0 = [h_closed(k, 0, params) for k in range(8, -1, -1)][::-1]
+        # route 1's H_n(w) for n <= 8, one run per w; a run builds every
+        # pole of its largest n first. Route 2 sums every (n, w) from H_k(0)
+        closed = [h_closed_run(range(9), w, params) for w in range(6)]
         pairs = (
-            (_addition_sum(n, w, params.q.value, h0), h_closed(n, w, params))
+            (_addition_sum(n, w, params.q.value, closed[0]), closed[w][n])
             for n in range(9)
             for w in range(6)
         )
@@ -218,10 +225,10 @@ def _distribution(sampler: ParameterSampler, budget: int) -> Checks:
         for f in (2, 3):
             distribution_check(2, 0, f, params)  # pole probe
         pairs = (
-            (distribution_check(n, w, f, params), 0)
+            (residual, 0)
             for f in (2, 3)
             for w in (0, 1, 2)
-            for n in range(9)
+            for residual in distribution_run(range(9), w, f, params)
         )
         return {**_barnes_params(params), "f": [2, 3], "w": [0, 1, 2], "n_max": 8}, pairs
 
@@ -236,7 +243,7 @@ def _carlitz_bridge(sampler: ParameterSampler, budget: int) -> Checks:
         u = sampler.fraction(exclude=(0, 1))
         params = BarnesParams((1,), u, QBase(q))
         recur = [h_carlitz(k, 1 / u, q) for k in range(11)]
-        closed = [h_closed(k, 0, params) for k in range(11)]
+        closed = h_closed_run(range(11), 0, params)
         return {**_qu(q, u), "k_max": 10}, [*zip(recur, closed)]
 
     return _sampled(sampler, 10, build)
@@ -301,19 +308,17 @@ def _riemann_limit(sampler: ParameterSampler, budget: int) -> Checks:
             q, uu, base = _sample_padic_qu(sampler, p, v)
             a = tuple(sampler.nonzero_int(-2, 2) for _ in range(r))
             params = BarnesParams(a, uu.u, QBase(q))
-            ns = range(4)
-            # each (w, level) takes every n in one call; the checks keep the
-            # (n, w) order, and every draw above comes before any sum
-            by_w = {}
-            for w in (0, 1):
-                targets = [h_closed(n, w, params) for n in ns]
-                by_w[w] = [
-                    riemann_error_valuations(ns, w, params, uu, N, targets, budget)
-                    for N in levels
-                ]
+            ns, ws = range(4), (0, 1)
+            # each level takes every (n, w) in one call, each w's targets one
+            # run of route 1; the checks keep the (n, w) order, and every
+            # draw above comes before any sum
+            targets = [h_closed_run(ns, w, params) for w in ws]
+            by_level = [
+                riemann_error_runs(ns, ws, params, uu, N, targets, budget) for N in levels
+            ]
             for n in ns:
-                for w in (0, 1):
-                    vals = [at_level[n] for at_level in by_w[w]]
+                for w in ws:
+                    vals = [at_level[w][n] for at_level in by_level]
                     if v >= 1:
                         ok = _weakly_increasing(vals) and _past_the_tail(vals, levels, v, p)
                     else:
@@ -431,12 +436,13 @@ def _interpolation(sampler: ParameterSampler, budget: int) -> Checks:
         q, uu, base = _sample_padic_qu(sampler, p, 1)
         for label in ("trivial", "quadratic4"):
             chi = _CHARACTERS[label]()
+            twists = [(-k, twist_teichmuller(chi, k, ctx)) for k in range(5)]
             for a1 in (1, 1 + p):
-                for k in range(5):
-                    twist = twist_teichmuller(chi, k, ctx)
+                # every (k, level) of one a1 in one pass over the points
+                by_k = l_riemann_run(twists, uu, q, a1, ctx, levels, budget)
+                for k, level_sums in enumerate(by_k):
                     closed = l_at_negative(k, chi, uu, q, a1, ctx)
-                    for N in levels:
-                        level_sum = l_riemann(-k, twist, uu, q, a1, ctx, N, budget)
+                    for N, level_sum in zip(levels, level_sums):
                         ag = agreement_valuation(level_sum, closed)
                         yield f"p{p}-{label}-a{a1}-k{k}-N{N}", {
                             **base,

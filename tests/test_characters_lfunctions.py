@@ -27,7 +27,9 @@ from qbarnes import (
     teichmuller,
     to_padic,
     twist_teichmuller,
+    valuation,
 )
+from qbarnes.characters_lfunctions import l_riemann_run
 
 
 def test_character_validation():
@@ -368,3 +370,49 @@ def test_l_riemann_matches_the_loop_it_replaced():
         "char", "p", "level-N", "budget",
         None,  # padic_pow: an exponent s from a context other than the call's
     }
+
+
+def test_l_riemann_runs_match_one_call_per_term_and_level():
+    # 120 seeded runs of 1-5 terms (s, chi) over 1-3 levels, unsorted and
+    # with repeats: rational-mode characters, teichmuller-mode omega^k
+    # twists of them and omega itself, mixed in one run (so their tame parts
+    # D differ), integer and p-adic s. Each sum equals its own l_riemann
+    # call digit for digit; a run one of whose calls faults is skipped
+    rng = random.Random(37)
+    rational = [
+        DirichletCharacter.trivial(1),
+        DirichletCharacter.quadratic(3),
+        DirichletCharacter.quadratic(4),
+        DirichletCharacter(5, [0, 1, -1, -1, 1]),
+    ]
+    seen = set()
+    for _ in range(120):
+        p = rng.choice((3, 5))
+        ctx = PadicContext(p, rng.choice((4, 6, 8)))
+        uu = AdmissibleU(F(p) ** rng.choice((-1, 1, 2)) * rng.choice((1, 2, -1, F(1, 2))), p)
+        q = rng.choice((F(1), F(1 + p), F(1 - 2 * p), F(1 + p, 1 + 3 * p)))
+        a1 = rng.choice((1, 2, -1, 1 + p, p - 1))
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            chi = rng.choice(rational)
+            kind = rng.choice(("rational", "teichmuller", "twist", "twist"))
+            if kind == "teichmuller":
+                chi = DirichletCharacter.teichmuller_character(ctx)
+            elif kind == "twist":
+                chi = twist_teichmuller(chi, rng.randint(0, 4), ctx)
+            s = rng.randint(-4, 3)
+            if rng.random() < 0.2:
+                s = to_padic(rng.choice((F(3), F(-2), F(1, 2))), ctx)
+            terms.append((s, chi))
+            seen.add(kind)
+        levels = [rng.randint(1, 3 if p == 3 else 2) for _ in range(rng.randint(1, 3))]
+        try:
+            want = [[l_riemann(s, chi, uu, q, a1, ctx, N) for N in levels] for s, chi in terms]
+        except Exception:  # noqa: BLE001 - a faulting draw is not a run to compare
+            seen.add("skipped")
+            continue
+        got = l_riemann_run(terms, uu, q, a1, ctx, levels)
+        digits = [[(x.valuation, x.unit, x.digits) for x in row] for row in want]
+        assert [[(x.valuation, x.unit, x.digits) for x in row] for row in got] == digits
+        seen.add(len({chi.modulus // p ** valuation(chi.modulus, p) for _, chi in terms}) > 1)
+    assert seen == {"rational", "teichmuller", "twist", True, False}

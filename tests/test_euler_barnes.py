@@ -169,7 +169,7 @@ def _batch(n, terms, params):
     scale = lcm(*(F(c).denominator for c, _ in terms))
     weights = [int(c * scale) for c, _ in terms]
     args = [(w.numerator, w.denominator) for _, w in terms]
-    return euler_barnes._closed_form(n, args, weights, scale, params, None)
+    return euler_barnes._closed_form((n,), args, weights, scale, params, None)[0]
 
 
 def test_route1_batch_matches_per_term_sum():
@@ -280,6 +280,93 @@ def test_route1_large_sums_match_the_plain_tree(monkeypatch):
             got = _batch(n, terms, _params(a, u, root))
             assert got == want[i], (bits, n, a, u, root, terms)
             assert gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+
+
+def test_route1_runs_match_one_n_at_a_time():
+    # 800 seeded runs of 1-5 n in 0..9, unsorted and with repeats, at int
+    # and fractional w, against one h_closed call per n; a run faults as
+    # its largest n alone does (a pole at (l, j), 0 to a negative power, a
+    # misaligned w), and a negative n first
+    roots = [F(0), F(-1), F(2), F(-2), F(3, 2), F(-2, 3), F(1, 3), F(-5, 4)]
+    us = [F(-3), F(2), F(5, 2), F(-2, 5), F(3, 7)]
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(800):
+        root, e = rng.choice(roots), rng.choice((1, 2, 3))
+        a = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3)))
+        u = root ** rng.randint(-4, 4) if root and rng.random() < 0.3 else rng.choice(us)
+        if u in (0, 1):
+            continue
+        params = BarnesParams(a, u, QBase(root, e))
+        w = FractionalArg(rng.randint(-3, 3), rng.choice((1, e, e, 2)))
+        ns = [rng.randint(0, 9) for _ in range(rng.randint(1, 5))]
+        want = _outcome(h_closed, max(ns), w, params)
+        if isinstance(want, tuple):
+            assert _outcome(euler_barnes.h_closed_run, ns, w, params) == want, (ns, w, params)
+            seen.add(want[0])
+            continue
+        assert euler_barnes.h_closed_run(ns, w, params) == [h_closed(n, w, params) for n in ns]
+        seen.add("repeated n" if len(set(ns)) < len(ns) else "distinct n")
+        seen.add("unsorted" if ns != sorted(ns) else "sorted")
+    assert {"PoleError", "ExponentAlignmentError", "PreconditionError"} <= seen
+    assert {"repeated n", "distinct n", "unsorted", "sorted"} <= seen
+    with pytest.raises(PreconditionError) as exc:
+        euler_barnes.h_closed_run((3, -1), 0, _params((1,), 3, 2))
+    assert exc.value.parameter == "n"
+
+
+def test_route1_runs_past_the_size_constant_match_one_n_at_a_time(monkeypatch):
+    # a run whose large n reduce merge by merge and whose small n take the
+    # plain tree, at the module's size constant, at 40 bits and at none
+    reducing = []
+
+    def counting(x, y):
+        reducing.append(1)
+        return add_fractions(x, y)
+
+    add_fractions = euler_barnes._add_fractions
+    monkeypatch.setattr(euler_barnes, "_add_fractions", counting)
+    ns = (2, 150, 40, 0, 150, 90)
+    for a, u, root, w in (((-2, 3), F(-5, 2), F(-3, 2), 1), ((1, -1, 2), F(-7, 3), F(5, 2), -2)):
+        params = _params(a, u, root)
+        for bits in (euler_barnes._REDUCE_BITS, 40, 0):
+            monkeypatch.setattr(euler_barnes, "_REDUCE_BITS", bits)
+            reducing.clear()
+            run = euler_barnes.h_closed_run(ns, w, params)
+            assert reducing, bits
+            assert run == [h_closed(n, w, params) for n in ns], (a, bits)
+        assert max(v.denominator.bit_length() for v in run) > 2000
+
+
+def test_refinement_and_distribution_runs_match_one_n_at_a_time():
+    # seeded batches of weighted indices, the coarse u handed to route 1,
+    # against one refinement per n; distribution residuals alike
+    rng = random.Random(34)
+    coeffs = [F(1), F(-1), F(3), F(-2, 3), F(5, 4)]
+    seen = set()
+    for _ in range(200):
+        r, f = rng.randint(1, 2), rng.randint(2, 3)
+        a = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(r))
+        u = rng.choice((F(-3), F(2), F(5, 2), F(-2, 5), F(3, 7), F(-1)))
+        q = rng.choice((F(2), F(-3, 2), F(2, 3), F(-1, 2), F(-1)))
+        w = rng.randint(-2, 3)
+        ns = [rng.randint(0, 8) for _ in range(rng.randint(1, 4))]
+        batch = [
+            (rng.choice(coeffs), tuple(rng.randrange(f) for _ in range(r)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        want = _outcome(lambda: euler_barnes.refinement(max(ns), w, a, u, q, f)(batch))
+        got = _outcome(lambda: euler_barnes.refinement_run(ns, w, a, u, q, f)(batch))
+        if isinstance(want, tuple):
+            assert got == want, (ns, w, a, u, q, f, batch)
+            seen.add(want[0])
+            continue
+        assert got == [euler_barnes.refinement(n, w, a, u, q, f)(batch) for n in ns]
+        params = _params(a, u, q)
+        residuals = euler_barnes.distribution_run(ns, w, f, params)
+        assert residuals == [distribution_check(n, w, f, params) for n in ns] == [0] * len(ns)
+        seen.add("value")
+    assert seen == {"value", "PoleError", "PreconditionError"}
 
 
 def test_non_integral_a_j_is_rejected_not_rounded():

@@ -268,13 +268,71 @@ def test_level_sums_match_the_sum_point_by_point():
         reference = {n: _multi_riemann_reference(n, w, params, uu, N) for n in set(ns)}
         denominators = [d for d in (1, 2, 4, 7, 11) if d % p]
         targets = [F(rng.randint(-99, 99), rng.choice(denominators)) for _ in ns]
-        sums = pi._level_sums(ns, w, params, uu, N)
+        sums = pi._level_sums(ns, (w,), params, uu, N)[0]
         assert [F(num, den) for num, den, _ in sums] == [reference[n] for n in ns], (
             p, v, N, a, w, q, c,
         )
         assert riemann_error_valuations(ns, w, params, uu, N, targets) == [
             valuation(reference[n] - t, p) for n, t in zip(ns, targets)
         ], (p, v, N, a, w, q, c)
+
+
+def test_level_sums_over_a_run_of_w_match_one_w_at_a_time():
+    # seeded draws at r = 1 and 2: one call over 1-4 arguments w, with
+    # repeats and w < 0, against one call per w, pair for pair; and
+    # riemann_error_runs against riemann_error_valuations, with targets that
+    # are the closed forms (past the u^(p^N) tail) or arbitrary
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(60):
+        p, r = rng.choice((3, 5, 7)), rng.choice((1, 2))
+        N = rng.randint(0, 3 if r == 1 else 2)
+        a = tuple(rng.choice((-2, -1, 1, 2, 3)) for _ in range(r))
+        q = rng.choice((F(1 + p), F(1 - p), F(1 + p, 1 + 2 * p), F(-3, 4), F(p, 2)))
+        uu = AdmissibleU(F(p) ** rng.choice((-1, 1, 2)) * rng.choice((1, -2, F(1, 2))), p)
+        params = BarnesParams(a, uu.u, QBase(q))
+        ns = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+        ws = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+        runs = pi._level_sums(ns, ws, params, uu, N)
+        assert runs == [pi._level_sums(ns, (w,), params, uu, N)[0] for w in ws], (p, a, q, N)
+        targets = [
+            [h_closed(n, w, params) if rng.random() < 0.7 else F(rng.randint(-9, 9), 4) for n in ns]
+            for w in ws
+        ]
+        assert pi.riemann_error_runs(ns, ws, params, uu, N, targets) == [
+            riemann_error_valuations(ns, w, params, uu, N, ts) for w, ts in zip(ws, targets)
+        ]
+        seen.add(r)
+    assert seen == {1, 2}
+
+
+def test_error_valuations_from_the_tail_bound_match_the_full_climb():
+    # the valuation of num D - C den tried at p^floor first: exact whether
+    # p^floor divides it or floor lies above its valuation, and at 0
+    rng = random.Random(36)
+    seen = set()
+    for _ in range(400):
+        p = rng.choice((3, 5, 7))
+        true = rng.randint(0, 60)
+        unit = rng.choice((1, -1, 2, p + 1, -(p - 1))) * rng.randint(1, 10**30)
+        x = rng.choice((0, p**true * unit))
+        below, above = max(true - rng.randint(1, 5), 1), true + rng.randint(1, 9)
+        floor = rng.choice((0, -3, true, below, above))
+        v = valuation(x, p)
+        assert pi._valuation_past(x, p, floor) == v, (x, p, floor)
+        seen.add("zero" if x == 0 else "above" if floor > v else "divides" if floor > 0 else "none")
+    assert seen == {"zero", "above", "divides", "none"}
+    # on level sums past their tail and short of it: the floor v p^N of
+    # riemann_error_runs, and one far above every valuation
+    uu = AdmissibleU(F(9), 3)
+    params = BarnesParams((1, -2), uu.u, QBase(F(4)))
+    for N in (1, 2, 3):
+        sums = pi._level_sums(range(4), (1,), params, uu, N)[0]
+        targets = [h_closed(n, 1, params) for n in range(4)]
+        full = pi._error_valuations(sums, targets, 3, 0)
+        assert full[0] == INFINITY and min(full[1:]) >= 2 * 3**N + N
+        for floor in (2 * 3**N, 10**4):
+            assert pi._error_valuations(sums, targets, 3, floor) == full
 
 
 def test_level_sums_add_the_valuations_of_their_denominators_factors():
@@ -295,7 +353,7 @@ def test_level_sums_add_the_valuations_of_their_denominators_factors():
         params = BarnesParams(a, uu.u, QBase(q))
         ns = [rng.randint(0, 5) for _ in range(rng.randint(1, 4))]
         N = rng.randint(0, 3 if r == 1 else 1)
-        for num, den, v_den in pi._level_sums(ns, w, params, uu, N):
+        for num, den, v_den in pi._level_sums(ns, (w,), params, uu, N)[0]:
             assert v_den == valuation(den, p), (p, a, q, w, uu.u, ns, N)
             seen.add(v_den > 0)
     assert seen == {True, False}

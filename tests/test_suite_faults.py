@@ -3,13 +3,16 @@ the code a suite witnesses, never into the suite itself, must make its
 report read "pass": false. Every case runs at seed 0.
 
 Faults so far, first in the batches that route 1 sums for the order-f
-refinement (`euler_barnes.refinement`):
-- `distribution`: `distribution_check`'s batch loses its last index i;
+refinement (`euler_barnes.refinement` and its run over n,
+`euler_barnes.refinement_run`):
+- `distribution`: the batch of `distribution_run` loses its last index i;
 - `eq8-bridge`: one chi weight of rational-mode `h_chi`'s batch flips sign;
 - `measure-additivity`: the batch of fine cells loses its last cell;
 then in the functions the suites call:
 - `interpolation` and `unit-power`: `angle_bracket` returns [x : q],
   without the division by omega(x);
+- `interpolation`: the L-value run `l_riemann_run` pairs each k's power
+  -k with the next k's twist by omega^(k+1);
 - `addition`: route 2's sum, `_addition_sum`, takes C(n, k-1) for C(n, k);
 - `riemann-limit` and `prop5`: `_level_sums` sums the last axis with its
   a_r read as -a_r, and, apart, `_axis_sum` drops the last term of every
@@ -65,8 +68,11 @@ def _flip_last(pairs):
 
 def test_distribution_fails_without_the_last_index(monkeypatch, capsys):
     assert run_suite("distribution")["pass"]
+    # distribution_run refines every n of a run at once
     monkeypatch.setattr(
-        euler_barnes, "refinement", _faulty_refinement(euler_barnes.refinement, _drop_last)
+        euler_barnes,
+        "refinement_run",
+        _faulty_refinement(euler_barnes.refinement_run, _drop_last),
     )
     report = run_suite("distribution")
     assert not report["pass"]
@@ -129,6 +135,32 @@ def test_interpolation_and_unit_power_fail_without_the_omega_division(monkeypatc
     assert all(not check["pass"] for check in unit_power["checks"])
 
 
+def test_interpolation_fails_with_each_power_paired_with_the_next_twist(monkeypatch):
+    # the run's terms (-k, chi omega^k) become (-k, chi omega^(k+1)), the
+    # last power paired with the first twist
+    run = characters_lfunctions.l_riemann_run
+
+    def shifted(terms, *args):
+        powers, twists = zip(*terms)
+        return run([*zip(powers, twists[1:] + twists[:1])], *args)
+
+    assert run_suite("interpolation")["pass"]
+    monkeypatch.setattr(verify, "l_riemann_run", shifted)
+    checks = run_suite("interpolation")["checks"]
+
+    def key(check):
+        return tuple(check["params"][name] for name in ("p", "character", "a1", "k"))
+
+    # omega^4 = omega^0 at p = 3 and 5, so k = 4 keeps its own twist. The
+    # quadratic character's wrong sums still agree with the closed form to
+    # 3-5 digits, which the pass test ag >= min(N, M - 2) accepts at N <= 4;
+    # every other (p, a1, k) fails at some level
+    failed = {key(check) for check in checks if not check["pass"]}
+    trivial = {key(c) for c in checks if c["params"]["character"] == "trivial"}
+    assert failed == {(p, label, a1, k) for p, label, a1, k in trivial if k < 4}
+    assert len(failed) == 16
+
+
 def _with_shifted_binomial(function):
     """`function`, an `euler_barnes` function, with its own C(n, k) read as
     C(n, k-1); the functions it calls keep the right binomials."""
@@ -167,10 +199,10 @@ def test_riemann_limit_and_prop5_fail_with_the_last_axis_summed_backwards(monkey
     # the level sums with a[-1] read as -a[-1]
     level_sums = padic_integration._level_sums
 
-    def backwards(ns, w, params, u, N):
+    def backwards(ns, ws, params, u, N):
         a = params.a
         flipped = euler_barnes.BarnesParams((*a[:-1], -a[-1]), params.u, params.q)
-        return level_sums(ns, w, flipped, u, N)
+        return level_sums(ns, ws, flipped, u, N)
 
     for suite in ("riemann-limit", "prop5"):
         assert run_suite(suite)["pass"]
