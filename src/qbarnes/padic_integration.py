@@ -11,22 +11,23 @@ Every value is exact: no convergence claim depends on rounding. One loop,
 `riemann_sums`, sums functions against mu_u point by point, in the scalars
 its `lift` names: several integrands and several levels in one pass, since
 the weight u^x of a point is the same at every level. `riemann_integral` is
-its one-integrand, one-level case, and the p-adic L-value sums of
-`characters_lfunctions` hand it their embedding. The moment sums of
-q-brackets have one exact integer kernel instead. It expands each
-q-bracket power binomially, so a sum splits into one-axis sums of geometric
-terms, each an integer added term by term by Horner (`_axis_sum`) and
-shared by every moment and every argument w, and it returns each sum as an
-unreduced pair of integers with the valuation of its denominator.
-`_level_sums` serves the r-fold sums of [w + a.x : q]^n, and `_unit_sums`
-the sums of chi(x) [a1 x : q]^k over the units of the eq. (8) bridge, split
-into residue classes. `multi_riemann_integral` is a pair as a `Fraction`;
-`riemann_error_runs` (over a run of w), `riemann_error_valuations` (its
-one-w case) and `unit_error_valuations` read nu_p(level sum - target) off
-the pairs for several moments at once, with no gcd, trying the power of p
-that a sum past its u^(D p^N) tail is divisible by first. Every valuation
-is exact. Nothing is cached: a run over an index shares what does not
-depend on it within one call.
+its one-integrand, one-level case in exact rationals, and the p-adic
+L-value sums of `characters_lfunctions` hand `riemann_sums` their
+embedding. The moment sums of q-brackets have one exact integer kernel
+instead, `_level_sums`. It expands each q-bracket power binomially, so a
+sum splits into one-axis sums of geometric terms, each weighted by the
+residue class of its point, an integer added term by term by Horner
+(`_axis_sum`) and shared by every moment and every argument w, and it
+returns each sum as an unreduced pair of integers with the valuation of
+its denominator. Unweighted, it gives the r-fold sums of [w + a.x : q]^n;
+weighted by chi on the units, the sums of chi(x) [a1 x : q]^k over the
+units of the eq. (8) bridge. `multi_riemann_integral` is a pair as a
+`Fraction`; `riemann_error_runs` (over a run of w),
+`riemann_error_valuations` (its one-w case) and `unit_error_valuations`
+read nu_p(level sum - target) off the pairs for several moments at once,
+with no gcd, trying the power of p that a sum past its u^(points) tail is
+divisible by first. Every valuation is exact. Nothing is cached: a run
+over an index shares what does not depend on it within one call.
 """
 from __future__ import annotations
 
@@ -126,22 +127,18 @@ def riemann_integral(
     d: int = 1,
     N: int = 0,
     budget: int = DEFAULT_BUDGET,
-    *,
-    lift: Callable[[Rational], Any] = Fraction,
-):
+) -> Rational:
     """Level-N Riemann sum of the integrand against mu_u over Z_p.
 
     sum_{x < d p^N} f(x) mu_u(x + d p^N Z_p), evaluated at the smallest
-    nonnegative representatives, in the integrand's scalars: `lift` embeds
-    the weights u^x and the normaliser [d p^N : u] there (exact rationals
-    by default). The one-integrand, one-level case of `riemann_sums`.
+    nonnegative representatives, in exact rationals: the one-integrand,
+    one-level case of `riemann_sums`.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1", parameter="d")
     if N < 0:
         raise PreconditionError("N must be >= 0", parameter="N")
-    sums = riemann_sums(lambda x: ((0, integrand(x)),), 1, u, (d * u.p**N,), budget, lift=lift)
-    return sums[0][0]
+    return riemann_sums(lambda x: ((0, integrand(x)),), 1, u, (d * u.p**N,), budget)[0][0]
 
 
 def riemann_sums(
@@ -213,7 +210,7 @@ def multi_riemann_integral(
     sum taken at n = 0.
     """
     _level_points((n,), params, u, N, budget)
-    return Fraction(*_level_sums((n,), (w,), params, u, N)[0][0][:2])
+    return Fraction(*_level_sums((n,), (w,), params, u, u.p**N)[0][0][:2])
 
 
 def riemann_error_valuations(
@@ -252,10 +249,10 @@ def riemann_error_runs(
             parameter="targets",
         )
     _level_points(ns, params, u, N, budget)
-    floor = u.valuation * u.p**N
+    points = u.p**N
     return [
-        _error_valuations(sums, ts, u.p, floor)
-        for sums, ts in zip(_level_sums(ns, ws, params, u, N), targets)
+        _error_valuations(sums, ts, u.p, u.valuation * points)
+        for sums, ts in zip(_level_sums(ns, ws, params, u, points), targets)
     ]
 
 
@@ -269,16 +266,25 @@ def unit_error_valuations(
     mu_u over the units x < D p^N, sum_(p ∤ x) chi(x) [a1 x : q]^k u^x over
     [D p^N : u]; it tends to a unit moment of the eq. (8) bridge. chi is an
     int-valued character whose modulus divides D p, and `targets` holds
-    one target per k. The sums are the pairs of `_unit_sums`, read as
-    `riemann_error_runs` reads its own. N >= 1, a1 >= 1, q != 1 and
-    the D p^N points are checked before any work.
+    one target per k. The sums are the rank-1 `_level_sums` at w = 0 over
+    D p^N points, each residue class x0 mod D p weighted by chi(x0), or by
+    0 where p divides x0, read as `riemann_error_runs` reads its own. One
+    target per k, N >= 1, D >= 1, k >= 0, a1 != 0, q != 1 and the D p^N
+    points are checked, in that order, before any work.
     """
-    if N < 1 or a1 < 1 or q == 1:
-        flag = "N" if N < 1 else "a" if a1 < 1 else "q"
-        raise PreconditionError("unit sums need N >= 1, a1 >= 1 and q != 1", parameter=flag)
-    _check_budget(D * u.p**N, budget)
-    floor = u.valuation * D * u.p**N
-    return _error_valuations(_unit_sums(ks, chi, a1, u, q, D, N), targets, u.p, floor)
+    if len(targets) != len(ks):
+        raise PreconditionError(
+            f"{len(ks)} moments but {len(targets)} targets", parameter="targets"
+        )
+    if N < 1 or D < 1 or min(ks, default=0) < 0:
+        flag = "N" if N < 1 else "D" if D < 1 else "k"
+        raise PreconditionError("unit sums need N >= 1, D >= 1 and k >= 0", parameter=flag)
+    params = BarnesParams((a1,), u.u, q)
+    points = D * u.p**N
+    _check_budget(points, budget)
+    classes = [chi(x0) if x0 % u.p else 0 for x0 in range(D * u.p)]
+    sums = _level_sums(ks, (0,), params, u, points, classes)[0]
+    return _error_valuations(sums, targets, u.p, u.valuation * points)
 
 
 def _error_valuations(sums, targets: Sequence[Rational], p: int, floor: int) -> list[int | float]:
@@ -286,8 +292,9 @@ def _error_valuations(sums, targets: Sequence[Rational], p: int, floor: int) -> 
     target C/D: nu_p(num D - C den) - nu_p(den) - nu_p(D), with no
     `Fraction` of the sum built.
 
-    `floor` is v D p^N for nu_p(u) = v and D p^N points per axis: the
-    u^(D p^N) tail puts the error of a sum that loses no term past it. So
+    `floor` is v points for nu_p(u) = v and `points` points per axis (p^N,
+    or D p^N over the units): the u^points tail puts the error of a sum
+    that loses no term past it. So
     `_valuation_past` divides num D - C den by p^floor first and climbs
     only through the quotient's valuation; it climbs in full where p^floor
     does not divide, so the valuation is exact either way.
@@ -311,29 +318,39 @@ def _valuation_past(x: int, p: int, floor: int) -> int | float:
 
 
 def _level_sums(
-    ns: Sequence[int], ws: Sequence[int], params: BarnesParams, u: AdmissibleU, N: int
+    ns: Sequence[int], ws: Sequence[int], params: BarnesParams, u: AdmissibleU, points: int,
+    classes: Sequence[int] = (1,),
 ) -> list[list[tuple[int, int, int]]]:
-    """The level-N sums of `multi_riemann_integral` for each w in `ws` and
-    each n in `ns`, one list per w, as unreduced pairs of ints, each with
-    its denominator's valuation at p: (numerator, denominator,
-    nu_p(denominator)); (1, 1, 0) when every n is 0.
+    """The r-fold sums over x < points on each axis of
+    prod_i classes[x_i mod P] [w + a.x : q]^n u^(x_1 + ... + x_r) over
+    [points : u]^r, P = len(classes) dividing points, for each w in `ws`
+    and each n in `ns`, one list per w, as unreduced pairs of ints, each
+    with its denominator's valuation at p: (numerator, denominator,
+    nu_p(denominator)). With the default class weights (1,), these are the
+    level sums of `multi_riemann_integral` at points = p^N, and (1, 1, 0)
+    when every n is 0.
 
     Expanding [y : q]^n = (1-q)^-n sum_j C(n, j) (-1)^j q^(j y) splits the
     sum over the axes: term j of the r-fold sum is q^(j w) prod_i S(a_i j)
-    over the normaliser S(0)^r = [p^N : u]^r, with the axis sum
-    S(k) = sum_(x < p^N) (q^k u)^x. With q = s/t and u = c/d, S(k) is the
-    integer `_axis_sum(A, B, p^N)` over B^(p^N - 1), for A = s^k c and
-    B = t^k d when k >= 0, and A = t^|k| c and B = s^|k| d when k < 0. Only
-    q^(j w) depends on w: the axis sums and their products are built once,
-    shared by every n and w. The d^(r (p^N - 1)) cancel against the
-    normaliser, and `_binomial_pairs` adds each w's terms over one
-    denominator.
+    over the normaliser [points : u]^r, with the axis sum
+    S(k) = sum_(x < points) classes[x mod P] (q^k u)^x. With q = s/t and
+    u = c/d, S(k) is an integer over B^(points - 1), for A = s^k c and
+    B = t^k d when k >= 0, and A = t^|k| c and B = s^|k| d when k < 0.
+    Writing x = x0 + P y, the weight depends on x0 alone, so that integer is
+    the class head sum_(x0 < P) classes[x0] A^x0 B^(P - 1 - x0) times
+    `_axis_sum(A^P, B^P, points / P)`. The normaliser is
+    `_axis_sum(c, d, points)^r` over d^(r (points - 1)): the product S(0)^r
+    itself under the default weights. Only q^(j w) depends on w: the axis
+    sums and their products are built once, shared by every n and w. The
+    powers of d cancel against the normaliser, and `_binomial_pairs` adds
+    each w's terms over one denominator.
 
-    At n >= 1 the domain in q is `h_closed`'s: q = 1, and q = 0 with some
-    w < 0 or some a_i < 0, raise `PreconditionError` naming q before any sum.
+    At n >= 1, or with class weights, the domain in q is `h_closed`'s:
+    q = 1, and q = 0 with some w < 0 or some a_i < 0, raise
+    `PreconditionError` naming q before any sum.
     """
-    top, a = max(ns, default=0), params.a
-    if top == 0:
+    top, a, unweighted = max(ns, default=0), params.a, tuple(classes) == (1,)
+    if top == 0 and unweighted:
         return [[(1, 1, 0)] * len(ns) for _ in ws]
     q = params.q.value
     if q == 1:
@@ -342,44 +359,20 @@ def _level_sums(
     if s == 0 and (min(ws) < 0 or min(a) < 0):
         raise PreconditionError("0 cannot be raised to a negative power", parameter="q")
     c, d = u.u.numerator, u.u.denominator
-    points = u.p**N
+    period = len(classes)
     sums = {}
     for k in {aj * j for aj in a for j in range(top + 1)}:
         up, down = (s, t) if k >= 0 else (t, s)
-        sums[k] = _axis_sum(up ** abs(k) * c, down ** abs(k) * d, points)
+        A, B = up ** abs(k) * c, down ** abs(k) * d
+        head = sum(
+            weight * A**x0 * B ** (period - 1 - x0) for x0, weight in enumerate(classes) if weight
+        )
+        sums[k] = head * _axis_sum(A**period, B**period, points // period)
     products = [prod(sums[aj * j] for aj in a) for j in range(top + 1)]
+    norm = products[0] if unweighted else _axis_sum(c, d, points) ** params.r
     e_t = (points - 1) * sum(aj for aj in a if aj > 0)
     e_s = (points - 1) * sum(-aj for aj in a if aj < 0)
-    return [
-        [*_binomial_pairs(ns, products, products[0], s, t, e_t + w, e_s - w, u.p)] for w in ws
-    ]
-
-
-def _unit_sums(
-    ks: Sequence[int], chi: Callable, a1: int, u: AdmissibleU, q: Rational, D: int, N: int
-) -> list[tuple[int, int, int]]:
-    """The unit sums of `unit_error_valuations` for each k in `ks`, as
-    `_level_sums` gives its own: (numerator, denominator, nu_p(denominator)).
-
-    The binomial split of `_level_sums` makes term j the sum of
-    chi(x) (q^(j a1) u)^x over the units x < D p^N: with q = s/t, u = c/d,
-    A = s^(j a1) c and B = t^(j a1) d, it is sum_x chi(x) A^x B^(D p^N-1-x)
-    over B^(D p^N - 1). Write x = x0 + D p y with x0 < D p and y < p^(N-1):
-    chi(x), and whether p divides x, depend on x0 alone, so that integer is
-    the class sum over x0 < D p with p ∤ x0 of chi(x0) A^x0 B^(D p - 1 - x0)
-    times `_axis_sum(A^(D p), B^(D p), p^(N-1))`. The normaliser
-    [D p^N : u] is `_axis_sum(c, d, D p^N)` over d^(D p^N - 1), so the
-    powers of d cancel. Every term of every class sum and axis sum is
-    added, one by one. The caller checks a1 >= 1 and N >= 1.
-    """
-    p, (s, t), (c, d) = u.p, (q.numerator, q.denominator), (u.u.numerator, u.u.denominator)
-    period, points = D * p, D * p**N
-    terms = []
-    for j in range(max(ks, default=0) + 1):
-        A, B = s ** (j * a1) * c, t ** (j * a1) * d
-        classes = sum(chi(x0) * A**x0 * B ** (period - 1 - x0) for x0 in range(period) if x0 % p)
-        terms.append(classes * _axis_sum(A**period, B**period, p ** (N - 1)))
-    return [*_binomial_pairs(ks, terms, _axis_sum(c, d, points), s, t, (points - 1) * a1, 0, p)]
+    return [[*_binomial_pairs(ns, products, norm, s, t, e_t + w, e_s - w, u.p)] for w in ws]
 
 
 def _binomial_pairs(

@@ -52,7 +52,7 @@ H_CLOSED_SEED1_SHA256 = {
 # sha256 of the seed-1 reports of the suites that sum against mu_u one axis
 # at a time, recorded from their own loops (a rational one for eq8-bridge, a
 # p-adic one in l_riemann for interpolation): a second draw of samples that
-# eq8-bridge's integer unit sums and l_riemann's riemann_integral must
+# eq8-bridge's class-weighted level sums and l_riemann's riemann_sums must
 # reproduce byte for byte
 LEVEL_SUM_SEED1_SHA256 = {
     "eq8-bridge": "134d834893636a2388350dde0395b05e17f409ffe897a6f5606290470c4d6a9e",

@@ -167,7 +167,7 @@ def test_multi_riemann_matches_the_loop_it_replaced():
     assert seen == {"r1", "r2", "r3", "N", "u", "budget"}
 
 
-def test_riemann_integral_lift_runs_the_sum_in_padic_scalars():
+def test_riemann_sums_lift_runs_the_sum_in_padic_scalars():
     # lifting every scalar of a rational level sum into Q_p gives the p-adic
     # image of the rational sum, to every digit the context tracks
     ctx = PadicContext(5, 10)
@@ -182,7 +182,9 @@ def test_riemann_integral_lift_runs_the_sum_in_padic_scalars():
                 return qbracket(x + 1, F(6)) ** k
 
             rational = riemann_integral(integrand, uu, d, N)
-            padic = riemann_integral(lambda x: lift(integrand(x)), uu, d, N, lift=lift)
+            [[padic]] = pi.riemann_sums(
+                lambda x: ((0, lift(integrand(x))),), 1, uu, (d * uu.p**N,), lift=lift
+            )
             assert type(padic) is PadicNumber and padic == lift(rational)
             assert padic.digits == ctx.precision
 
@@ -243,10 +245,23 @@ def test_riemann_error_valuation_takes_no_axis_sum_at_n_zero(monkeypatch):
     assert riemann_error_valuations((1,), 0, params, uu, 1, (target,))[0] == expected
 
 
+def _unit_moment_reference(chi, a1, u, q, D, N, k):
+    """The unit sum point by point, in `Fraction`s: chi(x) [a1 x : q]^k on
+    the units, 0 on p Z_p, summed against mu_u by `riemann_integral`."""
+
+    def integrand(x):
+        if x % u.p == 0 or chi(x) == 0:
+            return F(0)
+        return chi(x) * qbracket(a1 * x, q) ** k
+
+    return riemann_integral(integrand, u, D, N)
+
+
 def test_level_sums_match_the_sum_point_by_point():
-    # r = 3 at N = 3, w < 0, |a_j| = 3, q = 1 + p^2, negative q and u, n up
-    # to 5, and ns unsorted with a repeat; then seeded draws. Each pair
-    # equals the per-point sum, and so does each valuation against a target
+    # unweighted: r = 3 at N = 3, w < 0, |a_j| = 3, q = 1 + p^2, negative q
+    # and u, n up to 5, and ns unsorted with a repeat; then seeded draws at
+    # r = 1-3. Each pair equals the per-point sum, and so does each
+    # valuation against a target
     cases = [
         (3, 1, 3, (3, -1, 2), -2, 10, -1, (5, 2, 5, 1)),
         (3, 2, 2, (-3, -2, 1), -4, -8, 2, (4, 1, 3)),
@@ -268,13 +283,48 @@ def test_level_sums_match_the_sum_point_by_point():
         reference = {n: _multi_riemann_reference(n, w, params, uu, N) for n in set(ns)}
         denominators = [d for d in (1, 2, 4, 7, 11) if d % p]
         targets = [F(rng.randint(-99, 99), rng.choice(denominators)) for _ in ns]
-        sums = pi._level_sums(ns, (w,), params, uu, N)[0]
+        sums = pi._level_sums(ns, (w,), params, uu, p**N)[0]
         assert [F(num, den) for num, den, _ in sums] == [reference[n] for n in ns], (
             p, v, N, a, w, q, c,
         )
         assert riemann_error_valuations(ns, w, params, uu, N, targets) == [
             valuation(reference[n] - t, p) for n, t in zip(ns, targets)
         ], (p, v, N, a, w, q, c)
+
+    # weighted by a character on the units, at rank 1 and w = 0: p = 3 and
+    # 5; the trivial character with D = 1 and 4, quadratic3 and quadratic4
+    # with their own D (1 or 3, and 4); a1 and -a1; k = 0..4 in one call;
+    # levels 1-4 (1-3 at p = 5); u of valuation 1, 2 or -1, of either sign,
+    # integer or not; integer and rational q. Each pair equals the per-point
+    # sum, its denominator's valuation is the one read off it, and each
+    # valuation of unit_error_valuations equals the per-point sum's
+    rng = random.Random(16)
+    characters = [
+        (DirichletCharacter.trivial(1), 1, 1),
+        (DirichletCharacter.trivial(1), 1, 4),
+        (DirichletCharacter.quadratic(3), 1, None),
+        (DirichletCharacter.quadratic(4), 2, 4),
+    ]
+    ks = range(5)
+    for p in (3, 5):
+        for chi, a1, D in characters:
+            D = D or (1 if p == 3 else 3)
+            classes = [chi(x0) if x0 % p else 0 for x0 in range(D * p)]
+            for N in (1, 2, 3, 4) if p == 3 else (1, 2, 3):
+                uu = AdmissibleU(F(p) ** rng.choice((1, 2, -1)) * rng.choice((1, -2, F(1, 2))), p)
+                q = rng.choice((F(1 + p), F(1 + 2 * p), F(1 - p), F(3, 2), F(-2, 3)))
+                for b in (a1, -a1):
+                    reference = [_unit_moment_reference(chi, b, uu, q, D, N, k) for k in ks]
+                    params = BarnesParams((b,), uu.u, QBase(q))
+                    sums = pi._level_sums(ks, (0,), params, uu, D * p**N, classes)[0]
+                    case = (p, chi.modulus, b, D, N, uu.u, q)
+                    assert [F(num, den) for num, den, _ in sums] == reference, case
+                    assert [v for _, _, v in sums] == [valuation(den, p) for _, den, _ in sums]
+                    shifts = [F(rng.randint(-9, 9) * p ** rng.randint(0, 30), 7) for _ in ks]
+                    targets = [ref + shift for ref, shift in zip(reference, shifts)]
+                    assert pi.unit_error_valuations(ks, chi, b, uu, q, D, N, targets) == [
+                        valuation(ref - t, p) for ref, t in zip(reference, targets)
+                    ], case
 
 
 def test_level_sums_over_a_run_of_w_match_one_w_at_a_time():
@@ -293,8 +343,8 @@ def test_level_sums_over_a_run_of_w_match_one_w_at_a_time():
         params = BarnesParams(a, uu.u, QBase(q))
         ns = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
         ws = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
-        runs = pi._level_sums(ns, ws, params, uu, N)
-        assert runs == [pi._level_sums(ns, (w,), params, uu, N)[0] for w in ws], (p, a, q, N)
+        runs = pi._level_sums(ns, ws, params, uu, p**N)
+        assert runs == [pi._level_sums(ns, (w,), params, uu, p**N)[0] for w in ws], (p, a, q, N)
         targets = [
             [h_closed(n, w, params) if rng.random() < 0.7 else F(rng.randint(-9, 9), 4) for n in ns]
             for w in ws
@@ -327,7 +377,7 @@ def test_error_valuations_from_the_tail_bound_match_the_full_climb():
     uu = AdmissibleU(F(9), 3)
     params = BarnesParams((1, -2), uu.u, QBase(F(4)))
     for N in (1, 2, 3):
-        sums = pi._level_sums(range(4), (1,), params, uu, N)[0]
+        sums = pi._level_sums(range(4), (1,), params, uu, 3**N)[0]
         targets = [h_closed(n, 1, params) for n in range(4)]
         full = pi._error_valuations(sums, targets, 3, 0)
         assert full[0] == INFINITY and min(full[1:]) >= 2 * 3**N + N
@@ -353,76 +403,46 @@ def test_level_sums_add_the_valuations_of_their_denominators_factors():
         params = BarnesParams(a, uu.u, QBase(q))
         ns = [rng.randint(0, 5) for _ in range(rng.randint(1, 4))]
         N = rng.randint(0, 3 if r == 1 else 1)
-        for num, den, v_den in pi._level_sums(ns, (w,), params, uu, N)[0]:
+        for num, den, v_den in pi._level_sums(ns, (w,), params, uu, p**N)[0]:
             assert v_den == valuation(den, p), (p, a, q, w, uu.u, ns, N)
             seen.add(v_den > 0)
     assert seen == {True, False}
-
-
-def _unit_moment_reference(chi, a1, u, q, D, N, k):
-    """The unit sum point by point, in `Fraction`s: chi(x) [a1 x : q]^k on
-    the units, 0 on p Z_p, summed against mu_u by `riemann_integral`."""
-
-    def integrand(x):
-        if x % u.p == 0 or chi(x) == 0:
-            return F(0)
-        return chi(x) * qbracket(a1 * x, q) ** k
-
-    return riemann_integral(integrand, u, D, N)
-
-
-def test_unit_sums_match_the_sum_point_by_point():
-    # p = 3 and 5; the trivial character with D = 1 and 4, quadratic3 and
-    # quadratic4 with their own D (1 or 3, and 4); k = 0..4 in one call;
-    # levels 1-4 (1-3 at p = 5); u of valuation 1, 2 or -1, of either sign,
-    # integer or not; integer and rational q. Each pair equals the per-point
-    # sum, its denominator's valuation is the one read off it, and each
-    # valuation against a target equals the per-point sum's
-    rng = random.Random(16)
-    characters = [
-        (DirichletCharacter.trivial(1), 1, 1),
-        (DirichletCharacter.trivial(1), 1, 4),
-        (DirichletCharacter.quadratic(3), 1, None),
-        (DirichletCharacter.quadratic(4), 2, 4),
-    ]
-    ks = range(5)
-    for p in (3, 5):
-        for chi, a1, D in characters:
-            D = D or (1 if p == 3 else 3)
-            for N in (1, 2, 3, 4) if p == 3 else (1, 2, 3):
-                uu = AdmissibleU(F(p) ** rng.choice((1, 2, -1)) * rng.choice((1, -2, F(1, 2))), p)
-                q = rng.choice((F(1 + p), F(1 + 2 * p), F(1 - p), F(3, 2), F(-2, 3)))
-                reference = [_unit_moment_reference(chi, a1, uu, q, D, N, k) for k in ks]
-                sums = pi._unit_sums(ks, chi, a1, uu, q, D, N)
-                case = (p, chi.modulus, a1, D, N, uu.u, q)
-                assert [F(num, den) for num, den, _ in sums] == reference, case
-                assert [v_den for _, _, v_den in sums] == [valuation(den, p) for _, den, _ in sums]
-                targets = [ref + F(rng.randint(-9, 9) * p ** rng.randint(0, 30), 7) for ref in reference]
-                assert pi.unit_error_valuations(ks, chi, a1, uu, q, D, N, targets) == [
-                    valuation(ref - t, p) for ref, t in zip(reference, targets)
-                ], case
 
 
 def test_unit_error_valuations_check_their_inputs_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("summed before the inputs were checked")
 
-    monkeypatch.setattr(pi, "_unit_sums", no_work)
+    monkeypatch.setattr(pi, "_level_sums", no_work)
     chi, uu, q = DirichletCharacter.quadratic(4), AdmissibleU(F(3), 3), F(4)
+    trivial = DirichletCharacter.trivial(1)
     for args, parameter in (
-        ((2, uu, q, 4, 0), "N"),
-        ((0, uu, q, 4, 1), "a"),
-        ((-1, uu, q, 4, 1), "a"),
-        ((2, uu, F(1), 4, 1), "q"),
+        (((1,), chi, 2, uu, q, 4, 0, (F(0),)), "N"),
+        (((1,), chi, 2, uu, q, 0, 1, (F(0),)), "D"),
+        (((1,), chi, 0, uu, q, 4, 1, (F(0),)), "a"),
+        (((1,), chi, 2, uu, F(1), 4, 1, (F(0),)), "q"),
+        # a negative moment, which the binomial split of the sum does not
+        # reach
+        (((-1,), trivial, 1, AdmissibleU(3, 3), 4, 1, 2, (0,)), "k"),
+        (((1, -1), chi, 2, uu, q, 4, 1, (F(0), F(0))), "k"),
+        # one target per moment: neither list is cut to the other's length
+        (((1, 2), chi, 2, uu, q, 4, 1, (F(0),)), "targets"),
+        (((1,), chi, 2, uu, q, 4, 1, (F(0), F(0))), "targets"),
     ):
         with pytest.raises(PreconditionError) as exc:
-            pi.unit_error_valuations((1,), chi, *args, (F(0),))
+            pi.unit_error_valuations(*args)
         assert exc.value.parameter == parameter
     # the D p^N points, here 4 * 27, not the p^(N-1) points of an axis sum
     with pytest.raises(BudgetError, match="108 evaluation points exceed the budget of 107"):
         pi.unit_error_valuations((1,), chi, 2, uu, q, 4, 3, (F(0),), budget=107)
     monkeypatch.undo()
     assert pi.unit_error_valuations((1,), chi, 2, uu, q, 4, 3, (F(0),), budget=108)[0] < INFINITY
+    # a1 < 0 is summed, not refused: its valuations are the per-point sum's
+    ks, targets = range(4), [F(k, 5) for k in range(4)]
+    reference = [_unit_moment_reference(chi, -1, uu, q, 4, 2, k) for k in ks]
+    assert pi.unit_error_valuations(ks, chi, -1, uu, q, 4, 2, targets) == [
+        valuation(ref - t, 3) for ref, t in zip(reference, targets)
+    ]
 
 
 def test_riemann_error_valuations_keep_no_term_of_the_level_sum():

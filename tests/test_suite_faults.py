@@ -18,7 +18,10 @@ then in the functions the suites call:
   a_r read as -a_r, and, apart, `_axis_sum` drops the last term of every
   axis sum;
 - `eq8-bridge`, at seeds 0-2: `_axis_sum` drops the last term of every
-  axis sum;
+  axis sum, and, apart, `_level_sums` reads the weight of each residue
+  class x0 as that of x0 + 1;
+- `measure-bound`: `_moment_sum`'s coefficient 1/(1-u) is read as
+  1/(u (1-u));
 - `theorem1-gf` and `qlimit`: `TruncatedSeries.scalar_exp` drops its top
   coefficient;
 - `carlitz-bridge`: `h_carlitz` takes C(m, i-1) for C(m, i);
@@ -199,10 +202,10 @@ def test_riemann_limit_and_prop5_fail_with_the_last_axis_summed_backwards(monkey
     # the level sums with a[-1] read as -a[-1]
     level_sums = padic_integration._level_sums
 
-    def backwards(ns, ws, params, u, N):
+    def backwards(ns, ws, params, u, points, classes=(1,)):
         a = params.a
         flipped = euler_barnes.BarnesParams((*a[:-1], -a[-1]), params.u, params.q)
-        return level_sums(ns, ws, flipped, u, N)
+        return level_sums(ns, ws, flipped, u, points, classes)
 
     for suite in ("riemann-limit", "prop5"):
         assert run_suite(suite)["pass"]
@@ -246,6 +249,40 @@ def test_eq8_bridge_fails_without_the_last_term_of_an_axis_sum(monkeypatch):
         for check in checks:
             vals = [int(v) for v in check["params"]["valuations"]]
             assert vals == sorted(vals) and vals[-1] >= check["params"]["levels"][-1]
+
+
+def test_eq8_bridge_fails_with_the_class_weights_read_one_residue_on(monkeypatch):
+    # class x0 of the unit sums weighted by classes[(x0 + 1) % P]
+    level_sums = padic_integration._level_sums
+
+    def shifted(ns, ws, params, u, points, classes=(1,)):
+        return level_sums(ns, ws, params, u, points, [*classes[1:], *classes[:1]])
+
+    seeds = (0, 1, 2)
+    for seed in seeds:
+        assert run_suite("eq8-bridge", seed)["pass"]
+    monkeypatch.setattr(padic_integration, "_level_sums", shifted)
+    for seed in seeds:
+        checks = run_suite("eq8-bridge", seed)["checks"]
+        assert len(checks) == 30 and all(not check["pass"] for check in checks), seed
+
+
+def test_measure_bound_fails_with_the_moment_coefficient_over_u(monkeypatch):
+    # `_moment_sum`'s coefficient 1/(1-u) read as 1/(u (1-u)): each E_k
+    # loses nu_p(u) of its valuation, which only the cells whose E_k lies
+    # below nu_p(u) show
+    refinement = padic_integration.refinement
+
+    def over_u(k, w, a, u, q, m):
+        refined = refinement(k, w, a, u, q, m)
+        return lambda pairs: refined([(coefficient / u, index) for coefficient, index in pairs])
+
+    assert run_suite("measure-bound")["pass"]
+    monkeypatch.setattr(padic_integration, "refinement", over_u)
+    report = run_suite("measure-bound")
+    assert not report["pass"]
+    failed = [check for check in report["checks"] if not check["pass"]]
+    assert (len(failed), len(report["checks"])) == (24, 282)
 
 
 def test_theorem1_gf_and_qlimit_fail_when_exp_drops_its_top_coefficient(monkeypatch):
