@@ -258,10 +258,10 @@ def _unit_moment_reference(chi, a1, u, q, D, N, k):
 
 
 def test_level_sums_match_the_sum_point_by_point():
-    # unweighted: r = 3 at N = 3, w < 0, |a_j| = 3, q = 1 + p^2, negative q
-    # and u, n up to 5, and ns unsorted with a repeat; then seeded draws at
-    # r = 1-3. Each pair equals the per-point sum, and so does each
-    # valuation against a target
+    # r = 3 at N = 3, w < 0, |a_j| = 3, q = 1 + p^2, negative q and u, n up
+    # to 5, and ns unsorted with a repeat; then seeded draws at r = 1-3.
+    # Each pair equals the per-point sum, and so does each valuation against
+    # a target
     cases = [
         (3, 1, 3, (3, -1, 2), -2, 10, -1, (5, 2, 5, 1)),
         (3, 2, 2, (-3, -2, 1), -4, -8, 2, (4, 1, 3)),
@@ -291,13 +291,15 @@ def test_level_sums_match_the_sum_point_by_point():
             valuation(reference[n] - t, p) for n, t in zip(ns, targets)
         ], (p, v, N, a, w, q, c)
 
-    # weighted by a character on the units, at rank 1 and w = 0: p = 3 and
-    # 5; the trivial character with D = 1 and 4, quadratic3 and quadratic4
-    # with their own D (1 or 3, and 4); a1 and -a1; k = 0..4 in one call;
-    # levels 1-4 (1-3 at p = 5); u of valuation 1, 2 or -1, of either sign,
-    # integer or not; integer and rational q. Each pair equals the per-point
-    # sum, its denominator's valuation is the one read off it, and each
-    # valuation of unit_error_valuations equals the per-point sum's
+
+def test_unit_sums_match_the_sum_point_by_point():
+    # the level sums weighted by a character on the units, at rank 1 and
+    # w = 0: p = 3 and 5; the trivial character with D = 1 and 4, quadratic3
+    # and quadratic4 with their own D (1 or 3, and 4); a1 and -a1; k = 0..4
+    # in one call; levels 1-4 (1-3 at p = 5); u of valuation 1, 2 or -1, of
+    # either sign, integer or not; integer and rational q. Each pair equals
+    # the per-point sum, its denominator's valuation is the one read off it,
+    # and each valuation of unit_error_valuations equals the per-point sum's
     rng = random.Random(16)
     characters = [
         (DirichletCharacter.trivial(1), 1, 1),
