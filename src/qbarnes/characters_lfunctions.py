@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 from .errors import InternalError, PreconditionError
 from .exact_numbers import (
+    Frozen,
     PadicContext,
     PadicNumber,
     Rational,
@@ -41,7 +42,7 @@ from .euler_barnes import _integer_a, refinement
 from .padic_integration import DEFAULT_BUDGET, AdmissibleU, riemann_sums
 
 
-class DirichletCharacter:
+class DirichletCharacter(Frozen):
     """A character mod d, stored as its full value table.
 
     values[x] is chi(x) for 0 <= x < d, an int; zero exactly off the units,
@@ -61,8 +62,6 @@ class DirichletCharacter:
             raise PreconditionError(
                 f"need exactly {modulus} values, got {len(values)}", parameter="values"
             )
-        self.modulus = modulus
-        self.context = context
         values = tuple(Fraction(v) for v in values)
         if context is None:
             if any(v not in (-1, 0, 1) for v in values):
@@ -73,15 +72,20 @@ class DirichletCharacter:
             raise PreconditionError(
                 "teichmuller-mode values must be integers", parameter="values"
             )
-        self.values = tuple(int(v) for v in values)
+        values = tuple(int(v) for v in values)
         if context is not None:
             mod = context.modulus
-            self.values = tuple(v % mod for v in self.values)
-            if any(v != 0 and pow(v, context.p - 1, mod) != 1 for v in self.values):
+            values = tuple(v % mod for v in values)
+            if any(v != 0 and pow(v, context.p - 1, mod) != 1 for v in values):
                 raise PreconditionError(
                     "teichmuller-mode values must be (p-1)-st roots of unity",
                     parameter="values",
                 )
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "context", context)
+        # the table checks read the fields; a table that fails them raises
+        # before the value is returned
         self._validate()
 
     def _validate(self) -> None:
@@ -140,19 +144,6 @@ class DirichletCharacter:
         if self.context is None:
             return x
         return to_padic(x, self.context)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.values == other.values
-            and self.context == other.context
-        )
-
-    def __repr__(self) -> str:
-        mode = "rational" if self.context is None else "teichmuller"
-        return f"DirichletCharacter(mod {self.modulus}, {mode})"
 
 
 def _check_char_context(chi: DirichletCharacter, context: PadicContext) -> None:

@@ -76,8 +76,8 @@ from .qnum import FractionalArg, QBase, qbracket, rational_power
 # monic result, over Fraction
 
 
-class Poly:
-    """Coefficient list, low degree first, no trailing zeros; () is zero."""
+class Poly(Frozen):
+    """Coefficient tuple, low degree first, no trailing zeros; () is zero."""
 
     __slots__ = ("coeffs",)
 
@@ -85,7 +85,7 @@ class Poly:
         c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
-        self.coeffs = tuple(c)
+        object.__setattr__(self, "coeffs", tuple(c))
 
     @property
     def is_zero(self) -> bool:
@@ -102,14 +102,6 @@ class Poly:
         den = df * dg
         return Poly([Fraction(x, den) for x in _int_mul(f, g)])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __call__(self, q: Rational) -> Rational:
         """The value at q = s/t, by Horner over Z on the coefficients A_i / D:
         sum A_i s^i t^(deg-i) / (D t^deg), one `Fraction` at the end."""
@@ -123,9 +115,6 @@ class Poly:
             t_pow *= t
             acc = acc * s + c * t_pow
         return Fraction(acc, den * t_pow)
-
-    def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self.coeffs]})"
 
 
 def _over_common_denominator(coeffs: Sequence[Rational]) -> tuple[list[int], int]:

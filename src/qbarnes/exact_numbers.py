@@ -151,6 +151,13 @@ class Frozen:
     its class with its fields, so the rebuilt value passes the checks
     again. These are the behaviours `@dataclass(frozen=True)` gave the
     types, without its import cost (ROADMAP, "Decisions that stand").
+
+    The nine subclasses: `PadicContext`, `QBase`, `FractionalArg`,
+    `BarnesParams`, `AdmissibleU`, `MeasureCell`, `Poly`, `TruncatedSeries`
+    and `DirichletCharacter`. `PadicNumber` stays out, since its equality
+    depends on precision and it is unhashable on purpose; so does
+    `RationalFunctionQ`, whose constructor takes integer lists and reduces
+    them, so it cannot be rebuilt from its two `Poly` fields.
     """
 
     __slots__ = ()

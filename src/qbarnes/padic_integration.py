@@ -265,12 +265,13 @@ def unit_error_valuations(
     The unit sum is the level-N Riemann sum of chi(x) [a1 x : q]^k against
     mu_u over the units x < D p^N, sum_(p ∤ x) chi(x) [a1 x : q]^k u^x over
     [D p^N : u]; it tends to a unit moment of the eq. (8) bridge. chi is an
-    int-valued character whose modulus divides D p, and `targets` holds
-    one target per k. The sums are the rank-1 `_level_sums` at w = 0 over
-    D p^N points, each residue class x0 mod D p weighted by chi(x0), or by
-    0 where p divides x0, read as `riemann_error_runs` reads its own. One
-    target per k, N >= 1, D >= 1, k >= 0, a1 != 0, q != 1 and the D p^N
-    points are checked, in that order, before any work.
+    int-valued `DirichletCharacter` whose modulus divides D p, and
+    `targets` holds one target per k. The sums are the rank-1 `_level_sums`
+    at w = 0 over D p^N points, each residue class x0 mod D p weighted by
+    chi(x0), or by 0 where p divides x0, read as `riemann_error_runs` reads
+    its own. One target per k, N >= 1, D >= 1, k >= 0, chi's modulus
+    dividing D p, a1 != 0, q != 1 and the D p^N points are checked, in that
+    order, before any work.
     """
     if len(targets) != len(ks):
         raise PreconditionError(
@@ -279,6 +280,10 @@ def unit_error_valuations(
     if N < 1 or D < 1 or min(ks, default=0) < 0:
         flag = "N" if N < 1 else "D" if D < 1 else "k"
         raise PreconditionError("unit sums need N >= 1, D >= 1 and k >= 0", parameter=flag)
+    if D * u.p % chi.modulus:
+        raise PreconditionError(
+            f"chi's modulus {chi.modulus} must divide D p = {D * u.p}", parameter="D"
+        )
     params = BarnesParams((a1,), u.u, q)
     points = D * u.p**N
     _check_budget(points, budget)

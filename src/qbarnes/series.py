@@ -1,6 +1,6 @@
 """Truncated formal power series over exact rationals.
 
-Everything is a plain list of Fraction coefficients cut at a fixed order;
+Everything is a tuple of Fraction coefficients cut at a fixed order;
 multiplication truncates, reciprocal needs an invertible constant term. The
 arithmetic itself runs over Z: `__mul__` scales each operand to the lcm of
 its denominators and convolves the integer numerators, and `reciprocal`
@@ -17,12 +17,12 @@ from typing import Sequence
 
 from .errors import PoleError, PreconditionError
 from .euler_barnes import BarnesParams, _integer_a, _over_common_denominator
-from .exact_numbers import Rational
+from .exact_numbers import Frozen, Rational
 from .qnum import rational_power
 
 
-class TruncatedSeries:
-    """Power series modulo t^(order+1)."""
+class TruncatedSeries(Frozen):
+    """Power series modulo t^(order+1): its order + 1 coefficients, a tuple."""
 
     __slots__ = ("coeffs", "order")
 
@@ -33,8 +33,8 @@ class TruncatedSeries:
             raise PreconditionError("order must be >= 0", parameter="order")
         c = [Fraction(x) for x in coeffs[: order + 1]]
         c.extend([Fraction(0)] * (order + 1 - len(c)))
-        self.coeffs = c
-        self.order = order
+        object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def constant(cls, value: Rational, order: int) -> "TruncatedSeries":
@@ -94,14 +94,6 @@ class TruncatedSeries:
             acc = sum(a[k] * num[n - k] for k in range(1, n + 1))
             out.append(Fraction(-acc, a[0] * den_n))
         return TruncatedSeries(out, self.order)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self.coeffs!r})"
 
 
 def classical_gf_coefficients(

@@ -62,7 +62,6 @@ from .exact_numbers import (
 from .euler_barnes import (
     BarnesParams,
     _addition_sum,
-    distribution_check,
     distribution_run,
     h_carlitz,
     h_closed_run,
@@ -222,14 +221,12 @@ def _distribution(sampler: ParameterSampler, budget: int) -> Checks:
         # q = -1 collapses the order-2 refined base to 1, u = ±1 sits on
         # the u^f = 1 pole
         params = sampler.barnes(1 + i % 2, 2, exclude=(0, 1, -1))
-        for f in (2, 3):
-            distribution_check(2, 0, f, params)  # pole probe
-        pairs = (
+        pairs = [
             (residual, 0)
             for f in (2, 3)
             for w in (0, 1, 2)
             for residual in distribution_run(range(9), w, f, params)
-        )
+        ]
         return {**_barnes_params(params), "f": [2, 3], "w": [0, 1, 2], "n_max": 8}, pairs
 
     return _sampled(sampler, 20, build)

@@ -427,6 +427,8 @@ def test_unit_error_valuations_check_their_inputs_before_any_work(monkeypatch):
         # reach
         (((-1,), trivial, 1, AdmissibleU(3, 3), 4, 1, 2, (0,)), "k"),
         (((1, -1), chi, 2, uu, q, 4, 1, (F(0), F(0))), "k"),
+        # chi's modulus 4 does not divide D p = 3
+        (((1,), chi, 2, uu, q, 1, 2, (F(0),)), "D"),
         # one target per moment: neither list is cut to the other's length
         (((1, 2), chi, 2, uu, q, 4, 1, (F(0),)), "targets"),
         (((1,), chi, 2, uu, q, 4, 1, (F(0), F(0))), "targets"),

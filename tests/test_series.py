@@ -17,7 +17,7 @@ from qbarnes import (
 def test_series_arithmetic():
     s = TruncatedSeries([F(1), F(2), F(3)], 3)
     t = TruncatedSeries([F(0), F(1)], 3)
-    assert (s * t).coeffs == [F(0), F(1), F(2), F(3)]
+    assert (s * t).coeffs == (F(0), F(1), F(2), F(3))
     assert s.coefficient(2) == 3
     with pytest.raises(PreconditionError):
         s.coefficient(10)  # beyond the truncation order the value is unknown
@@ -26,8 +26,8 @@ def test_series_arithmetic():
 def test_reciprocal():
     s = TruncatedSeries([F(1), F(-1)], 6)
     r = s.reciprocal()
-    assert r.coeffs == [F(1)] * 7  # 1/(1-t) = sum t^n
-    assert (s * r).coeffs == [F(1)] + [F(0)] * 6
+    assert r.coeffs == (F(1),) * 7  # 1/(1-t) = sum t^n
+    assert (s * r).coeffs == (F(1),) + (F(0),) * 6
     with pytest.raises(PoleError):
         TruncatedSeries([F(0), F(1)], 3).reciprocal()
 
@@ -96,7 +96,7 @@ def test_integer_arithmetic_matches_fraction_reference():
 
 def test_scalar_exp():
     e = TruncatedSeries.scalar_exp(F(2), 4)
-    assert e.coeffs == [1, 2, 2, F(4, 3), F(2, 3)]
+    assert e.coeffs == (1, 2, 2, F(4, 3), F(2, 3))
 
 
 def test_classical_euler_numbers():

@@ -1,5 +1,6 @@
-"""The contract of the six frozen value types: `PadicContext`, `QBase`,
-`FractionalArg`, `BarnesParams`, `AdmissibleU` and `MeasureCell`.
+"""The contract of the nine frozen value types: `PadicContext`, `QBase`,
+`FractionalArg`, `BarnesParams`, `AdmissibleU`, `MeasureCell`, `Poly`,
+`TruncatedSeries` and `DirichletCharacter`.
 
 Equality by class and fields, a hash of the fields, a pinned `repr`,
 `AttributeError` on assigning or deleting a field, `pickle` and `copy`
@@ -14,11 +15,14 @@ import pytest
 from qbarnes import (
     AdmissibleU,
     BarnesParams,
+    DirichletCharacter,
     FractionalArg,
     MeasureCell,
     PadicContext,
+    Poly,
     PreconditionError,
     QBase,
+    TruncatedSeries,
 )
 
 # (object, an equal object built another way, a different object, its repr)
@@ -41,6 +45,18 @@ CASES = [
      "AdmissibleU(u=Fraction(5, 2), p=5)"),
     (MeasureCell(2, 1, 1, 1), MeasureCell(x=2, N=1), MeasureCell(2, 1, 1, 2),
      "MeasureCell(x=2, f=1, N=1, d=1)"),
+    (Poly([1, F(1, 2)]), Poly(coeffs=(F(1), F(1, 2), 0)), Poly([1, F(1, 3)]),
+     "Poly(coeffs=(Fraction(1, 1), Fraction(1, 2)))"),
+    (TruncatedSeries([1, F(2, 3)], 2), TruncatedSeries(coeffs=(1, F(2, 3), 0)),
+     TruncatedSeries([1, F(2, 3)], 1),
+     "TruncatedSeries(coeffs=(Fraction(1, 1), Fraction(2, 3), Fraction(0, 1)), order=2)"),
+    (DirichletCharacter.quadratic(4), DirichletCharacter(modulus=4, values=[0, 1, 0, -1]),
+     DirichletCharacter.trivial(4),
+     "DirichletCharacter(modulus=4, values=(0, 1, 0, -1), context=None)"),
+    (DirichletCharacter.teichmuller_character(PadicContext(3, 2)),
+     DirichletCharacter(3, (0, 1, -1), PadicContext(3, 2)),
+     DirichletCharacter.teichmuller_character(PadicContext(3, 3)),
+     "DirichletCharacter(modulus=3, values=(0, 1, 8), context=PadicContext(p=3, precision=2))"),
 ]
 IDS = [case[3].partition("(")[0] + str(i) for i, case in enumerate(CASES)]
 
