@@ -36,9 +36,10 @@ numerator piece an integer polynomial; the pieces are summed over a product
 tree, each merge bringing its two sides over the union of their counts,
 with route 1's level-by-level pairing loop (`_pairwise`). One modular gcd
 (`_int_gcd`: images mod large primes, combined by the Chinese remainder
-theorem and certified by exact division) reduces the result; at the first
-prime, the common, coprime case is certified one denominator factor at a
-time, in linear passes over the numerator (`_coprime_mod`).
+theorem and certified by exact division) reduces the result in
+`RationalFunctionQ.reduced`; at the first prime, the common, coprime case
+is certified one denominator factor at a time, in linear passes over the
+numerator (`_coprime_mod`).
 
 The order-f refinement is the distribution relation H_n(w, u, q | a) =
 (1-u)^r [f:q]^n / (1-u^f)^r sum_{i in {0..f-1}^r} u^|i| H_n((w + a.i)/f,
@@ -188,16 +189,9 @@ def _gcd_mod(f: list[int], g: list[int], P: int) -> list[int]:
     return [c * inv % P for c in a]
 
 
-def _int_content(f: list[int]) -> int:
-    g = 0
-    for x in f:
-        g = gcd(g, x)
-    return g
-
-
 def _primitive(f: list[int]) -> list[int]:
     """f divided by its content; f nonzero."""
-    c = _int_content(f)
+    c = gcd(*f)
     return [x // c for x in f]
 
 
@@ -292,59 +286,55 @@ def _stripped(f: Sequence[int]) -> list[int]:
     return f
 
 
-class RationalFunctionQ:
-    """Reduced fraction of polynomials in q with a monic denominator.
+class RationalFunctionQ(Frozen):
+    """A rational function of q as a frozen value: a numerator `Poly` over a
+    monic denominator `Poly`, the two coprime.
 
-    Built from integer coefficient lists, low degree first, and reduced over
-    Z: the shared power of q and the contents come off, then `_int_gcd`
-    returns the two cofactors of the primitive gcd, sped up by the
-    denominator's binomial `factors` where known (`_coprime_mod`).
-    `Fraction`s appear only in the monic `Poly` numerator and denominator
-    that hold the result.
+    The constructor checks only that the denominator is monic, which also
+    rules out zero, and trusts the pair to be coprime, as
+    `exact_numbers.coprime_fraction` does: a gcd there would rerun the
+    reduction on every build and every pickle. `reduced` is the one way in
+    from integer coefficient lists.
     """
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(
-        self, numerator: Sequence[int], denominator: Sequence[int], factors: Factors | None = None
-    ):
-        num = _stripped(numerator)
-        den = _stripped(denominator)
+    def __init__(self, numerator: Poly, denominator: Poly):
+        if denominator.coeffs[-1:] != (1,):
+            raise PreconditionError("the denominator must be monic", parameter="denominator")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+
+    @classmethod
+    def reduced(
+        cls, numerator: Sequence[int], denominator: Sequence[int], factors: Factors | None = None
+    ) -> "RationalFunctionQ":
+        """numerator / denominator, integer coefficient lists low degree
+        first, reduced over Z: the shared power of q and the contents come
+        off, then `_int_gcd` returns the two cofactors of the primitive gcd,
+        sped up by the denominator's binomial `factors` where known
+        (`_coprime_mod`). `Fraction`s appear only in the monic result."""
+        num, den = _stripped(numerator), _stripped(denominator)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            self.numerator = Poly(())
-            self.denominator = Poly([1])
-            return
+            return cls(Poly(()), Poly([1]))
         # shared monomial factor q^k, common after clearing negative powers
         k = 0
         while num[k] == 0 and den[k] == 0:
             k += 1
-        num, den = num[k:], den[k:]
-        cn, cd = _int_content(num), _int_content(den)
-        num = [x // cn for x in num]
-        den = [x // cd for x in den]
-        _, num, den = _int_gcd(num, den, factors)
+        cn, cd = gcd(*num), gcd(*den)
+        _, num, den = _int_gcd([x // cn for x in num[k:]], [x // cd for x in den[k:]], factors)
         lead = cd * den[-1]
-        self.numerator = Poly([Fraction(cn * x, lead) for x in num])
-        self.denominator = Poly([Fraction(cd * x, lead) for x in den])
+        return cls(
+            Poly([Fraction(cn * x, lead) for x in num]), Poly([Fraction(cd * x, lead) for x in den])
+        )
 
     def __call__(self, q: Rational) -> Rational:
         den = self.denominator(q)
         if den == 0:
             raise PoleError(f"rational function has a pole at q = {q}", parameter="q")
         return self.numerator(q) / den
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunctionQ):
-            return NotImplemented
-        return (
-            self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    def __repr__(self) -> str:
-        return f"RationalFunctionQ({self.numerator!r} / {self.denominator!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +471,7 @@ def _closed_form(
     per-argument sum at the largest n: the first argument's, then a pole,
     which no argument changes, then the other arguments' in order.
     """
-    if min(ns) < 0:
+    if min(ns, default=0) < 0:
         raise PreconditionError("n must be >= 0", parameter="n")
     q = params.q
     if q.value == 1:
@@ -489,7 +479,7 @@ def _closed_form(
     e = q.exponent
     s, t = q.root.numerator, q.root.denominator
     c, d = params.u.numerator, params.u.denominator
-    top = max(ns)
+    top = max(ns, default=0)
     k = _root_exponent(top, *args[0], e, s, params.a)
 
     # term l = (-1)^l C(n,l) s^(l alpha) t^(l beta) / D_l for args[0], the
@@ -725,8 +715,8 @@ def h_rational_in_q(
     numerator over it, without multiplying every term by every missing
     power in turn. The factor (1-q)^n of the prefactor divides it exactly
     (the q -> 1 limit exists), so a remainder raises `InternalError`.
-    `RationalFunctionQ` then reduces the two integer lists over Z, given the
-    distinct m; `Poly` only holds its monic result.
+    `RationalFunctionQ.reduced` then reduces the two integer lists over Z,
+    given the distinct m; `Poly` only holds its monic result.
     """
     a = _integer_a(a, r)
     u = _barnes_u(u)
@@ -778,7 +768,7 @@ def h_rational_in_q(
     quotient = _int_quotient(numerator, one_minus_q_n)
     if quotient is None:
         raise InternalError("expected exact polynomial division, got a remainder")
-    rf = RationalFunctionQ(quotient, denominator, (c, d, common))
+    rf = RationalFunctionQ.reduced(quotient, denominator, (c, d, common))
     amax = max(abs(x) for x in a)
     bound = n * max(abs(w), 1) + r * amax * n * (n + 1) // 2 + n
     if rf.numerator.degree > bound or rf.denominator.degree > bound:
@@ -828,7 +818,8 @@ def refinement_run(
     It equals the sum of the terms one by one, and raises what the first
     failing term of the largest n would. u^f = 1 and q^f = 1 raise here;
     the refined `BarnesParams` is built when `refined` is called, after the
-    caller's own checks.
+    caller's own checks, and an empty batch raises there. An empty run
+    gives [].
     """
     u, q = Fraction(u), Fraction(q)
     uf = u**f
@@ -840,6 +831,8 @@ def refinement_run(
     def refined(weighted: Iterable[tuple[Rational, Sequence[int]]]) -> list[Rational]:
         fine = BarnesParams(a, uf, QBase(q, f))
         pairs = list(weighted)
+        if not pairs:
+            raise PreconditionError("the batch of (c, i) must be nonempty")
         # with u = c/d and cv = g/L over the lcm L of the denominators,
         # cv u^|i| = g c^|i| d^(top - |i|) / (L d^top), top the largest |i|
         cvs, L = _over_common_denominator([cv for cv, _ in pairs])

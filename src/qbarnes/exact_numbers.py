@@ -152,12 +152,13 @@ class Frozen:
     again. These are the behaviours `@dataclass(frozen=True)` gave the
     types, without its import cost (ROADMAP, "Decisions that stand").
 
-    The nine subclasses: `PadicContext`, `QBase`, `FractionalArg`,
-    `BarnesParams`, `AdmissibleU`, `MeasureCell`, `Poly`, `TruncatedSeries`
-    and `DirichletCharacter`. `PadicNumber` stays out, since its equality
-    depends on precision and it is unhashable on purpose; so does
-    `RationalFunctionQ`, whose constructor takes integer lists and reduces
-    them, so it cannot be rebuilt from its two `Poly` fields.
+    The ten subclasses: `PadicContext`, `QBase`, `FractionalArg`,
+    `BarnesParams`, `AdmissibleU`, `MeasureCell`, `Poly`, `TruncatedSeries`,
+    `DirichletCharacter` and `RationalFunctionQ`, whose reduction from
+    integer lists is the classmethod `reduced`, so that its constructor
+    only checks its two `Poly` fields. `PadicNumber` alone stays out: its
+    equality depends on precision, it is unhashable on purpose, and it is
+    built on every p-adic operation.
     """
 
     __slots__ = ()

@@ -159,7 +159,7 @@ def riemann_sums(
     checked against the budget, and every modulus for a pole, before any
     term.
     """
-    _check_budget(max(moduli), budget)
+    _check_budget(max(moduli, default=0), budget)
     norms = {}
     for m in moduli:
         norm = qbracket_z(m, u.u)
@@ -170,7 +170,7 @@ def riemann_sums(
     upow = lift(1)
     totals = [lift(0)] * width
     sums = {}
-    for x in range(max(moduli)):
+    for x in range(max(moduli, default=0)):
         if x:
             upow = upow * step
         for i, f in integrand(x):
@@ -210,7 +210,7 @@ def multi_riemann_integral(
     sum taken at n = 0.
     """
     _level_points((n,), params, u, N, budget)
-    return Fraction(*_level_sums((n,), (w,), params, u, u.p**N)[0][0][:2])
+    return Fraction(*_level_sums((n,), (w,), params, u.p, u.p**N)[0][0][:2])
 
 
 def riemann_error_valuations(
@@ -252,7 +252,7 @@ def riemann_error_runs(
     points = u.p**N
     return [
         _error_valuations(sums, ts, u.p, u.valuation * points)
-        for sums, ts in zip(_level_sums(ns, ws, params, u, points), targets)
+        for sums, ts in zip(_level_sums(ns, ws, params, u.p, points), targets)
     ]
 
 
@@ -288,7 +288,7 @@ def unit_error_valuations(
     points = D * u.p**N
     _check_budget(points, budget)
     classes = [chi(x0) if x0 % u.p else 0 for x0 in range(D * u.p)]
-    sums = _level_sums(ks, (0,), params, u, points, classes)[0]
+    sums = _level_sums(ks, (0,), params, u.p, points, classes)[0]
     return _error_valuations(sums, targets, u.p, u.valuation * points)
 
 
@@ -323,7 +323,7 @@ def _valuation_past(x: int, p: int, floor: int) -> int | float:
 
 
 def _level_sums(
-    ns: Sequence[int], ws: Sequence[int], params: BarnesParams, u: AdmissibleU, points: int,
+    ns: Sequence[int], ws: Sequence[int], params: BarnesParams, p: int, points: int,
     classes: Sequence[int] = (1,),
 ) -> list[list[tuple[int, int, int]]]:
     """The r-fold sums over x < points on each axis of
@@ -331,9 +331,10 @@ def _level_sums(
     [points : u]^r, P = len(classes) dividing points, for each w in `ws`
     and each n in `ns`, one list per w, as unreduced pairs of ints, each
     with its denominator's valuation at p: (numerator, denominator,
-    nu_p(denominator)). With the default class weights (1,), these are the
-    level sums of `multi_riemann_integral` at points = p^N, and (1, 1, 0)
-    when every n is 0.
+    nu_p(denominator)). u is params.u, and p serves only the valuations.
+    With the default class weights (1,), these are the level sums of
+    `multi_riemann_integral` at points = p^N, and (1, 1, 0) when every n
+    is 0.
 
     Expanding [y : q]^n = (1-q)^-n sum_j C(n, j) (-1)^j q^(j y) splits the
     sum over the axes: term j of the r-fold sum is q^(j w) prod_i S(a_i j)
@@ -363,7 +364,7 @@ def _level_sums(
     s, t = q.numerator, q.denominator
     if s == 0 and (min(ws) < 0 or min(a) < 0):
         raise PreconditionError("0 cannot be raised to a negative power", parameter="q")
-    c, d = u.u.numerator, u.u.denominator
+    c, d = params.u.numerator, params.u.denominator
     period = len(classes)
     sums = {}
     for k in {aj * j for aj in a for j in range(top + 1)}:
@@ -377,7 +378,7 @@ def _level_sums(
     norm = products[0] if unweighted else _axis_sum(c, d, points) ** params.r
     e_t = (points - 1) * sum(aj for aj in a if aj > 0)
     e_s = (points - 1) * sum(-aj for aj in a if aj < 0)
-    return [[*_binomial_pairs(ns, products, norm, s, t, e_t + w, e_s - w, u.p)] for w in ws]
+    return [[*_binomial_pairs(ns, products, norm, s, t, e_t + w, e_s - w, p)] for w in ws]
 
 
 def _binomial_pairs(

@@ -13,7 +13,11 @@ from .exact_numbers import Frozen, Rational
 
 
 def rational_power(base: Rational, e: int) -> Rational:
-    """base^e with a guarded zero: 0 to a negative power is a usage error."""
+    """base^e with a guarded zero: 0 to a negative power is a usage error.
+    e must be integral (an int, or a `Fraction` such as 2/1): any other
+    exponent is refused, since `Fraction` would return a float."""
+    if e % 1:
+        raise PreconditionError(f"the exponent must be an integer, got {e}")
     if e < 0 and base == 0:
         raise PreconditionError("0 cannot be raised to a negative power", parameter="q")
     return base**e
@@ -75,7 +79,8 @@ class FractionalArg(Frozen):
 
 
 def qbracket(x: int, q: Rational) -> Rational:
-    """[x : q] = (1 - q^x)/(1 - q); [x : 1] = x is the documented limit."""
+    """[x : q] = (1 - q^x)/(1 - q) for integral x; [x : 1] = x is the
+    documented limit."""
     q = Fraction(q)
     if q == 1:
         return Fraction(x)

@@ -794,8 +794,9 @@ def test_int_gcd_survives_unlucky_primes():
 
 def _route4_lists_reference(n, w, a, u):
     """The (numerator / (1-q)^n, denominator) lists route 4 hands to
-    `RationalFunctionQ`, by the per-term loop the product tree replaced:
-    each piece multiplied by every factor power it lacks, in turn."""
+    `RationalFunctionQ.reduced`, by the per-term loop the product tree
+    replaced: each piece multiplied by every factor power it lacks, in
+    turn."""
     c, d = u.numerator, u.denominator
     terms = []
     for l in range(n + 1):
@@ -834,13 +835,13 @@ def test_numerator_tree_matches_per_term_loop(monkeypatch):
     # repeated a_j make merges where a side lacks a factor power above 1, and
     # mixed signs put factors m > 0 and m < 0 in one merge
     captured = []
-    rational_function = euler_barnes.RationalFunctionQ
+    reduced = RationalFunctionQ.reduced
 
-    def capturing_rational_function(numerator, denominator, factors=None):
+    def capturing_reduced(numerator, denominator, factors=None):
         captured.append((numerator, denominator, factors[2]))
-        return rational_function(numerator, denominator, factors)
+        return reduced(numerator, denominator, factors)
 
-    monkeypatch.setattr(euler_barnes, "RationalFunctionQ", capturing_rational_function)
+    monkeypatch.setattr(RationalFunctionQ, "reduced", capturing_reduced)
     repeated = [
         (n, w, a, u)
         for n in (2, 5, 7)
@@ -868,7 +869,7 @@ def test_rational_in_q_is_reduced():
 
 def test_rational_function_reduces_integer_lists():
     def parts(num, den):
-        rf = RationalFunctionQ(num, den)
+        rf = RationalFunctionQ.reduced(num, den)
         return list(rf.numerator.coeffs), list(rf.denominator.coeffs)
 
     # 3q^2(1 + 2q) / (q^3 (2 + 5q)): the shared q^2 comes off
@@ -881,7 +882,7 @@ def test_rational_function_reduces_integer_lists():
     assert parts([1, 2, 0, 0], [3, 0, 0]) == ([F(1, 3), F(2, 3)], [1])
     assert parts([0, 0], [5, 1]) == ([], [1])
     with pytest.raises(ZeroDivisionError):
-        RationalFunctionQ([1], [0, 0])
+        RationalFunctionQ.reduced([1], [0, 0])
 
     assert _int_quotient([-2, 1, 1], [-1, 1]) == [2, 1]
     assert _int_quotient([1, 1], [1, 2]) is None  # leading quotient 1/2

@@ -31,6 +31,8 @@ from qbarnes import (
     to_padic,
     valuation,
 )
+from qbarnes.characters_lfunctions import l_riemann_run
+from qbarnes.euler_barnes import distribution_run, h_closed_run, refinement_run
 
 
 def test_admissible_u_rejects_unit():
@@ -283,7 +285,7 @@ def test_level_sums_match_the_sum_point_by_point():
         reference = {n: _multi_riemann_reference(n, w, params, uu, N) for n in set(ns)}
         denominators = [d for d in (1, 2, 4, 7, 11) if d % p]
         targets = [F(rng.randint(-99, 99), rng.choice(denominators)) for _ in ns]
-        sums = pi._level_sums(ns, (w,), params, uu, p**N)[0]
+        sums = pi._level_sums(ns, (w,), params, p, p**N)[0]
         assert [F(num, den) for num, den, _ in sums] == [reference[n] for n in ns], (
             p, v, N, a, w, q, c,
         )
@@ -318,7 +320,7 @@ def test_unit_sums_match_the_sum_point_by_point():
                 for b in (a1, -a1):
                     reference = [_unit_moment_reference(chi, b, uu, q, D, N, k) for k in ks]
                     params = BarnesParams((b,), uu.u, QBase(q))
-                    sums = pi._level_sums(ks, (0,), params, uu, D * p**N, classes)[0]
+                    sums = pi._level_sums(ks, (0,), params, p, D * p**N, classes)[0]
                     case = (p, chi.modulus, b, D, N, uu.u, q)
                     assert [F(num, den) for num, den, _ in sums] == reference, case
                     assert [v for _, _, v in sums] == [valuation(den, p) for _, den, _ in sums]
@@ -345,8 +347,8 @@ def test_level_sums_over_a_run_of_w_match_one_w_at_a_time():
         params = BarnesParams(a, uu.u, QBase(q))
         ns = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
         ws = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
-        runs = pi._level_sums(ns, ws, params, uu, p**N)
-        assert runs == [pi._level_sums(ns, (w,), params, uu, p**N)[0] for w in ws], (p, a, q, N)
+        runs = pi._level_sums(ns, ws, params, p, p**N)
+        assert runs == [pi._level_sums(ns, (w,), params, p, p**N)[0] for w in ws], (p, a, q, N)
         targets = [
             [h_closed(n, w, params) if rng.random() < 0.7 else F(rng.randint(-9, 9), 4) for n in ns]
             for w in ws
@@ -356,6 +358,23 @@ def test_level_sums_over_a_run_of_w_match_one_w_at_a_time():
         ]
         seen.add(r)
     assert seen == {1, 2}
+
+
+def test_empty_runs_return_empty_lists():
+    # as riemann_error_runs does; an empty batch of refinement terms is a
+    # usage error, since its sum would have no argument to take a root from
+    params, uu = BarnesParams((1, -2), F(5, 2), QBase(F(3))), AdmissibleU(F(5, 2), 5)
+    context, trivial = PadicContext(5, 6), DirichletCharacter.trivial(1)
+    assert pi.riemann_error_runs([], [], params, uu, 1, []) == []
+    assert h_closed_run([], 1, params) == []
+    assert distribution_run([], 1, 2, params) == []
+    assert refinement_run([], 1, (1, -2), F(5, 2), F(3), 2)([(1, (0, 1))]) == []
+    assert pi.riemann_sums(lambda x: ((0, 1),), 1, uu, []) == []
+    assert l_riemann_run([], uu, F(6), 1, context, (1, 2)) == []
+    assert l_riemann_run([(1, trivial), (2, trivial)], uu, F(6), 1, context, ()) == [[], []]
+    for ns in ([], [1]):
+        with pytest.raises(PreconditionError, match="batch of \\(c, i\\) must be nonempty"):
+            refinement_run(ns, 1, (1, -2), F(5, 2), F(3), 2)([])
 
 
 def test_error_valuations_from_the_tail_bound_match_the_full_climb():
@@ -379,7 +398,7 @@ def test_error_valuations_from_the_tail_bound_match_the_full_climb():
     uu = AdmissibleU(F(9), 3)
     params = BarnesParams((1, -2), uu.u, QBase(F(4)))
     for N in (1, 2, 3):
-        sums = pi._level_sums(range(4), (1,), params, uu, 3**N)[0]
+        sums = pi._level_sums(range(4), (1,), params, 3, 3**N)[0]
         targets = [h_closed(n, 1, params) for n in range(4)]
         full = pi._error_valuations(sums, targets, 3, 0)
         assert full[0] == INFINITY and min(full[1:]) >= 2 * 3**N + N
@@ -405,7 +424,7 @@ def test_level_sums_add_the_valuations_of_their_denominators_factors():
         params = BarnesParams(a, uu.u, QBase(q))
         ns = [rng.randint(0, 5) for _ in range(rng.randint(1, 4))]
         N = rng.randint(0, 3 if r == 1 else 1)
-        for num, den, v_den in pi._level_sums(ns, (w,), params, uu, p**N)[0]:
+        for num, den, v_den in pi._level_sums(ns, (w,), params, p, p**N)[0]:
             assert v_den == valuation(den, p), (p, a, q, w, uu.u, ns, N)
             seen.add(v_den > 0)
     assert seen == {True, False}

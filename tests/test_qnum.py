@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbarnes import (
+    BarnesParams,
     ExponentAlignmentError,
     FractionalArg,
     PreconditionError,
     QBase,
+    h_addition,
+    q_gf_coefficients,
     qbracket,
     qbracket_base,
     qbracket_z,
@@ -21,6 +24,23 @@ def test_qbracket_values():
     assert qbracket(-1, F(2)) == F(-1, 2)
     # base 1 degenerates to the argument itself
     assert qbracket(4, F(1)) == 4
+
+
+def test_a_non_integer_exponent_is_refused_not_taken_as_a_float():
+    # Fraction ** Fraction(1, 2) is a float; each of these went through one
+    params = BarnesParams((1,), F(5, 2), QBase(F(4)))
+    calls = [
+        lambda: qbracket(F(1, 2), F(4)),
+        lambda: q_gf_coefficients(params, F(1, 2), 2),
+        lambda: h_addition(2, F(1, 2), params),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="exponent must be an integer, got 1/2"):
+            call()
+    # an integral Fraction is an integer exponent
+    assert qbracket(F(2), F(4)) == 5
+    assert q_gf_coefficients(params, F(2), 2) == q_gf_coefficients(params, 2, 2)
+    assert h_addition(2, F(2), params) == h_addition(2, 2, params)
 
 
 def test_qbracket_z_matches_geometric_sum():

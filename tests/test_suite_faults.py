@@ -202,10 +202,10 @@ def test_riemann_limit_and_prop5_fail_with_the_last_axis_summed_backwards(monkey
     # the level sums with a[-1] read as -a[-1]
     level_sums = padic_integration._level_sums
 
-    def backwards(ns, ws, params, u, points, classes=(1,)):
+    def backwards(ns, ws, params, p, points, classes=(1,)):
         a = params.a
         flipped = euler_barnes.BarnesParams((*a[:-1], -a[-1]), params.u, params.q)
-        return level_sums(ns, ws, flipped, u, points, classes)
+        return level_sums(ns, ws, flipped, p, points, classes)
 
     for suite in ("riemann-limit", "prop5"):
         assert run_suite(suite)["pass"]
@@ -255,8 +255,8 @@ def test_eq8_bridge_fails_with_the_class_weights_read_one_residue_on(monkeypatch
     # class x0 of the unit sums weighted by classes[(x0 + 1) % P]
     level_sums = padic_integration._level_sums
 
-    def shifted(ns, ws, params, u, points, classes=(1,)):
-        return level_sums(ns, ws, params, u, points, [*classes[1:], *classes[:1]])
+    def shifted(ns, ws, params, p, points, classes=(1,)):
+        return level_sums(ns, ws, params, p, points, [*classes[1:], *classes[:1]])
 
     seeds = (0, 1, 2)
     for seed in seeds:

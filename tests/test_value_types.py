@@ -1,6 +1,6 @@
-"""The contract of the nine frozen value types: `PadicContext`, `QBase`,
+"""The contract of the ten frozen value types: `PadicContext`, `QBase`,
 `FractionalArg`, `BarnesParams`, `AdmissibleU`, `MeasureCell`, `Poly`,
-`TruncatedSeries` and `DirichletCharacter`.
+`TruncatedSeries`, `DirichletCharacter` and `RationalFunctionQ`.
 
 Equality by class and fields, a hash of the fields, a pinned `repr`,
 `AttributeError` on assigning or deleting a field, `pickle` and `copy`
@@ -22,7 +22,9 @@ from qbarnes import (
     Poly,
     PreconditionError,
     QBase,
+    RationalFunctionQ,
     TruncatedSeries,
+    h_rational_in_q,
 )
 
 # (object, an equal object built another way, a different object, its repr)
@@ -57,6 +59,13 @@ CASES = [
      DirichletCharacter(3, (0, 1, -1), PadicContext(3, 2)),
      DirichletCharacter.teichmuller_character(PadicContext(3, 3)),
      "DirichletCharacter(modulus=3, values=(0, 1, 8), context=PadicContext(p=3, precision=2))"),
+    # route 4's (q - 1) / (1 + q + q^2 + q^3), and the same reduced from
+    # 6 q (q - 1)(q + 1) over 6 q (q + 1)(1 + q + q^2 + q^3)
+    (h_rational_in_q(2, 0, 1, (1,), F(-1)),
+     RationalFunctionQ.reduced([0, -6, 0, 6], [0, 6, 12, 12, 12, 6]),
+     RationalFunctionQ(Poly([1, -1]), Poly([1, 1, 1, 1])),
+     "RationalFunctionQ(numerator=Poly(coeffs=(Fraction(-1, 1), Fraction(1, 1))), "
+     "denominator=Poly(coeffs=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))))"),
 ]
 IDS = [case[3].partition("(")[0] + str(i) for i, case in enumerate(CASES)]
 
@@ -147,6 +156,15 @@ def test_defaults_match_keyword_construction():
         FractionalArg(1, 2, 3)
     with pytest.raises(TypeError):
         MeasureCell(x=1, level=2)
+
+
+def test_rational_function_needs_a_monic_denominator():
+    # zero has no leading coefficient, so it is refused as not monic
+    for denominator in (Poly(()), Poly([1, 2]), Poly([F(1, 2)]), Poly([1, -1])):
+        with pytest.raises(PreconditionError, match="^the denominator must be monic$") as info:
+            RationalFunctionQ(Poly([1]), denominator)
+        assert info.value.parameter == "denominator"
+    assert RationalFunctionQ(Poly(()), Poly([1])).denominator == Poly([1])
 
 
 def _parameter(make) -> str:
